@@ -10,7 +10,7 @@ class InvalidTauError(ThetaQuarticError, ValueError):
 
 
 class TruncationError(ThetaQuarticError):
-    """The requested tail bound cannot be met within the radius cap."""
+    """The requested tail bound cannot be met within the lattice point cap."""
 
 
 class SpecialLocusError(ThetaQuarticError):

@@ -12,22 +12,52 @@ assembled right next to a comment saying so.
 
 Non-reduced integer characteristics are reduced first and the series is
 evaluated at the reduced representative, multiplied by the tracked
-reduction sign.  Truncation follows a Gaussian tail bound: terms decay
-like exp(-pi * lam_min * ||n||^2), with lam_min the smallest eigenvalue
-of Im(tau), so the box radius
+reduction sign.
 
-    N = ceil( ||m'/2||_inf + ||Im(tau)^-1 Im(z)||_inf + sqrt(-ln(tail) / (pi*lam_min)) )
+Every series goes through one private kernel (:func:`_series`).  With
+Y = Im(tau), p = n + m'/2 and a = Y^-1 Im(z), a term has modulus
+exp(pi a.Y.a) exp(-pi (n+c).Y.(n+c)) with center c = m'/2 + a, the
+Gaussian peak.  Each m' shift sums over its ellipsoid
 
-keeps the neglected relative mass below ``target_tail``.  The middle
-term recenters the box when Im(z) shifts the Gaussian peak (it vanishes
-for theta constants and gradients at z = 0).
+    (n + c).Y.(n + c) <= R^2,
+
+enumerated level by level from the Cholesky factor of Y (Fincke-Pohst);
+one vectorized pass enumerates the ellipsoids of all requested shifts.
+The points and the factor e(p.tau.p + 2p.z) depend on m' only, and
+e(p.m'') is a power of i, so all m'' of one shift come out of the same
+points: the values are the column sums of the N x k term matrix, the
+gradients 2*pi*i p^T times it.
+
+R follows the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
+Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004).  In
+coordinates u with |u|^2 = pi (n+c).Y.(n+c), take rho at most the
+shortest nonzero lattice vector (capped at ``RHO_CAP``): balls of radius
+rho/2 around the points are disjoint, and a subharmonic summand is at
+most its ball average, so for T = (sqrt(pi) R - rho/2)^2 >= _T_MIN
+
+    sum over |u| >= sqrt(pi) R of exp(-|u|^2)      <= (3/2)(2/rho)^3 Gamma(3/2, T)
+    sum over |u| >= sqrt(pi) R of |u| exp(-|u|^2)  <= (3/2)(2/rho)^3 Gamma(2, T).
+
+The second sum covers the |p| factor of the gradient terms, through
+|p| <= |a| + |u| / sqrt(pi lam_min).  R is set so that the neglected
+value mass plus gradient mass, relative to exp(pi a.Y.a) (which is 1 at
+z = 0), is below ``target_tail``: values and gradients share one rule.
+
+The enumeration counts the points of each level before it allocates
+them, and a pass that would hold more than ``MAX_POINTS`` points per
+shift raises :class:`TruncationError`.  The count is usually about
+(4/3) pi R^3 / sqrt(det Y) per shift, which is invariant under
+tau -> U tau U^T for U in GL_3(Z).  R itself grows only logarithmically
+with 1/lam_min (through the gradient weight and the packing radius).
+An ellipsoid thinner than the lattice spacing in some direction holds
+far more points than its volume, which is why the cap is on the exact
+count.  No modular transformation is applied to tau.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +75,24 @@ from .errors import InvalidTauError, TruncationError
 VANISHING_REL_TOL = 1e-8
 
 DEFAULT_TAIL = 1e-15
-HARD_RADIUS_CAP = 64
+
+#: Cap on the lattice points of one m' shift.  A pass over all eight
+#: shifts then holds at most about a million points (about 200 MB).
+MAX_POINTS = 1 << 17
+
+#: Cap on the packing radius the tail bound uses.  The bound's radius
+#: R(rho) is flat near its minimum at about this value, so a shortest
+#: lattice vector longer than it buys nothing.
+RHO_CAP = 0.5
+
+#: Smallest T for which the tail bound holds: from |u| = sqrt(T) on,
+#: |u| exp(-|u|^2) is subharmonic in 3-D (exp(-|u|^2) from sqrt(3/2) on).
+_T_MIN = (10 + math.sqrt(68)) / 8
+
+_UNITS = np.array([1, 1j, -1, -1j])
+
+_EVEN = tuple(q.characteristic for q in even_forms())
+_ODD = tuple(q.characteristic for q in odd_forms())
 
 ASYMMETRY_TOL = 1e-9
 
@@ -57,11 +104,15 @@ def ephase(x) -> complex:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Controls the lattice truncation of the theta series."""
+    """Controls the lattice truncation of the theta series.
+
+    ``target_tail`` bounds the neglected value plus gradient mass (see
+    the module docstring).  ``radius`` is a floor on the ellipsoid's
+    radius: every point with (n+c).Im(tau).(n+c) <= radius^2 is summed.
+    """
 
     radius: int = 1
     target_tail: float = DEFAULT_TAIL
-    max_radius: int = HARD_RADIUS_CAP
 
     def __post_init__(self):
         if self.radius < 1:
@@ -105,42 +156,105 @@ class PeriodMatrix:
         return f"PeriodMatrix(lam_min={self.lam_min:.4g})"
 
 
-@lru_cache(maxsize=None)
-def _box(radius: int) -> np.ndarray:
-    r = np.arange(-radius, radius + 1)
-    pts = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
-    pts = pts.astype(float)
-    pts.setflags(write=False)
-    return pts
+def _ellipsoid(chol: np.ndarray, centers: np.ndarray, r2: float):
+    """The integer points n with |chol.(n + c)|^2 <= r2, for each row c of ``centers``.
+
+    Fincke-Pohst on the upper Cholesky factor: n_3 ranges over its
+    interval, then n_2 over the interval the remaining budget leaves for
+    each n_3, then n_1; each level is one vectorized expansion over all
+    centers at once.  Returns float rows n and, for each, the index of
+    its center; rows come grouped by center, in order.  Raises
+    :class:`TruncationError` before a level would exceed ``MAX_POINTS``
+    points per center.
+    """
+    n = np.zeros((len(centers), 0))
+    owner = np.arange(len(centers))
+    rem = np.full(len(centers), r2)
+    for i in (2, 1, 0):
+        d = chol[i, i]
+        c = centers[owner]
+        mid = -c[:, i] - (n + c[:, i + 1 :]) @ (chol[i, i + 1 :] / d)  # window center for n_i
+        half = np.sqrt(rem.clip(0)) / d
+        lo = np.ceil(mid - half)
+        counts = np.floor(mid + half) - lo + 1
+        if counts.sum() > MAX_POINTS * len(centers):
+            raise TruncationError(
+                f"{counts.sum():.3g} lattice points needed for {len(centers)} shift(s), "
+                f"over the cap of {MAX_POINTS} per shift; Im(tau) is too close to singular "
+                "for the requested tail"
+            )
+        counts = counts.astype(int)
+        parent = np.repeat(np.arange(len(rem)), counts)
+        ni = np.arange(parent.size) + (lo - np.cumsum(counts) + counts)[parent]
+        n = np.column_stack([ni, n[parent]])
+        owner = owner[parent]
+        rem = rem[parent] - (d * (ni - mid[parent])) ** 2
+    return n, owner
 
 
-def _radius(tau: PeriodMatrix, mp, z, pol: TruncationPolicy) -> int:
-    base = math.sqrt(-math.log(pol.target_tail) / (math.pi * tau.lam_min))
-    shift = max(abs(x) for x in mp) / 2
-    if z is not None:
-        imz = np.asarray(z, dtype=complex).imag
-        if np.any(imz):
-            center = np.linalg.solve(tau.tau.imag, imz)
-            shift += float(np.abs(center).max())
-    n = max(pol.radius, math.ceil(shift + base))
-    if n > pol.max_radius:
-        raise TruncationError(
-            f"needed radius {n} exceeds the cap {pol.max_radius}; "
-            "Im(tau) is too close to degenerate for the requested tail"
-        )
-    return n
+def _packing_radius(tau: PeriodMatrix, chol: np.ndarray) -> float:
+    """min(RHO_CAP, shortest nonzero lattice vector) in u-units.
+
+    Balls of half this radius around the lattice points are disjoint,
+    which is all the tail bound needs; below the cap the bound barely
+    depends on it.
+    """
+    if math.pi * tau.lam_min >= RHO_CAP**2:
+        return RHO_CAP  # |u|^2 >= pi * lam_min * |n|^2
+    n, _ = _ellipsoid(chol, np.zeros((1, 3)), RHO_CAP**2 / math.pi)
+    norms = math.pi * ((n @ chol.T) ** 2).sum(axis=1)
+    return math.sqrt(norms[norms > 0].min(initial=RHO_CAP**2))
 
 
-def _series(r: Characteristic, tau: PeriodMatrix, z, pol: TruncationPolicy, gradient: bool):
-    n = _radius(tau, r.mp, z, pol)
-    p = _box(n) + np.array(r.mp, dtype=float) / 2
+def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: TruncationPolicy) -> float:
+    """R^2 of the summation ellipsoid: the tail bound's, or pol.radius^2 if larger."""
+    rho = _packing_radius(tau, chol)
+    pref = 1.5 * (2 / rho) ** 3
+    w_value = 1 + 2 * math.pi * float(np.linalg.norm(a))
+    w_grad = 2 * math.sqrt(math.pi / tau.lam_min)
+
+    def bound(t):  # neglected value plus gradient mass at T = t
+        s = math.sqrt(t)
+        gamma_3_2 = s * math.exp(-t) + math.sqrt(math.pi) / 2 * math.erfc(s)
+        gamma_2 = (1 + t) * math.exp(-t)
+        return pref * (w_value * gamma_3_2 + w_grad * gamma_2)
+
+    t = _T_MIN
+    while (b := bound(t)) > pol.target_tail:
+        # ln(bound) falls a little slower than t grows, so these steps
+        # approach the root from below and stop at most 0.01 past it
+        t += max(math.log(b / pol.target_tail), 0.01)
+    r = math.sqrt(t) + rho / 2
+    return max(r * r / math.pi, pol.radius**2)
+
+
+def _series(chars, tau: PeriodMatrix, z, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Values and z-gradients of theta at the reduced characteristics ``chars``.
+
+    One lattice pass over the ellipsoids of their distinct m' (see the
+    module docstring); returns (values, gradients) aligned with ``chars``.
+    """
+    imag = tau.tau.imag
+    chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
     zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    quad = np.einsum("ni,ij,nj->n", p, tau.tau, p)
-    lin = 2 * p @ (zz + np.array(r.mpp, dtype=float) / 2)
-    terms = np.exp(1j * np.pi * (quad + lin))  # e(x) convention
-    if gradient:
-        return 2j * np.pi * (p * terms[:, None]).sum(axis=0)
-    return terms.sum()
+    a = np.linalg.solve(imag, zz.imag)
+    r2 = _radius2(tau, chol, a, pol)
+    shifts: dict[tuple, list[int]] = {}
+    for j, m in enumerate(chars):
+        shifts.setdefault(m.mp, []).append(j)
+    half_mp = np.array(list(shifts)) / 2
+    n, owner = _ellipsoid(chol, half_mp + a, r2)
+    p = n + half_mp[owner]
+    w = np.exp(1j * np.pi * (((p @ tau.tau) * p).sum(axis=1) + 2 * p @ zz))  # e(x) convention
+    ends = np.cumsum(np.bincount(owner, minlength=len(shifts)))[:-1]
+    values = np.empty(len(chars), dtype=complex)
+    grads = np.empty((len(chars), 3), dtype=complex)
+    for idx, ps, ws in zip(shifts.values(), np.split(p, ends), np.split(w, ends)):
+        mpp = np.array([chars[j].mpp for j in idx]).T
+        units = _UNITS[(2 * ps @ mpp).astype(int) % 4]  # e(p.m'') = i^(2p.m''), 2p integral
+        values[idx] = ws @ units
+        grads[idx] = (2j * np.pi * (ps * ws[:, None]).T @ units).T
+    return values, grads
 
 
 def theta(m: Characteristic, tau: PeriodMatrix, z=None, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -150,7 +264,7 @@ def theta(m: Characteristic, tau: PeriodMatrix, z=None, pol: TruncationPolicy = 
     may pass non-reduced sums of characteristics directly.
     """
     r, sign = reduce_characteristic(m)
-    return sign * _series(r, tau, z, pol, gradient=False)
+    return sign * _series([r], tau, z, pol)[0][0]
 
 
 def theta_const(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -161,7 +275,7 @@ def theta_const(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DE
 def grad_theta0(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """The z-gradient of theta_m at z = 0, by the termwise differentiated series."""
     r, sign = reduce_characteristic(m)
-    return sign * _series(r, tau, None, pol, gradient=True)
+    return sign * _series([r], tau, None, pol)[1][0]
 
 
 def jacobian_det(
@@ -276,13 +390,19 @@ def quasi_periodicity_residual(
 
 
 def even_constant_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
-    """All 36 even theta constants, keyed by reduced Characteristic."""
-    return {q.characteristic: theta_const(q.characteristic, tau, pol) for q in even_forms()}
+    """All 36 even theta constants, keyed by reduced Characteristic.
+
+    One lattice pass over the 8 m' shifts.
+    """
+    return dict(zip(_EVEN, _series(_EVEN, tau, None, pol)[0]))
 
 
 def odd_gradient_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
-    """All 28 odd theta gradients at z = 0, keyed by reduced Characteristic."""
-    return {q.characteristic: grad_theta0(q.characteristic, tau, pol) for q in odd_forms()}
+    """All 28 odd theta gradients at z = 0, keyed by reduced Characteristic.
+
+    One lattice pass over the 7 nonzero m' shifts.
+    """
+    return dict(zip(_ODD, _series(_ODD, tau, None, pol)[1]))
 
 
 def vanishing_even_characteristics(

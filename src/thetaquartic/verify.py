@@ -12,8 +12,6 @@ degrades gracefully near degenerate tangencies.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -231,16 +229,6 @@ def bitangency_check(
     )
 
 
-def _workers(n_tasks: int) -> int:
-    env = os.environ.get("THETA_QUARTIC_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, min(int(env), n_tasks))
-    except ValueError:
-        return 1
-
-
 def bitangency_summary(
     curve: QuarticCurve,
     labelled_lines,
@@ -250,15 +238,9 @@ def bitangency_summary(
 
     Returns (reports, summary): reports is a list of per-line JSON
     objects, summary counts passes/failures and the worst residual.
-    THETA_QUARTIC_THREADS caps the worker pool (default: serial).
     """
     labelled = list(labelled_lines)
-    workers = _workers(len(labelled))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ql: bitangency_check(curve, ql[1], tol), labelled))
-    else:
-        results = [bitangency_check(curve, line, tol) for _, line in labelled]
+    results = [bitangency_check(curve, line, tol) for _, line in labelled]
     reports = [rep.to_json(q.characteristic) for (q, _), rep in zip(labelled, results)]
     n_pass = sum(1 for r in results if r.is_bitangent)
     summary = {

@@ -1,12 +1,14 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's code paths: the raw theta sums
-never reduce characteristics, the genus-1 series is one-dimensional,
+never reduce characteristics, the cube sum keeps the box truncation
+the ellipsoid engine replaced, the genus-1 series is one-dimensional,
 and the Aronhold recount scans all C(28,7) subsets with a lookup table
 instead of backtracking.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -87,3 +89,20 @@ def brute_force_aronhold_sets():
 def pack_form(form) -> int:
     bits = form.mp + form.mpp
     return sum(b << i for i, b in enumerate(bits))
+
+
+def cube_series(mp, mpp, tau, tail=1e-15):
+    """Theta constant and z-gradient at 0 from the cube-truncated series.
+
+    The summation rule the package used before its ellipsoid engine: all
+    p = n + m'/2 with n in the box of radius
+    ceil(|m'/2|_inf + sqrt(-ln(tail) / (pi lam_min))), lam_min the smallest
+    eigenvalue of Im(tau).
+    """
+    tau = np.asarray(tau)
+    lam_min = np.linalg.eigvalsh(tau.imag).min()
+    radius = math.ceil(max(mp) / 2 + math.sqrt(-math.log(tail) / (math.pi * lam_min)))
+    r = np.arange(-radius, radius + 1)
+    p = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3) + np.asarray(mp) / 2
+    terms = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + p @ np.asarray(mpp)))
+    return terms.sum(), 2j * np.pi * p.T @ terms

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from thetaquartic import (
+    all_bitangents,
+    bitangency_summary,
+    random_admissible_tau,
+    riemann_quartic,
+    weber_coefficients,
+)
 from thetaquartic.charalgebra import (
     REFERENCE_SYSTEM,
     Characteristic,
@@ -13,6 +20,8 @@ from thetaquartic.charalgebra import (
 from thetaquartic.errors import InvalidTauError, TruncationError
 from thetaquartic.thetaeval import (
     PeriodMatrix,
+    _ellipsoid,
+    _radius2,
     TruncationPolicy,
     addition_formula_residual,
     even_constant_table,
@@ -28,9 +37,20 @@ from thetaquartic.thetaeval import (
     vanishing_even_characteristics,
 )
 
-from oracles import fd_gradient, raw_grad, raw_theta, theta_genus1
+from oracles import cube_series, fd_gradient, raw_grad, raw_theta, theta_genus1
 
 RNG = np.random.default_rng(2024)
+
+
+def _skewed(tau, k):
+    # the same curve in the basis U = [[1,k,0],[0,1,k],[0,0,1]]
+    u = np.array([[1, k, 0], [0, 1, k], [0, 0, 1]])
+    return PeriodMatrix(u @ tau.tau @ u.T)
+
+
+@pytest.fixture(scope="module")
+def tau_skewed():
+    return _skewed(random_admissible_tau(7), 1)
 
 
 def _rand_z(scale=0.2):
@@ -47,18 +67,18 @@ def test_theta_parity_all_64(tau_seed1):
         assert abs(minus - expected) <= 1e-10 * max(abs(plus), 1e-3)
 
 
-def test_reduction_formula_against_raw_series(tau_seed1):
+def test_reduction_formula_against_raw_series(tau_seed1, tau_skewed):
     # production values at non-reduced characteristics match the direct
     # (non-reducing) lattice sum, and the explicit sign relation
     m = Characteristic((1, 0, 1), (1, 0, 1))  # even: nonzero constant
     n = Characteristic((0, 2, 0), (2, 0, 2))
     shifted = m + n
-    direct = raw_theta(shifted.mp, shifted.mpp, tau_seed1.tau, np.zeros(3))
-    via_reduction = theta_const(shifted, tau_seed1)
-    assert abs(direct - via_reduction) < 1e-12 * abs(direct)
-
     sign = -1 if sum(m.mp[i] * (n.mpp[i] // 2) for i in range(3)) % 2 else 1
-    assert abs(via_reduction - sign * theta_const(m, tau_seed1)) < 1e-12 * abs(direct)
+    for tau, radius in ((tau_seed1, 8), (tau_skewed, 10)):
+        direct = raw_theta(shifted.mp, shifted.mpp, tau.tau, np.zeros(3), radius=radius)
+        via_reduction = theta_const(shifted, tau)
+        assert abs(direct - via_reduction) < 1e-12 * abs(direct)
+        assert abs(via_reduction - sign * theta_const(m, tau)) < 1e-12 * abs(direct)
 
 
 def test_reduction_formula_at_z(tau_seed2):
@@ -136,11 +156,41 @@ def test_gradient_matches_finite_differences(tau_seed1):
         assert np.linalg.norm(g - fd) < 1e-7 * np.linalg.norm(g)
 
 
-def test_gradient_matches_raw_series(tau_seed2):
+def test_gradient_matches_raw_series(tau_seed2, tau_skewed):
     m = odd_forms()[11].characteristic
-    g = grad_theta0(m, tau_seed2)
-    raw = raw_grad(m.mp, m.mpp, tau_seed2.tau)
-    assert np.linalg.norm(g - raw) < 1e-12 * np.linalg.norm(raw)
+    for tau, radius in ((tau_seed2, 8), (tau_skewed, 10)):
+        g = grad_theta0(m, tau)
+        raw = raw_grad(m.mp, m.mpp, tau.tau, radius=radius)
+        assert np.linalg.norm(g - raw) < 1e-12 * np.linalg.norm(raw)
+
+
+def test_tables_match_cube_engine():
+    # the ellipsoid passes against the cube-truncated series they replaced
+    for seed in range(20):
+        tau = random_admissible_tau(seed)
+        consts = even_constant_table(tau)
+        scale = max(abs(v) for v in consts.values())
+        for m, v in consts.items():
+            assert abs(v - cube_series(m.mp, m.mpp, tau.tau)[0]) <= 1e-14 * scale
+        grads = odd_gradient_table(tau)
+        gscale = max(np.linalg.norm(g) for g in grads.values())
+        for m, g in grads.items():
+            assert np.linalg.norm(g - cube_series(m.mp, m.mpp, tau.tau)[1]) <= 1e-14 * gscale
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 10])
+def test_skewed_basis_same_curve(k):
+    # U tau U^T is the same curve: same |theta_even| up to relabelling,
+    # and the pipeline certifies all 28 lines at about the same cost
+    tau = random_admissible_tau(7)
+    skewed = _skewed(tau, k)
+    ref = np.sort(np.abs(list(even_constant_table(tau).values())))
+    got = np.sort(np.abs(list(even_constant_table(skewed).values())))
+    assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+    frame = weber_coefficients(REFERENCE_SYSTEM, skewed)
+    lines = all_bitangents(REFERENCE_SYSTEM, skewed)
+    _, summary = bitangency_summary(riemann_quartic(frame.xi), lines)
+    assert summary["pass"] == 28
 
 
 def test_gradient_reduction_scaling(tau_seed1):
@@ -281,7 +331,7 @@ def test_quasi_periodicity_composed(tau_seed1):
 
 def test_truncation_convergence(tau_seed1):
     tight = TruncationPolicy(target_tail=1e-15)
-    loose = TruncationPolicy(radius=14, target_tail=1e-15)  # forces ~double radius
+    loose = TruncationPolicy(radius=14, target_tail=1e-15)  # R >= 14 against about 4 by the bound
     for q in (even_forms()[3], odd_forms()[12]):
         m = q.characteristic
         a = theta_const(m, tau_seed1, tight)
@@ -293,17 +343,42 @@ def test_truncation_convergence(tau_seed1):
         assert np.linalg.norm(ga - gb) <= 1e-12 * max(np.linalg.norm(ga), scale)
 
 
-def test_truncation_policy_validation():
+def test_truncation_policy_validation(tau_seed1):
     with pytest.raises(ValueError):
         TruncationPolicy(radius=0)
     with pytest.raises(ValueError):
         TruncationPolicy(target_tail=1e-3)
+    # radius is a floor on the ellipsoid: every lattice point with
+    # (n+c).Im(tau).(n+c) <= radius^2 is summed, and only those up to R^2
+    pol = TruncationPolicy(radius=6)
+    imag = tau_seed1.tau.imag
+    chol = np.linalg.cholesky(imag).T
+    r2 = _radius2(tau_seed1, chol, np.zeros(3), pol)
+    assert r2 >= 36
+    center = np.array([0.5, 0.0, 0.5])
+    points, _ = _ellipsoid(chol, center[None, :], r2)
+    summed = {tuple(n) for n in points.astype(int)}
+    reach = int(np.ceil(np.sqrt(r2 / np.linalg.eigvalsh(imag).min()))) + 1
+    r = np.arange(-reach, reach + 1)
+    box = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    x = box + center
+    inside = box[np.einsum("ni,ij,nj->n", x, imag, x) <= r2]
+    assert summed == {tuple(n) for n in inside}
 
 
 def test_radius_cap_error():
     tau = PeriodMatrix(2e-4j * np.eye(3))
     with pytest.raises(TruncationError):
         theta_const(Characteristic((0, 0, 0), (0, 0, 0)), tau)
+
+
+def test_point_cap_counts_thin_ellipsoid():
+    # det Im(tau) = 1, so the ellipsoid's volume is a few hundred points,
+    # but it is thinner than the lattice spacing along n_2 and its central
+    # slice alone holds about 1e7 points per shift
+    tau = PeriodMatrix(1j * np.diag([1e-10, 1e10, 1.0]))
+    with pytest.raises(TruncationError):
+        even_constant_table(tau)
 
 
 def test_period_matrix_validation():

@@ -156,7 +156,7 @@ def test_double_root_separation_or_flag(tau_seed1):
             assert abs(np.vdot(u, v)) < 1 - 1e-10
 
 
-def test_bitangency_summary_and_threads(tau_seed1, monkeypatch):
+def test_bitangency_summary(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
     quartic = riemann_quartic(frame.xi)
     lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
@@ -164,10 +164,6 @@ def test_bitangency_summary_and_threads(tau_seed1, monkeypatch):
     assert summary["pass"] == 28 and summary["fail"] == 0
     assert len(reports) == 28
     assert set(reports[0]) == {"q", "is_bitangent", "residual", "contacts"}
-    monkeypatch.setenv("THETA_QUARTIC_THREADS", "4")
-    reports2, summary2 = bitangency_summary(quartic, lines)
-    assert summary2 == summary
-    assert [r["q"] for r in reports2] == [r["q"] for r in reports]
 
 
 def test_report_json_structure(tau_seed1):
