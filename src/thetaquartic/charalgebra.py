@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -201,16 +202,17 @@ REFERENCE_SYSTEM = AronholdSystem((
 ))
 
 
-def enumerate_aronhold() -> list[AronholdSystem]:
+@lru_cache(maxsize=1)
+def enumerate_aronhold() -> tuple[AronholdSystem, ...]:
     """All 288 Aronhold systems, as sets in a canonical order.
 
     Backtracking over the 28 odd forms in key order, pruning any partial
     tuple that acquires a non-azygetic triple.  Each returned system has
-    its forms sorted, and the list is sorted lexicographically on the
-    sorted keys, so the output order is deterministic.
+    its forms sorted, and the tuple is sorted lexicographically on the
+    sorted keys, so the output order is deterministic.  The enumeration
+    runs once per process; later calls return the same tuple.
     """
     odds = sorted(odd_forms(), key=lambda q: q.key)
-    idx = {q: i for i, q in enumerate(odds)}
     packed = [_pack(q) for q in odds]
     even_lut = [1 if arf(QuadForm(_unpack(x))) == 0 else 0 for x in range(64)]
 
@@ -238,7 +240,7 @@ def enumerate_aronhold() -> list[AronholdSystem]:
                 chosen.pop()
 
     extend(0)
-    return [AronholdSystem(tuple(odds[i] for i in sel)) for sel in out]
+    return tuple(AronholdSystem(tuple(odds[i] for i in sel)) for sel in out)
 
 
 def _pack(q: QuadForm) -> int:

@@ -24,7 +24,9 @@ pick up are part of the formula and are either tracked explicitly
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -64,6 +66,9 @@ SOLVE_RESIDUAL_GATE = 1e-10
 FRAME_COND_LIMIT = 1e10
 XI_RESIDUAL_GATE = 1e-8
 
+#: bound of the caches keyed by an Aronhold system: one entry per system
+SYSTEM_CACHE_SIZE = 288
+
 
 def complex_to_json(z) -> dict:
     z = complex(z)
@@ -78,8 +83,8 @@ class ProjLine:
 
     def __post_init__(self):
         c = tuple(complex(x) for x in self.c)
-        if len(c) != 3:
-            raise ValueError("a line covector has 3 entries")
+        if len(c) != 3 or not all(map(cmath.isfinite, c)):
+            raise ValueError("a line covector has 3 finite entries")
         if max(abs(x) for x in c) == 0:
             raise ValueError("zero covector does not define a line")
         object.__setattr__(self, "c", c)
@@ -112,8 +117,8 @@ class QuarticCurve:
 
     def __post_init__(self):
         c = tuple(complex(x) for x in self.coeffs)
-        if len(c) != 15:
-            raise ValueError("a ternary quartic has 15 coefficients")
+        if len(c) != 15 or not all(map(cmath.isfinite, c)):
+            raise ValueError("a ternary quartic has 15 finite coefficients")
         if max(abs(x) for x in c) == 0:
             raise DegenerateCurveError("zero polynomial is not a quartic curve")
         object.__setattr__(self, "coeffs", c)
@@ -283,6 +288,7 @@ def _row_indices(i: int):
     return r, s
 
 
+@lru_cache(maxsize=9 * SYSTEM_CACHE_SIZE)
 def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     """Exact symbolic content of a_ij: phase, reduced characteristics, rho.
 
@@ -304,7 +310,7 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     qr, qs = system[r - 1], system[s - 1]
     qj = system[j - 1]
 
-    t = sum(char_sum(q4, q4i).mp[l] * char_sum(q4, *system.forms[4:]).mpp[l] for l in range(3))
+    t = _row_exponent(system, i)
     d = sum(char_sum(qj, qr, qs).mp[l] * char_sum(q4, q4i).mpp[l] for l in range(3))
 
     rho = 1
@@ -317,13 +323,18 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     return WeberEntry(phase=phase, chars=tuple(reduced), rho=rho)
 
 
+@lru_cache(maxsize=3 * SYSTEM_CACHE_SIZE)
+def _row_exponent(system: AronholdSystem, i: int) -> int:
+    # t = (q4+q_{4+i})'.(q4+q5+q6+q7)'' of row i
+    q4 = system[3]
+    return sum(char_sum(q4, system[3 + i]).mp[l] * char_sum(q4, *system.forms[4:]).mpp[l] for l in range(3))
+
+
 def _weber_matrix(system, table, eps) -> tuple[np.ndarray, tuple]:
     a = np.zeros((3, 3), dtype=complex)
     etas = []
     for i in (1, 2, 3):
-        q4, q4i = system[3], system[3 + i]
-        t = sum(char_sum(q4, q4i).mp[l] * char_sum(q4, *system.forms[4:]).mpp[l] for l in range(3))
-        etas.append(eps[i - 1] * _I_POW[t % 4])
+        etas.append(eps[i - 1] * _I_POW[_row_exponent(system, i) % 4])
         for j in (1, 2, 3):
             entry = weber_symbolic(system, i, j)
             n1, n2, d1, d2 = entry.chars
@@ -517,14 +528,18 @@ def all_bitangents(
     # loses the small columns' digits when gradient scales spread
     scales = np.linalg.norm(phi, axis=0)
     inv_scaled = np.linalg.inv(phi / scales)
-    labels = list(system.forms)
-    pairs = derived_forms(system).pair
-    labels.extend(pairs[key] for key in sorted(pairs))
     out = []
-    for q in labels:
+    for q in _bitangent_labels(system):
         covector = (inv_scaled @ grads[q.characteristic]) / scales
         out.append((q, ProjLine(tuple(covector))))
     return out
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _bitangent_labels(system: AronholdSystem) -> tuple[QuadForm, ...]:
+    # the seven system forms, then the 21 pair forms in (i, j) order
+    pairs = derived_forms(system).pair
+    return tuple(system.forms) + tuple(pairs[key] for key in sorted(pairs))
 
 
 def frame_to_json(frame: AronholdFrame, bitangents, quartic: QuarticCurve) -> dict:

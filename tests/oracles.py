@@ -106,3 +106,27 @@ def cube_series(mp, mpp, tau, tail=1e-15):
     p = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3) + np.asarray(mp) / 2
     terms = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + p @ np.asarray(mpp)))
     return terms.sum(), 2j * np.pi * p.T @ terms
+
+
+def mp_restriction(coeffs, exponents, p, q, dps=40):
+    """Coefficients of F(s p + t q) in s^(4-k) t^k, expanded in mpmath.
+
+    Each monomial is multiplied out one linear factor (s p_i + t q_i) at a
+    time at ``dps`` digits, with no binomial coefficients.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        p = [mpmath.mpc(x) for x in p]
+        q = [mpmath.mpc(x) for x in q]
+        out = [mpmath.mpc(0)] * 5
+        for c, e in zip(coeffs, exponents):
+            poly = [mpmath.mpc(c)]
+            for i in range(3):
+                for _ in range(e[i]):
+                    shifted = [mpmath.mpc(0)] + poly
+                    poly = [a * p[i] for a in poly] + [mpmath.mpc(0)]
+                    poly = [a + b * q[i] for a, b in zip(poly, shifted)]
+            for k, x in enumerate(poly):
+                out[k] += x
+        return np.array([complex(x) for x in out])

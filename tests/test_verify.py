@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import mp_restriction
+from thetaquartic import verify
 from thetaquartic.charalgebra import Characteristic
 from thetaquartic.errors import (
     DegenerateCurveError,
@@ -179,3 +181,97 @@ def test_report_json_structure(tau_seed1):
 def test_random_admissible_tau_exhaustion():
     with pytest.raises(ThetaQuarticError, match="seed"):
         random_admissible_tau(3, max_tries=0)
+
+
+def _pipeline(seed):
+    tau = random_admissible_tau(seed)
+    quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau).xi)
+    return quartic, all_bitangents(REFERENCE_SYSTEM, tau)
+
+
+def _random_lines(seed, count):
+    rng = np.random.default_rng(seed)
+    return [ProjLine(tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_restriction_matches_mpmath_on_bitangents(seed):
+    quartic, lines = _pipeline(seed)
+    _check_restrictions_against_mpmath(quartic, [line for _, line in lines])
+
+
+@pytest.mark.parametrize("curve", [X1_FOURTH, DOUBLE_CONIC], ids=["x1_fourth", "double_conic"])
+def test_restriction_matches_mpmath_on_special_curves(curve):
+    _check_restrictions_against_mpmath(curve, _random_lines(12, 10))
+
+
+def _check_restrictions_against_mpmath(curve, lines):
+    # the kernel restricts the curve scaled to unit largest coefficient, in the
+    # null-space basis of the covector's SVD
+    coeffs = curve.vec / np.abs(curve.vec).max()
+    for line in lines:
+        _, _, vh = np.linalg.svd(line.vec.reshape(1, 3))
+        want = mp_restriction(coeffs, MONOMIALS, vh[1].conj(), vh[2].conj())
+        got = restrict_to_line(curve, line)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(coeffs).sum()
+
+
+def test_check_equals_summary_row():
+    quartic, lines = _pipeline(1)
+    reports, _ = bitangency_summary(quartic, lines)
+    for (q, line), row in zip(lines, reports):
+        assert bitangency_check(quartic, line).to_json(q.characteristic) == row
+
+
+@pytest.mark.parametrize("position", [0, 13, 27])
+def test_line_on_curve_anywhere_in_batch(position):
+    lines = _random_lines(13, 27)
+    lines.insert(position, ProjLine((1, 0, 0)))
+    labelled = [(q, line) for q, line in zip(list(REFERENCE_SYSTEM.forms) * 4, lines)]
+    with pytest.raises(DegenerateCurveError):
+        bitangency_summary(X1_FOURTH, labelled)
+
+
+def test_contacts_canonical_under_rescaling():
+    quartic, lines = _pipeline(1)
+    scaled_curve = QuarticCurve(tuple((3 - 4j) * c for c in quartic.coeffs))
+    for _, line in lines:
+        scaled_line = ProjLine(tuple((0.01j - 2) * x for x in line.vec))
+        a = bitangency_check(quartic, line).contact_points
+        b = bitangency_check(scaled_curve, scaled_line).contact_points
+        assert np.abs(np.array(a) - np.array(b)).max() < 1e-12
+        for x in a:
+            pivot = x[np.argmax(np.abs(x))]
+            assert pivot.real > 0 and abs(pivot.imag) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_quartic_rejects_non_finite(bad):
+    coeffs = [1.0] * 15
+    coeffs[4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        QuarticCurve(tuple(coeffs))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_line_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ProjLine((1.0, bad, 0.5))
+
+
+def test_huge_coefficients_certified():
+    quartic, lines = _pipeline(1)
+    huge = QuarticCurve(tuple(1e308 * c for c in quartic.coeffs))
+    _, want = bitangency_summary(quartic, lines)
+    _, got = bitangency_summary(huge, lines)
+    assert got["pass"] == 28
+    assert abs(got["max_residual"] - want["max_residual"]) < 1e-12
+
+
+def test_qz_failure_is_typed(monkeypatch):
+    def failing_zggev(a, b, **kwargs):
+        return np.zeros(4, complex), np.zeros(4, complex), None, None, None, 2
+
+    monkeypatch.setattr(verify, "zggev", failing_zggev)
+    with pytest.raises(ThetaQuarticError, match="zggev"):
+        bitangency_check(X1_FOURTH, ProjLine((0, 1, 0)))
