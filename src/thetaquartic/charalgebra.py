@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -90,7 +90,7 @@ class QuadForm:
     def key(self) -> tuple:
         return self.coords.key
 
-    @property
+    @cached_property
     def characteristic(self) -> "Characteristic":
         return Characteristic(self.mp, self.mpp)
 

@@ -9,6 +9,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -49,6 +50,7 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="theta-quartic",

@@ -26,7 +26,9 @@ one vectorized pass enumerates the ellipsoids of all requested shifts.
 The points and the factor e(p.tau.p + 2p.z) depend on m' only, and
 e(p.m'') is a power of i, so all m'' of one shift come out of the same
 points: the values are the column sums of the N x k term matrix, the
-gradients 2*pi*i p^T times it.
+gradients 2*pi*i p^T times it.  The pipeline's 36 even constants and 28
+odd gradients at z = 0 come from one pass over all 8 shifts, kept on the
+PeriodMatrix per policy (:func:`_tables`), so every stage reads it.
 
 R follows the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004).  In
@@ -151,6 +153,7 @@ class PeriodMatrix:
         tau.setflags(write=False)
         self.tau = tau
         self.lam_min = float(eigs.min())
+        self._tables: dict = {}  # policy -> (even constants, odd gradients), see _tables
 
     def __repr__(self):
         return f"PeriodMatrix(lam_min={self.lam_min:.4g})"
@@ -389,26 +392,34 @@ def quasi_periodicity_residual(
     return float(abs(lhs - rhs) / scale)
 
 
-def even_constant_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
-    """All 36 even theta constants, keyed by reduced Characteristic.
+def _tables(tau: PeriodMatrix, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The 36 even constants and 28 odd gradients at z = 0, aligned with _EVEN and _ODD.
 
-    One lattice pass over the 8 m' shifts.
+    One lattice pass over the 8 m' shifts, kept on ``tau`` per policy as
+    read-only arrays; tau and the policy are immutable, so it never goes stale.
     """
-    return dict(zip(_EVEN, _series(_EVEN, tau, None, pol)[0]))
+    kept = tau._tables.get(pol)
+    if kept is None:
+        values, grads = _series(_EVEN + _ODD, tau, None, pol)
+        kept = values[: len(_EVEN)], grads[len(_EVEN) :]
+        for arr in kept:
+            arr.setflags(write=False)
+        tau._tables[pol] = kept
+    return kept
+
+
+def even_constant_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
+    """All 36 even theta constants, keyed by reduced Characteristic: a fresh dict over :func:`_tables`."""
+    return dict(zip(_EVEN, _tables(tau, pol)[0]))
 
 
 def odd_gradient_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
-    """All 28 odd theta gradients at z = 0, keyed by reduced Characteristic.
-
-    One lattice pass over the 7 nonzero m' shifts.
-    """
-    return dict(zip(_ODD, _series(_ODD, tau, None, pol)[1]))
+    """All 28 odd theta gradients at z = 0 by reduced Characteristic: read-only rows of :func:`_tables`."""
+    return dict(zip(_ODD, _tables(tau, pol)[1]))
 
 
 def vanishing_even_characteristics(
-    tau: PeriodMatrix,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-    table: dict | None = None,
+    tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY
 ) -> list[Characteristic]:
     """Reduced even characteristics whose constant is numerically zero.
 
@@ -417,13 +428,9 @@ def vanishing_even_characteristics(
     hyperelliptic/decomposable locus where the reconstruction formulas
     divide by zero.
     """
-    if table is None:
-        table = even_constant_table(tau, pol)
-    scale = max(abs(v) for v in table.values())
-    return sorted(
-        (m for m, v in table.items() if abs(v) < VANISHING_REL_TOL * scale),
-        key=lambda m: m.mp + m.mpp,
-    )
+    mags = np.abs(_tables(tau, pol)[0])
+    tol = VANISHING_REL_TOL * mags.max()
+    return sorted((m for m, v in zip(_EVEN, mags) if v < tol), key=lambda m: m.mp + m.mpp)
 
 
 def random_tau(rng: np.random.Generator) -> np.ndarray:

@@ -47,6 +47,8 @@ from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
+    _ODD,
+    _tables,
     even_constant_table,
     jacobian_det,
     odd_gradient_table,
@@ -168,22 +170,20 @@ class AronholdFrame:
 # ---------------------------------------------------------------------------
 # admission gate
 
-def require_generic(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY, table=None) -> dict:
+def require_generic(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
     """Return the even-constant table, refusing on the special locus.
 
     Single source of truth for pipeline admission: exactly the scan in
     :func:`thetaquartic.thetaeval.vanishing_even_characteristics`.
     """
-    if table is None:
-        table = even_constant_table(tau, pol)
-    vanishing = vanishing_even_characteristics(tau, pol, table=table)
+    vanishing = vanishing_even_characteristics(tau, pol)
     if vanishing:
         raise SpecialLocusError(
             "even theta constants vanish (hyperelliptic or decomposable tau): "
             + ", ".join(m.bracket() for m in vanishing),
             vanishing=vanishing,
         )
-    return table
+    return even_constant_table(tau, pol)
 
 
 def _theta_from_table(table: dict, m: Characteristic) -> complex:
@@ -199,7 +199,6 @@ def jacobi_ratio(
     completion: tuple[QuadForm, QuadForm, QuadForm],
     tau: PeriodMatrix,
     pol: TruncationPolicy = DEFAULT_POLICY,
-    table=None,
 ):
     """Both sides of the determinant-ratio identity for an azygetic 4-tuple.
 
@@ -217,7 +216,7 @@ def jacobi_ratio(
     if not is_aronhold(quad + tuple(completion)):
         raise ValueError("completion does not extend the 4-tuple to an Aronhold system")
 
-    table = require_generic(tau, pol, table)
+    table = require_generic(tau, pol)
     lhs = jacobian_det(q4.characteristic, q2.characteristic, q3.characteristic, tau, pol) / jacobian_det(
         q1.characteristic, q2.characteristic, q3.characteristic, tau, pol
     )
@@ -237,10 +236,6 @@ def _int_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def _det_scale(grads) -> float:
-    return float(np.prod([np.linalg.norm(g) for g in grads]))
-
-
 def aronhold_coeffs_dets(
     system: AronholdSystem,
     tau: PeriodMatrix,
@@ -257,7 +252,7 @@ def aronhold_coeffs_dets(
 
     def det(*forms):
         rows = np.array([grads[f.characteristic] for f in forms])
-        return complex(np.linalg.det(rows)), _det_scale(rows)
+        return complex(np.linalg.det(rows)), float(np.prod([np.linalg.norm(g) for g in rows]))
 
     def denominator(*forms):
         d, scale = det(*forms)
@@ -283,11 +278,6 @@ def aronhold_coeffs_dets(
 # ---------------------------------------------------------------------------
 # Weber's coefficient formula
 
-def _row_indices(i: int):
-    r, s = [x for x in (5, 6, 7) if x != 4 + i]
-    return r, s
-
-
 @lru_cache(maxsize=9 * SYSTEM_CACHE_SIZE)
 def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     """Exact symbolic content of a_ij: phase, reduced characteristics, rho.
@@ -306,7 +296,7 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
         raise ValueError("row and column indices must be in {1, 2, 3}")
     q4 = system[3]
     q4i = system[3 + i]
-    r, s = _row_indices(i)
+    r, s = [x for x in (5, 6, 7) if x != 4 + i]
     qr, qs = system[r - 1], system[s - 1]
     qj = system[j - 1]
 
@@ -454,7 +444,6 @@ def frame_matrix(
     system: AronholdSystem,
     tau: PeriodMatrix,
     pol: TruncationPolicy = DEFAULT_POLICY,
-    grads=None,
 ) -> np.ndarray:
     """The matrix carrying the Aronhold frame to the theta-gradient frame.
 
@@ -463,8 +452,7 @@ def frame_matrix(
     corresponds to the theta-frame covector u . A^T, so the bitangent of
     an odd form q has Weber-frame covector A^{-1} . grad theta[q].
     """
-    if grads is None:
-        grads = odd_gradient_table(tau, pol)
+    grads = odd_gradient_table(tau, pol)
     q1, q2, q3, q4 = (system[i] for i in range(4))
 
     def det(*forms):
@@ -522,8 +510,8 @@ def all_bitangents(
     frame matrix.
     """
     require_generic(tau, pol)
-    grads = odd_gradient_table(tau, pol)
-    phi = frame_matrix(system, tau, pol, grads=grads)
+    phi = frame_matrix(system, tau, pol)
+    grads = dict(zip(_ODD, _tables(tau, pol)[1]))  # the kept pass frame_matrix just read
     # solve through the column-equilibrated matrix: the raw inverse
     # loses the small columns' digits when gradient scales spread
     scales = np.linalg.norm(phi, axis=0)

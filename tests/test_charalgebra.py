@@ -34,6 +34,14 @@ Q0 = QuadForm.from_bits((0, 0, 0), (0, 0, 0))
 N = REFERENCE_SYSTEM.forms
 
 
+def test_cached_characteristic_keeps_form_identity():
+    q = QuadForm.from_bits((1, 0, 1), (1, 1, 0))
+    fresh = QuadForm.from_bits((1, 0, 1), (1, 1, 0))
+    assert q.characteristic is q.characteristic
+    assert q.characteristic == Characteristic((1, 0, 1), (1, 1, 0))
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+
+
 def test_symplectic_basis_pairing():
     e1 = F2Vector((1, 0, 0), (0, 0, 0))
     f1 = F2Vector((0, 0, 0), (1, 0, 0))

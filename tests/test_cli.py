@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from thetaquartic.cli import main
 from thetaquartic.thetaeval import tau_to_json
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +53,52 @@ def test_bitangents_deterministic_output(tmp_path, capsys):
     assert run_cli(capsys, "bitangents", "--tau", str(tau_path), "--json", str(p1))[0] == 0
     assert run_cli(capsys, "bitangents", "--tau", str(tau_path), "--json", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _complexes(node):
+    """The numbers of a {"re", "im"} leaf or of a nested list of them, else None."""
+    if isinstance(node, dict) and set(node) == {"re", "im"}:
+        return [complex(node["re"], node["im"])]
+    if isinstance(node, list) and node:
+        parts = [_complexes(x) for x in node]
+        if all(p is not None for p in parts):
+            return [z for p in parts for z in p]
+    return None
+
+
+def assert_matches_golden(got, want, where="$"):
+    """Same keys, labels and counts; floats to 1e-12 of their array's scale.
+
+    A bare float is a residual, a relative quantity of scale 1.  The
+    tolerance absorbs last-bit differences of numpy's exp between CPUs.
+    """
+    numbers = _complexes(want)
+    if numbers is not None:
+        ours = _complexes(got)
+        assert ours is not None and len(ours) == len(numbers), where
+        scale = max(abs(z) for z in numbers) or 1.0
+        assert np.abs(np.array(ours) - np.array(numbers)).max() <= 1e-12 * scale, where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12, where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+def test_bitangents_match_golden_output(seed, capsys):
+    # captured from the two-table pipeline, before the tables were kept on tau
+    code, out, _ = run_cli(capsys, "bitangents", "--tau", str(DATA / f"tau_seed{seed}.json"))
+    assert code == 0
+    golden = json.loads((DATA / f"bitangents_seed{seed}.json").read_text())
+    assert_matches_golden(json.loads(out), golden)
 
 
 def test_bitangents_special_locus_exit_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from thetaquartic import (
     riemann_quartic,
     weber_coefficients,
 )
+from thetaquartic import thetaeval
 from thetaquartic.charalgebra import (
     REFERENCE_SYSTEM,
     Characteristic,
@@ -36,6 +37,7 @@ from thetaquartic.thetaeval import (
     theta_const,
     vanishing_even_characteristics,
 )
+from thetaquartic.weber import aronhold_coeffs_dets, require_generic
 
 from oracles import cube_series, fd_gradient, raw_grad, raw_theta, theta_genus1
 
@@ -379,6 +381,58 @@ def test_point_cap_counts_thin_ellipsoid():
     tau = PeriodMatrix(1j * np.diag([1e-10, 1e10, 1.0]))
     with pytest.raises(TruncationError):
         even_constant_table(tau)
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Counts calls of the lattice kernel for the rest of the test."""
+    calls = []
+    series = thetaeval._series
+
+    def counting(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(thetaeval, "_series", counting)
+    return calls
+
+
+def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
+    tau = PeriodMatrix(tau_seed1.tau)
+    weber_coefficients(REFERENCE_SYSTEM, tau)
+    all_bitangents(REFERENCE_SYSTEM, tau)
+    aronhold_coeffs_dets(REFERENCE_SYSTEM, tau)
+    require_generic(tau)
+    even_constant_table(tau, TruncationPolicy())  # equal to the default policy
+    assert len(series_calls) == 1
+    loose = TruncationPolicy(target_tail=1e-10)
+    even_constant_table(tau, loose)
+    odd_gradient_table(tau, loose)
+    assert len(series_calls) == 2
+    twin = PeriodMatrix(tau_seed1.tau)
+    odd_gradient_table(twin)
+    assert len(series_calls) == 3
+
+
+def test_failed_pass_is_not_kept(series_calls):
+    tau = PeriodMatrix(1j * np.diag([1e-10, 1e10, 1.0]))  # the thin ellipsoid above
+    for table in (even_constant_table, odd_gradient_table, vanishing_even_characteristics):
+        with pytest.raises(TruncationError):
+            table(tau)
+    assert len(series_calls) == 3
+
+
+def test_kept_table_cannot_be_changed_by_callers(tau_seed1):
+    tau = PeriodMatrix(tau_seed1.tau)
+    grads = odd_gradient_table(tau)
+    with pytest.raises(ValueError):
+        next(iter(grads.values()))[0] = 0
+    even = even_constant_table(tau)
+    want = dict(even)
+    even.clear()
+    grads.clear()
+    assert even_constant_table(tau) == want
+    assert len(odd_gradient_table(tau)) == 28
 
 
 def test_period_matrix_validation():
