@@ -53,8 +53,6 @@ from .verify import (
     bitangency_summary,
     random_admissible_tau,
     restrict_to_line,
-    special_locus_scan,
-    validate_tau,
 )
 from .weber import (
     AronholdFrame,

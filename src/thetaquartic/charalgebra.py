@@ -214,7 +214,6 @@ def enumerate_aronhold() -> tuple[AronholdSystem, ...]:
     """
     odds = sorted(odd_forms(), key=lambda q: q.key)
     packed = [_pack(q) for q in odds]
-    even_lut = [1 if arf(QuadForm(_unpack(x))) == 0 else 0 for x in range(64)]
 
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -229,7 +228,7 @@ def enumerate_aronhold() -> tuple[AronholdSystem, ...]:
             for i in range(len(chosen)):
                 pi = packed[chosen[i]]
                 for j in range(i + 1, len(chosen)):
-                    if not even_lut[pi ^ packed[chosen[j]] ^ pc]:
+                    if not _EVEN_LUT[pi ^ packed[chosen[j]] ^ pc]:
                         ok = False
                         break
                 if not ok:
@@ -251,6 +250,11 @@ def _pack(q: QuadForm) -> int:
 def _unpack(x: int) -> F2Vector:
     bits = [(x >> i) & 1 for i in range(6)]
     return F2Vector(tuple(bits[:3]), tuple(bits[3:]))
+
+
+#: _EVEN_LUT[x] is 1 iff the form packed as x is even; an odd triple is
+#: azygetic iff the XOR of its packed forms is even
+_EVEN_LUT = [1 if arf(QuadForm(_unpack(x))) == 0 else 0 for x in range(64)]
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,6 @@ def complete_4tuple(q1: QuadForm, q2: QuadForm, q3: QuadForm, q4: QuadForm):
         raise ValueError("need four distinct odd forms")
     if not all(is_azygetic_triple(*t) for t in combinations(base, 3)):
         raise ValueError("the 4-tuple is not azygetic")
-    even_lut = [1 if arf(QuadForm(_unpack(x))) == 0 else 0 for x in range(64)]
     packed_base = [_pack(q) for q in base]
     # a candidate must keep every triple through two base forms azygetic
     pool = []
@@ -299,14 +302,14 @@ def complete_4tuple(q1: QuadForm, q2: QuadForm, q3: QuadForm, q4: QuadForm):
         if q in base:
             continue
         pc = _pack(q)
-        if all(even_lut[x ^ y ^ pc] for x, y in combinations(packed_base, 2)):
+        if all(_EVEN_LUT[x ^ y ^ pc] for x, y in combinations(packed_base, 2)):
             pool.append(q)
     completions = []
     for triple in combinations(pool, 3):
         pt = [_pack(q) for q in triple]
-        if not even_lut[pt[0] ^ pt[1] ^ pt[2]]:
+        if not _EVEN_LUT[pt[0] ^ pt[1] ^ pt[2]]:
             continue
-        if all(even_lut[b ^ pt[i] ^ pt[j]] for b in packed_base for i, j in ((0, 1), (0, 2), (1, 2))):
+        if all(_EVEN_LUT[b ^ pt[i] ^ pt[j]] for b in packed_base for i, j in ((0, 1), (0, 2), (1, 2))):
             completions.append(triple)
     if len(completions) != 2:
         raise ValueError(f"expected exactly 2 completing triples, found {len(completions)}")

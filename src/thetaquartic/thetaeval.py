@@ -288,11 +288,14 @@ def jacobian_det(
     tau: PeriodMatrix,
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """D[q1,q2,q3]: determinant of the three stacked theta gradients at 0."""
+    """D[q1,q2,q3]: determinant of the three stacked theta gradients at 0, from the kept table."""
+    grads = dict(zip(_ODD, _tables(tau, pol)[1]))
+    rows = []
     for q in (q1, q2, q3):
-        if q.parity() != 1:
+        r, sign = reduce_characteristic(q)
+        if r not in grads:
             raise ValueError(f"jacobian_det needs odd characteristics, got {q.bracket()}")
-    rows = np.array([grad_theta0(q, tau, pol) for q in (q1, q2, q3)])
+        rows.append(sign * grads[r])
     return complex(np.linalg.det(rows))
 
 

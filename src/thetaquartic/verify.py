@@ -46,12 +46,6 @@ DEFAULT_BITANGENCY_TOL = 1e-6
 RESTRICTION_ZERO_TOL = 1e-12
 
 
-#: Validation is the period-matrix constructor (errors name the violated
-#: invariant), and the pipeline admits tau iff the special-locus scan is empty.
-validate_tau = PeriodMatrix
-special_locus_scan = vanishing_even_characteristics
-
-
 def random_admissible_tau(
     seed: int, pol: TruncationPolicy = DEFAULT_POLICY, max_tries: int = 100
 ) -> PeriodMatrix:
@@ -59,7 +53,7 @@ def random_admissible_tau(
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         tau = PeriodMatrix(random_tau(rng))
-        if not special_locus_scan(tau, pol):
+        if not vanishing_even_characteristics(tau, pol):
             return tau
     raise ThetaQuarticError(
         f"no admissible period matrix found in {max_tries} draws (seed {seed})"

@@ -1,7 +1,7 @@
 """Independent oracles for the test suite.
 
-These deliberately avoid the library's code paths: the raw theta sums
-never reduce characteristics, the cube sum keeps the box truncation
+These deliberately avoid the library's code paths: the raw gradient sum
+never reduces characteristics, the cube sum keeps the box truncation
 the ellipsoid engine replaced, the genus-1 series is one-dimensional,
 and the Aronhold recount scans all C(28,7) subsets with a lookup table
 instead of backtracking.
@@ -11,18 +11,6 @@ import itertools
 import math
 
 import numpy as np
-
-
-def raw_theta(mp, mpp, tau, z, radius=8):
-    """Direct lattice sum at an arbitrary integer characteristic."""
-    total = 0.0 + 0.0j
-    mp = np.asarray(mp, dtype=float)
-    mpp = np.asarray(mpp, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    for n in itertools.product(range(-radius, radius + 1), repeat=3):
-        p = np.array(n, dtype=float) + mp / 2
-        total += np.exp(1j * np.pi * (p @ tau @ p + 2 * p @ (z + mpp / 2)))
-    return total
 
 
 def raw_grad(mp, mpp, tau, radius=8):
@@ -41,16 +29,6 @@ def theta_genus1(a, b, tau1, z1, radius=60):
     n = np.arange(-radius, radius + 1)
     p = n + a / 2
     return np.exp(1j * np.pi * (p * p * tau1 + 2 * p * (z1 + b / 2))).sum()
-
-
-def fd_gradient(func, step=1e-5):
-    """Central finite differences of a C^3 -> C function at the origin."""
-    out = np.zeros(3, dtype=complex)
-    for axis in range(3):
-        dz = np.zeros(3)
-        dz[axis] = step
-        out[axis] = (func(dz) - func(-dz)) / (2 * step)
-    return out
 
 
 def brute_force_aronhold_sets():

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thetaquartic import invariants
 from thetaquartic.cli import main
+from thetaquartic.errors import SingularSystemError
 from thetaquartic.thetaeval import tau_to_json
 
 DATA = Path(__file__).parent / "data"
@@ -198,3 +201,29 @@ def test_selftest(capsys):
     assert {"parity-counts", "aronhold-count", "weber-symbolic-table",
             "weber-normalization-k", "bitangency-28"} <= names
     assert err.count("PASS") == len(obj["results"])
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # exit code 2 is kept for special-locus refusals
+    for argv in (["bitangents"], ["bitangents", "--tau", str(tmp_path / "t.json"), "--eps", "1,1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+    with pytest.raises(SystemExit) as info:
+        main(["selftest", "--help"])
+    assert info.value.code == 0
+    assert main(["selftest", "--trials", "0"]) == 1
+
+
+def _raise(*args, **kwargs):
+    raise SingularSystemError("forced failure")
+
+
+@pytest.mark.parametrize("change", [{"tol": 0}, {"measure": _raise}], ids=["tolerance", "raises"])
+def test_selftest_reports_a_failing_check(change, monkeypatch, capsys):
+    failing = dataclasses.replace(invariants.reduction_formula, **change)
+    monkeypatch.setattr(invariants, "CHECKS", [invariants.parity_counts, failing])
+    code, out, err = run_cli(capsys, "selftest", "--trials", "1")
+    assert code == 3
+    assert [r["ok"] for r in json.loads(out)["results"]] == [True, False]
+    assert "PASS  parity-counts" in err and "FAIL  reduction-formula" in err

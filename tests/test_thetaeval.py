@@ -8,7 +8,7 @@ from thetaquartic import (
     riemann_quartic,
     weber_coefficients,
 )
-from thetaquartic import thetaeval
+from thetaquartic import invariants, thetaeval
 from thetaquartic.charalgebra import (
     REFERENCE_SYSTEM,
     Characteristic,
@@ -37,9 +37,10 @@ from thetaquartic.thetaeval import (
     theta_const,
     vanishing_even_characteristics,
 )
-from thetaquartic.weber import aronhold_coeffs_dets, require_generic
+from thetaquartic.weber import aronhold_coeffs_dets, jacobi_ratio, require_generic
 
-from oracles import cube_series, fd_gradient, raw_grad, raw_theta, theta_genus1
+from conftest import genus1_factorization_residual, xor_char
+from oracles import cube_series, raw_grad
 
 RNG = np.random.default_rng(2024)
 
@@ -77,7 +78,7 @@ def test_reduction_formula_against_raw_series(tau_seed1, tau_skewed):
     shifted = m + n
     sign = -1 if sum(m.mp[i] * (n.mpp[i] // 2) for i in range(3)) % 2 else 1
     for tau, radius in ((tau_seed1, 8), (tau_skewed, 10)):
-        direct = raw_theta(shifted.mp, shifted.mpp, tau.tau, np.zeros(3), radius=radius)
+        direct = invariants.raw_theta(shifted.mp, shifted.mpp, tau.tau, np.zeros(3), radius=radius)
         via_reduction = theta_const(shifted, tau)
         assert abs(direct - via_reduction) < 1e-12 * abs(direct)
         assert abs(via_reduction - sign * theta_const(m, tau)) < 1e-12 * abs(direct)
@@ -88,7 +89,7 @@ def test_reduction_formula_at_z(tau_seed2):
     m = Characteristic((0, 1, 1), (1, 0, 1))
     shifted = m + Characteristic((2, 0, 2), (0, 2, 0))
     lhs = theta(shifted, tau_seed2, z)
-    direct = raw_theta(shifted.mp, shifted.mpp, tau_seed2.tau, z)
+    direct = invariants.raw_theta(shifted.mp, shifted.mpp, tau_seed2.tau, z)
     assert abs(lhs - direct) < 1e-12 * abs(direct)
 
 
@@ -106,27 +107,18 @@ def test_constants_invariant_under_integer_lifts(tau_seed2):
         m = base + shift
         reduced, _ = reduce_characteristic(m)
         assert reduced == base
-        direct = raw_theta(m.mp, m.mpp, tau_seed2.tau, np.zeros(3), radius=10)
+        direct = invariants.raw_theta(m.mp, m.mpp, tau_seed2.tau, np.zeros(3), radius=10)
         worst = max(worst, abs(direct - theta_const(m, tau_seed2)) / abs(direct))
     assert worst < 1e-12
 
 
 def test_diagonal_tau_genus1_factorization():
-    tau = PeriodMatrix(np.diag([0.1 + 0.9j, -0.2 + 1.1j, 0.05 + 1.3j]))
-    z = np.array([0.1 + 0.05j, -0.2 + 0.02j, 0.3 - 0.1j])
-    for q in (odd_forms()[3], even_forms()[5], even_forms()[17]):
-        m = q.characteristic
-        full = theta(m, tau, z)
-        product = np.prod([
-            theta_genus1(m.mp[j], m.mpp[j], tau.tau[j, j], z[j]) for j in range(3)
-        ])
-        assert abs(full - product) < 1e-10 * max(abs(full), abs(product), 1e-6)
+    assert genus1_factorization_residual((odd_forms()[3], even_forms()[5], even_forms()[17])) < 1e-10
 
 
 def test_odd_constants_vanish(tau_seed1):
-    scale = max(abs(v) for v in even_constant_table(tau_seed1).values())
-    for q in odd_forms():
-        assert abs(theta_const(q.characteristic, tau_seed1)) < 1e-10 * scale
+    # and the even gradients: both parities in one check
+    assert invariants.parity_vanishing.passes(invariants.parity_vanishing(tau_seed1))
 
 
 def test_even_constants_nonzero(tau_seed1):
@@ -154,7 +146,7 @@ def test_gradient_matches_finite_differences(tau_seed1):
     for q in odd_forms():
         m = q.characteristic
         g = grad_theta0(m, tau_seed1)
-        fd = fd_gradient(lambda dz: theta(m, tau_seed1, dz), step=1e-5)
+        fd = invariants.fd_gradient(lambda dz: theta(m, tau_seed1, dz), step=1e-5)
         assert np.linalg.norm(g - fd) < 1e-7 * np.linalg.norm(g)
 
 
@@ -231,21 +223,8 @@ def test_jacobian_rejects_even_characteristic(tau_seed1):
 
 
 def test_addition_formula_proof_instantiation(tau_seed1, tau_seed2):
-    q5, q6, q7 = REFERENCE_SYSTEM.forms[4:]
-    m1 = char_sum(q5, q6, q7)
     for tau in (tau_seed1, tau_seed2):
-        z = _rand_z()
-        res = addition_formula_residual(
-            m1, q5.characteristic, q6.characteristic, q7.characteristic, None, z, tau
-        )
-        assert res < 1e-9
-
-
-def _xor_char(m1, m2, m3):
-    return Characteristic(
-        tuple((m1.mp[i] + m2.mp[i] + m3.mp[i]) % 2 for i in range(3)),
-        tuple((m1.mpp[i] + m2.mpp[i] + m3.mpp[i]) % 2 for i in range(3)),
-    )
+        assert invariants.addition_formula.passes(invariants.addition_formula(tau, RNG))
 
 
 def test_addition_formula_thetanullwerte(tau_seed1):
@@ -254,7 +233,7 @@ def test_addition_formula_thetanullwerte(tau_seed1):
     e = [q.characteristic for q in even_forms()]
     quad = None
     for i in range(1, 12):
-        m4 = _xor_char(e[0], e[i], e[i + 5])
+        m4 = xor_char(e[0], e[i], e[i + 5])
         if m4.parity() == 0:
             quad = (e[0], e[i], e[i + 5], m4)
             break
@@ -267,24 +246,9 @@ def test_addition_formula_thetanullwerte(tau_seed1):
 def test_addition_formula_structurally_zero(tau_seed1):
     # quadruple whose products all vanish by parity: residual is 0, not 0/0
     e = [q.characteristic for q in even_forms()]
-    m4 = _xor_char(e[1], e[4], e[9])
+    m4 = xor_char(e[1], e[4], e[9])
     assert m4.parity() == 1
     assert addition_formula_residual(e[1], e[4], e[9], m4, None, None, tau_seed1) < 1e-12
-
-
-def test_addition_formula_random_quadruples(tau_seed1):
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        p1, p2, p3 = (
-            Characteristic(tuple(rng.integers(0, 2, 3)), tuple(rng.integers(0, 2, 3)))
-            for _ in range(3)
-        )
-        p4 = Characteristic(
-            tuple((p1.mp[i] + p2.mp[i] + p3.mp[i]) % 2 for i in range(3)),
-            tuple((p1.mpp[i] + p2.mpp[i] + p3.mpp[i]) % 2 for i in range(3)),
-        )
-        u, v = _rand_z(), _rand_z()
-        assert addition_formula_residual(p1, p2, p3, p4, u, v, tau_seed1) < 1e-9
 
 
 def test_addition_formula_nonintegral_rejected(tau_seed1):
@@ -304,10 +268,7 @@ def test_quasi_periodicity_random(tau_seed1, tau_seed2):
     rng = np.random.default_rng(5)
     for tau in (tau_seed1, tau_seed2):
         for _ in range(4):
-            q = all_forms()[int(rng.integers(0, 64))].characteristic
-            k = tuple(int(x) for x in rng.integers(0, 2, 3))
-            h = tuple(int(x) for x in rng.integers(0, 2, 3))
-            assert quasi_periodicity_residual(q, k, h, tau, _rand_z()) < 1e-9
+            assert invariants.quasi_periodicity.passes(invariants.quasi_periodicity(tau, rng))
 
 
 def test_quasi_periodicity_composed(tau_seed1):
@@ -403,6 +364,8 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
     all_bitangents(REFERENCE_SYSTEM, tau)
     aronhold_coeffs_dets(REFERENCE_SYSTEM, tau)
     require_generic(tau)
+    jacobian_det(*(q.characteristic for q in REFERENCE_SYSTEM.forms[:3]), tau)
+    jacobi_ratio(REFERENCE_SYSTEM.forms[:4], REFERENCE_SYSTEM.forms[4:], tau)
     even_constant_table(tau, TruncationPolicy())  # equal to the default policy
     assert len(series_calls) == 1
     loose = TruncationPolicy(target_tail=1e-10)

@@ -16,9 +16,8 @@ from thetaquartic.verify import (
     bitangency_summary,
     random_admissible_tau,
     restrict_to_line,
-    special_locus_scan,
-    validate_tau,
 )
+from thetaquartic.thetaeval import PeriodMatrix, vanishing_even_characteristics
 from thetaquartic.weber import (
     MONOMIALS,
     ProjLine,
@@ -42,25 +41,25 @@ DOUBLE_CONIC = _curve({(2, 2, 0): 1, (1, 1, 2): -2, (0, 0, 4): 1})
 
 
 def test_validate_tau_examples():
-    assert validate_tau(1j * np.eye(3)).lam_min == 1.0
+    assert PeriodMatrix(1j * np.eye(3)).lam_min == 1.0
     with pytest.raises(InvalidTauError, match="positive definite"):
-        validate_tau(np.diag([1j, 1j, -1j]))
+        PeriodMatrix(np.diag([1j, 1j, -1j]))
     nearly = 1j * np.eye(3) + 0j
     nearly[1, 0] = 1e-13
-    pm = validate_tau(nearly)
+    pm = PeriodMatrix(nearly)
     assert np.abs(pm.tau - pm.tau.T).max() == 0
 
 
 def test_special_locus_identity_tau(tau_identity):
-    vanishing = special_locus_scan(tau_identity)
+    vanishing = vanishing_even_characteristics(tau_identity)
     assert len(vanishing) == 9
     assert Characteristic((1, 1, 0), (1, 1, 0)) in vanishing
     assert all(m.parity() == 0 for m in vanishing)
 
 
 def test_special_locus_generic_empty(tau_seed1, tau_seed2):
-    assert special_locus_scan(tau_seed1) == []
-    assert special_locus_scan(tau_seed2) == []
+    assert vanishing_even_characteristics(tau_seed1) == []
+    assert vanishing_even_characteristics(tau_seed2) == []
 
 
 def test_gate_agrees_with_scan(tau_seed1, tau_identity):
@@ -68,14 +67,14 @@ def test_gate_agrees_with_scan(tau_seed1, tau_identity):
     require_generic(tau_seed1)
     with pytest.raises(SpecialLocusError) as info:
         require_generic(tau_identity)
-    assert list(info.value.vanishing) == special_locus_scan(tau_identity)
+    assert list(info.value.vanishing) == vanishing_even_characteristics(tau_identity)
 
 
 def test_random_admissible_tau_deterministic():
     a = random_admissible_tau(11)
     b = random_admissible_tau(11)
     assert np.array_equal(a.tau, b.tau)
-    assert special_locus_scan(a) == []
+    assert vanishing_even_characteristics(a) == []
 
 
 def test_restrict_pure_power():

