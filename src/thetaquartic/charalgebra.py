@@ -148,14 +148,33 @@ def is_azygetic_triple(q1: QuadForm, q2: QuadForm, q3: QuadForm) -> bool:
     return total % 2 == 1
 
 
+def _pack(q: QuadForm) -> int:
+    k = q.key
+    return sum(b << i for i, b in enumerate(k))
+
+
+def _unpack(x: int) -> F2Vector:
+    bits = [(x >> i) & 1 for i in range(6)]
+    return F2Vector(tuple(bits[:3]), tuple(bits[3:]))
+
+
+#: _EVEN_LUT[x] is 1 iff the form packed as x is even; an odd triple is
+#: azygetic iff the XOR of its packed forms is even
+_EVEN_LUT = [1 if arf(QuadForm(_unpack(x))) == 0 else 0 for x in range(64)]
+
+
 def is_aronhold(forms: Iterable[QuadForm]) -> bool:
-    """Seven distinct odd forms with every one of the 35 sub-triples azygetic."""
-    forms = tuple(forms)
-    if len(forms) != 7 or len(set(forms)) != 7:
+    """Seven distinct odd forms with every one of the 35 sub-triples azygetic.
+
+    For odd forms the Arf sum of a triple is 1 + a(q1+q2+q3), so a triple
+    is azygetic iff its sum is even: one table lookup on the packed forms.
+    """
+    packed = [_pack(q) for q in forms]
+    if len(packed) != 7 or len(set(packed)) != 7:
         return False
-    if any(arf(q) != 1 for q in forms):
+    if any(_EVEN_LUT[x] for x in packed):
         return False
-    return all(is_azygetic_triple(*t) for t in combinations(forms, 3))
+    return all(_EVEN_LUT[x ^ y ^ z] for x, y, z in combinations(packed, 3))
 
 
 @dataclass(frozen=True)
@@ -240,21 +259,6 @@ def enumerate_aronhold() -> tuple[AronholdSystem, ...]:
 
     extend(0)
     return tuple(AronholdSystem(tuple(odds[i] for i in sel)) for sel in out)
-
-
-def _pack(q: QuadForm) -> int:
-    k = q.key
-    return sum(b << i for i, b in enumerate(k))
-
-
-def _unpack(x: int) -> F2Vector:
-    bits = [(x >> i) & 1 for i in range(6)]
-    return F2Vector(tuple(bits[:3]), tuple(bits[3:]))
-
-
-#: _EVEN_LUT[x] is 1 iff the form packed as x is even; an odd triple is
-#: azygetic iff the XOR of its packed forms is even
-_EVEN_LUT = [1 if arf(QuadForm(_unpack(x))) == 0 else 0 for x in range(64)]
 
 
 @dataclass(frozen=True)

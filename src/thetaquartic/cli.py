@@ -174,21 +174,29 @@ def _pipeline(args):
     frame = wb.weber_coefficients(system, tau, pol, eps=args.eps)
     quartic = wb.riemann_quartic(frame.xi)
     lines = wb.all_bitangents(system, tau, pol)
-    return tau, frame, quartic, lines
+    return frame, quartic, lines
+
+
+def _certify(quartic, lines, tol=vf.DEFAULT_BITANGENCY_TOL):
+    """The 28 certificates, a summary line on stderr, and the exit code they earn."""
+    reports, summary = vf.bitangency_summary(quartic, lines, tol=tol)
+    _note(f"bitangency: {summary['pass']}/28 pass, max residual {summary['max_residual']:.3e}")
+    return reports, summary, EXIT_OK if summary["pass"] == 28 else EXIT_INVARIANT
 
 
 def cmd_bitangents(args) -> int:
-    _, frame, quartic, lines = _pipeline(args)
-    reports, summary = vf.bitangency_summary(quartic, lines, tol=args.tol)
+    frame, quartic, lines = _pipeline(args)
+    reports, summary, code = _certify(quartic, lines, args.tol)
     out = wb.frame_to_json(frame, lines, quartic)
     out["verify"] = {"reports": reports, "summary": summary}
     _emit(out, args)
-    _note(f"bitangency: {summary['pass']}/28 pass, max residual {summary['max_residual']:.3e}")
-    return EXIT_OK if summary["pass"] == 28 else EXIT_INVARIANT
+    return code
 
 
 def cmd_quartic(args) -> int:
-    _, frame, quartic, _ = _pipeline(args)
+    frame, quartic, lines = _pipeline(args)
+    # a curve is reported as reconstructed only if its 28 lines certify
+    _, _, code = _certify(quartic, lines)
     _emit({
         "aronhold": [q.characteristic.to_json() for q in frame.system],
         "a": [[wb.complex_to_json(x) for x in row] for row in frame.a],
@@ -197,16 +205,16 @@ def cmd_quartic(args) -> int:
         "xi": [line.to_json() for line in frame.xi],
         "quartic": quartic.to_json(),
     }, args)
-    _note("quartic reconstructed; coefficients normalized to unit max modulus")
-    return EXIT_OK
+    if code == EXIT_OK:
+        _note("quartic reconstructed; coefficients normalized to unit max modulus")
+    return code
 
 
 def cmd_verify(args) -> int:
-    _, _, quartic, lines = _pipeline(args)
-    reports, summary = vf.bitangency_summary(quartic, lines, tol=args.tol)
+    _, quartic, lines = _pipeline(args)
+    reports, summary, code = _certify(quartic, lines, args.tol)
     _emit({"reports": reports, "summary": summary}, args)
-    _note(f"bitangency: {summary['pass']}/28 pass, max residual {summary['max_residual']:.3e}")
-    return EXIT_OK if summary["fail"] == 0 else EXIT_INVARIANT
+    return code
 
 
 # ---------------------------------------------------------------------------

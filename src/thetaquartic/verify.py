@@ -14,9 +14,13 @@ contraction gives every restriction g(s, t) = F(s p + t q) of the curve
 scaled to unit largest coefficient; sampling F at five roots of unity
 and taking an inverse DFT is exact in exact arithmetic too, but mixes
 all 15 monomials into every sample and certified fewer digits (mean
-13.34 against 13.41 over 200 random period matrices).  QZ on each 4x4
-companion pencil, called through LAPACK ``zggev``, gives the roots;
-pairing, residuals and canonical contact points are array operations.
+13.34 against 13.41 over 200 random period matrices).  Each restriction
+is then moved to one of six charts of P^1, centred on the octahedron
+points 0, oo, +-1, +-i, chosen so that the chart's point at infinity
+is far from every root; a double root anywhere, [1 : 0] included, is
+then an ordinary pair of close affine roots.  One batched eigenvalue
+call on the 28 companion matrices gives the roots.  Pairing, residuals
+and canonical contact points are array operations.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg.lapack import zggev
+from numpy.linalg import LinAlgError, eigvals
 
 from .charalgebra import Characteristic
 from .errors import DegenerateCurveError, ThetaQuarticError
@@ -140,27 +144,61 @@ def restrict_to_line(curve: QuarticCurve, line: ProjLine) -> np.ndarray:
     return _restrictions(curve, [line])[0][0]
 
 
+def _chart_transforms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The six octahedral charts of P^1 as exact binomial transforms.
+
+    Chart c substitutes (s, t) = s' a_c + t' b_c, where the centre b_c is
+    one of the octahedron points 0, oo, 1, -1, i, -i (as [s : t]) and a_c
+    is its antipode, so the substitution is a multiple of a unitary map.
+    Returns (M, a, b) with M[c] the 5x5 matrix taking the coefficients of
+    g to those of h(s', t') = g(s' a_c + t' b_c); its entries are small
+    Gaussian integers, exact in floating point.
+    """
+    b = np.array([[0, 1], [1, 0], [1, 1], [-1, 1], [1j, 1], [-1j, 1]])
+    a = np.stack([-b[:, 1].conj(), b[:, 0].conj()], axis=1)
+    m = np.zeros((6, 5, 5), dtype=complex)
+    for c in range(6):
+        for k in range(5):
+            # g_k s^(4-k) t^k with s = s' a0 + t' b0, t = s' a1 + t' b1: the
+            # coefficient of s'^(4-j) t'^j is that of u^j in (a0 + b0 u)^(4-k) (a1 + b1 u)^k
+            col = np.ones(1, dtype=complex)
+            for _ in range(4 - k):
+                col = np.convolve(col, [a[c, 0], b[c, 0]])
+            for _ in range(k):
+                col = np.convolve(col, [a[c, 1], b[c, 1]])
+            m[c, :, k] = col
+    return m, a, b
+
+
+_CHART_M, _CHART_INF, _CHART_CENTRE = _chart_transforms()
+
+
 def _sphere_roots(g: np.ndarray) -> np.ndarray:
     """Roots of each binary quartic as unit vectors [s : t], shape (L, 4, 2).
 
-    Uses the companion pencil det(t*B - s*A) = g(s, t) solved by QZ, so
-    roots at or near infinity come out as homogeneous pairs with small
-    beta instead of overflowing an affine chart (an affine-chart solve
-    halves a double root that sits close to infinity).
+    Each g is moved to the octahedral chart whose point at infinity
+    carries the largest |h_0| / max|h|, where h = M_c g and h_0 = g(a_c)
+    is the value there.  Four roots cannot crowd all six chart
+    infinities, so h_0 is never small and every root's affine coordinate
+    x = s'/t' stays bounded.  The roots of the monic h(x, 1) / h_0 come
+    from one batched eigenvalue call on the companion matrices, a
+    backward-stable root finder while the leading coefficient is not
+    small, and map back to x a_c + b_c.  Since no root lies near the
+    chart's infinity, a double root at or near [1 : 0] comes out as two
+    close roots, like any other double root, not as one finite root and
+    one that overflows a fixed affine chart.
     """
-    g = g / np.abs(g).max(axis=1, keepdims=True)
-    a = np.zeros((len(g), 4, 4), dtype=complex)
-    a[:, 1, 0] = a[:, 2, 1] = a[:, 3, 2] = 1
-    a[:, :, 3] = -g[:, :4]
-    b = np.tile(np.eye(4, dtype=complex), (len(g), 1, 1))
-    b[:, 3, 3] = g[:, 4]
-    roots = np.empty((len(g), 4, 2), dtype=complex)
-    for l in range(len(g)):
-        alpha, beta, _, _, _, info = zggev(a[l], b[l], compute_vl=0, compute_vr=0)
-        if info != 0:
-            raise ThetaQuarticError(f"QZ failed on a line restriction (zggev info {info})")
-        roots[l, :, 0], roots[l, :, 1] = beta, alpha
-    # the pencil is regular (g is not zero), so alpha and beta never both vanish
+    h = np.einsum("cjk,lk->lcj", _CHART_M, g)
+    chart = np.argmax(np.abs(h[:, :, 0]) / np.abs(h).max(axis=2), axis=1)
+    h = h[np.arange(len(g)), chart]
+    companion = np.zeros((len(g), 4, 4), dtype=complex)
+    companion[:, 0] = -h[:, 1:] / h[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1
+    try:
+        x = eigvals(companion)
+    except LinAlgError as exc:
+        raise ThetaQuarticError(f"bitangency certificate: the root solve of a line restriction failed ({exc})") from exc
+    roots = x[..., None] * _CHART_INF[chart, None] + _CHART_CENTRE[chart, None]
     return roots / np.linalg.norm(roots, axis=2, keepdims=True)
 
 

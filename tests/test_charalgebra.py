@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from thetaquartic.charalgebra import (
@@ -150,6 +151,26 @@ def test_is_aronhold_reference_systems():
     assert is_aronhold(N)
     assert is_aronhold(ORIGIN_SUM_SYSTEM.forms)
     assert not is_aronhold(N[:6] + (N[0],))
+
+
+def _is_aronhold_by_arf_sums(forms) -> bool:
+    """The definition: seven distinct odd forms, every triple's Arf sum odd."""
+    forms = tuple(forms)
+    if len(forms) != 7 or len(set(forms)) != 7 or any(arf(q) != 1 for q in forms):
+        return False
+    return all(is_azygetic_triple(*t) for t in combinations(forms, 3))
+
+
+def test_is_aronhold_matches_arf_sum_definition():
+    cases = [s.forms for s in enumerate_aronhold()]
+    # every one-form swap of the reference system: even forms, odd forms, repeats
+    cases += [N[:i] + (q,) + N[i + 1:] for i in range(7) for q in all_forms()]
+    odds = odd_forms()
+    rng = np.random.default_rng(17)
+    cases += [tuple(odds[i] for i in rng.choice(28, 7, replace=False)) for _ in range(2000)]
+    verdicts = [is_aronhold(c) for c in cases]
+    assert verdicts == [_is_aronhold_by_arf_sums(c) for c in cases]
+    assert sum(verdicts[:288]) == 288 and not all(verdicts[288:])
 
 
 def test_origin_sum_system_sums_to_origin():

@@ -112,6 +112,15 @@ def test_bitangents_special_locus_exit_2(tmp_path, capsys):
     assert "[110|110]" in err
 
 
+@pytest.mark.parametrize("command", ["bitangents", "quartic"])
+def test_uncertified_curve_exits_3(command, capsys):
+    # draw 213 of random_tau(default_rng(201)): 24 of the 28 lines certify
+    code, out, err = run_cli(capsys, command, "--tau", str(DATA / "tau_rng201_draw213.json"))
+    assert code == 3
+    assert "24/28" in err
+    assert "quartic" in json.loads(out)
+
+
 def test_malformed_tau_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -267,10 +272,62 @@ def test_huge_coefficients_certified():
     assert abs(got["max_residual"] - want["max_residual"]) < 1e-12
 
 
-def test_qz_failure_is_typed(monkeypatch):
-    def failing_zggev(a, b, **kwargs):
-        return np.zeros(4, complex), np.zeros(4, complex), None, None, None, 2
+def test_eigensolver_failure_is_typed(monkeypatch):
+    def failing_eigvals(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(verify, "zggev", failing_zggev)
-    with pytest.raises(ThetaQuarticError, match="zggev"):
+    monkeypatch.setattr(verify, "eigvals", failing_eigvals)
+    with pytest.raises(ThetaQuarticError, match="bitangency certificate"):
         bitangency_check(X1_FOURTH, ProjLine((0, 1, 0)))
+
+
+def _product_curve(*forms) -> QuarticCurve:
+    """The quartic that is the product of four linear forms (covectors)."""
+    poly = {(0, 0, 0): 1}
+    for f in forms:
+        grown = {}
+        for e, c in poly.items():
+            for i in range(3):
+                key = tuple(x + (j == i) for j, x in enumerate(e))
+                grown[key] = grown.get(key, 0) + c * f[i]
+        poly = grown
+    return _curve(poly)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_double_root_near_infinity_stays_double(eps):
+    # on the line's SVD basis p, q, the factor L1 = -eps p* + q* vanishes at
+    # [s : t] = [1 : eps] and L2 = p* - c q* at [c : 1]
+    line = ProjLine((0.3 + 0.1j, -1.2, 0.7j))
+    _, _, vh = np.linalg.svd(line.vec.reshape(1, 3))
+    p, q = vh[1].conj(), vh[2].conj()
+    c = 0.3 + 0.7j
+    l1, l2 = -eps * p.conj() + q.conj(), p.conj() - c * q.conj()
+    curve = _product_curve(l1, l1, l2, l2)
+    # g = (t - eps s)^2 (s - c t)^2 up to scale
+    want = np.convolve(np.convolve([-eps, 1], [-eps, 1]), np.convolve([1, -c], [1, -c]))
+    got = restrict_to_line(curve, line)
+    assert np.abs(got / got[2] - want / want[2]).max() < 1e-14
+    report = bitangency_check(curve, line)
+    assert report.is_bitangent and not report.near_flex
+    assert report.residual < 1e-12
+    for form in (l1, l2):
+        assert min(abs(form @ x) for x in report.contact_points) < 1e-12
+
+
+@pytest.mark.parametrize("g, centres", [
+    ([0, 1, 0, -1, 0], [[0, 1], [1, 0], [1, 1], [-1, 1]]),  # s t (s - t)(s + t): 0, oo, 1, -1
+    ([0, 1, 0, 1, 0], [[0, 1], [1, 0], [1j, 1], [-1j, 1]]),  # s t (s - it)(s + it): 0, oo, i, -i
+])
+def test_roots_on_chart_centres_to_roundoff(g, centres):
+    roots = verify._sphere_roots(np.array([g], dtype=complex))[0]
+    for w in np.array(centres) / np.linalg.norm(centres, axis=1, keepdims=True):
+        assert np.abs(roots[:, 0] * w[1] - roots[:, 1] * w[0]).min() < 1e-15
+
+
+def test_import_loads_no_scipy():
+    code = "import thetaquartic, sys; print('scipy' in sys.modules)"
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
