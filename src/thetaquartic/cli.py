@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,8 +46,8 @@ def _parse_eps(text: str):
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 

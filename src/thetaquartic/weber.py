@@ -12,8 +12,12 @@ normalization the scaling system for the remaining construction has the
 distinguished solution k = (1, 1, 1), the three linear forms xi_23,
 xi_13, xi_12 follow from one 12-equation linear system, the curve
 itself is recovered from its three-radical model, and the map between
-this frame and the theta-gradient frame is a single 3x3 matrix whose
-columns are Jacobian-determinant-weighted gradients.
+this frame and the theta-gradient frame is a single 3x3 matrix (see
+:func:`frame_matrix`).  Writing c[q] for the coordinates of grad theta[q]
+in the basis grad theta[q_1], grad theta[q_2], grad theta[q_3], the
+bitangent of q has Weber-frame covector c[q] / c[q_4] (entrywise); by
+Cramer's rule these are the Jacobian-determinant ratios, so the 28 lines
+and the determinant-ratio rows come from one 3x3 solve.
 
 Phase bookkeeping: all theta arguments here are non-reduced integer
 characteristic sums such as (q_4 + q_r + q_j); the reduction signs they
@@ -47,8 +51,6 @@ from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
-    _ODD,
-    _tables,
     even_constant_table,
     jacobian_det,
     odd_gradient_table,
@@ -66,6 +68,8 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 COND_LIMIT = 1e14
 SOLVE_RESIDUAL_GATE = 1e-10
 FRAME_COND_LIMIT = 1e10
+#: a denominator D[.., q_4, ..] below this times its three gradient norms vanishes
+JACOBIAN_DET_REL_TOL = 1e-12
 XI_RESIDUAL_GATE = 1e-8
 
 #: bound of the caches keyed by an Aronhold system: one entry per system
@@ -160,11 +164,9 @@ class AronholdFrame:
 
     system: AronholdSystem
     a: np.ndarray
-    eta: tuple
     k: np.ndarray
     lam: np.ndarray
     xi: tuple[ProjLine, ProjLine, ProjLine]
-    phi: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -244,35 +246,14 @@ def aronhold_coeffs_dets(
     """The rows (a_i1 : a_i2 : a_i3) as Jacobian determinant ratios.
 
     Row i is (D[q_{4+i},q2,q3]/D[q4,q2,q3], D[q1,q_{4+i},q3]/D[q1,q4,q3],
-    D[q1,q2,q_{4+i}]/D[q1,q2,q4]); the overall scalar of each row is not
+    D[q1,q2,q_{4+i}]/D[q1,q2,q4]); by Cramer's rule that is
+    grad theta[q_{4+i}] . T with T from :func:`frame_matrix`, which also
+    gates the denominators.  The overall scalar of each row is not
     meaningful, only its projective class.
     """
-    require_generic(tau, pol)
+    t = frame_matrix(system, tau, pol)
     grads = odd_gradient_table(tau, pol)
-
-    def det(*forms):
-        rows = np.array([grads[f.characteristic] for f in forms])
-        return complex(np.linalg.det(rows)), float(np.prod([np.linalg.norm(g) for g in rows]))
-
-    def denominator(*forms):
-        d, scale = det(*forms)
-        # numerators may legitimately be tiny (a near-zero coefficient);
-        # only a vanishing denominator poisons the row
-        if abs(d) < 1e-12 * scale:
-            raise SpecialLocusError("vanishing Jacobian determinant denominator")
-        return d
-
-    q1, q2, q3, q4 = system[0], system[1], system[2], system[3]
-    out = np.zeros((3, 3), dtype=complex)
-    dens = (denominator(q4, q2, q3), denominator(q1, q4, q3), denominator(q1, q2, q4))
-    for i in (1, 2, 3):
-        qe = system[3 + i]
-        out[i - 1] = (
-            det(qe, q2, q3)[0] / dens[0],
-            det(q1, qe, q3)[0] / dens[1],
-            det(q1, q2, qe)[0] / dens[2],
-        )
-    return out
+    return np.array([grads[q.characteristic] for q in system.forms[4:]]) @ t
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +281,7 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     qr, qs = system[r - 1], system[s - 1]
     qj = system[j - 1]
 
-    t = _row_exponent(system, i)
+    t = sum(char_sum(q4, q4i).mp[l] * char_sum(q4, *system.forms[4:]).mpp[l] for l in range(3))
     d = sum(char_sum(qj, qr, qs).mp[l] * char_sum(q4, q4i).mpp[l] for l in range(3))
 
     rho = 1
@@ -313,23 +294,14 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     return WeberEntry(phase=phase, chars=tuple(reduced), rho=rho)
 
 
-@lru_cache(maxsize=3 * SYSTEM_CACHE_SIZE)
-def _row_exponent(system: AronholdSystem, i: int) -> int:
-    # t = (q4+q_{4+i})'.(q4+q5+q6+q7)'' of row i
-    q4 = system[3]
-    return sum(char_sum(q4, system[3 + i]).mp[l] * char_sum(q4, *system.forms[4:]).mpp[l] for l in range(3))
-
-
-def _weber_matrix(system, table, eps) -> tuple[np.ndarray, tuple]:
+def _weber_matrix(system, table, eps) -> np.ndarray:
     a = np.zeros((3, 3), dtype=complex)
-    etas = []
     for i in (1, 2, 3):
-        etas.append(eps[i - 1] * _I_POW[_row_exponent(system, i) % 4])
         for j in (1, 2, 3):
             entry = weber_symbolic(system, i, j)
             n1, n2, d1, d2 = entry.chars
             a[i - 1, j - 1] = eps[i - 1] * entry.phase * (table[n1] * table[n2]) / (table[d1] * table[d2])
-    return a, tuple(etas)
+    return a
 
 
 def _solve3(mat: np.ndarray, what: str) -> np.ndarray:
@@ -381,7 +353,7 @@ def xi_forms(a: np.ndarray, k: np.ndarray) -> tuple[ProjLine, ProjLine, ProjLine
         sol, *_ = np.linalg.lstsq(b * w[:, None], rhs * w, rcond=None)
         resid = np.linalg.norm(b @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300)
         if resid > XI_RESIDUAL_GATE:
-            raise SpecialLocusError(
+            raise SingularSystemError(
                 f"three-radical scaling system inconsistent (residual {resid:.2e})"
             )
         y[:, l] = sol
@@ -445,31 +417,36 @@ def frame_matrix(
     tau: PeriodMatrix,
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
-    """The matrix carrying the Aronhold frame to the theta-gradient frame.
+    """The 3x3 matrix T taking theta-frame gradients to Weber-frame covectors.
 
-    Column j is D_j * grad theta[q_j] with D_1 = D[q4,q2,q3],
-    D_2 = D[q1,q4,q3], D_3 = D[q1,q2,q4]; a Weber-frame line covector u
-    corresponds to the theta-frame covector u . A^T, so the bitangent of
-    an odd form q has Weber-frame covector A^{-1} . grad theta[q].
+    With G the gradients of theta[q_1], theta[q_2], theta[q_3] at 0
+    stacked as rows and c[q] = grad theta[q] . G^{-1}, the bitangent of
+    an odd form q has Weber-frame covector grad theta[q] . T = c[q] / c[q_4]
+    (entrywise), which puts b_1..b_4 at X1, X2, X3, X1+X2+X3.  By Cramer's
+    rule entry j is D[.., q, ..] / D[.., q_4, ..], q and q_4 in slot j of
+    D[q1,q2,q3].  G is inverted with its rows scaled to unit norm: row
+    norms vary exponentially in Im(tau) and cancel in the ratio.
+
+    Refuses on the special locus, when that equilibrated G has condition
+    number above FRAME_COND_LIMIT, and when a denominator D[.., q_4, ..]
+    is below JACOBIAN_DET_REL_TOL times the product of its three gradient
+    norms.
     """
+    require_generic(tau, pol)
     grads = odd_gradient_table(tau, pol)
-    q1, q2, q3, q4 = (system[i] for i in range(4))
-
-    def det(*forms):
-        return complex(np.linalg.det(np.array([grads[f.characteristic] for f in forms])))
-
-    cols = [
-        det(q4, q2, q3) * grads[q1.characteristic],
-        det(q1, q4, q3) * grads[q2.characteristic],
-        det(q1, q2, q4) * grads[q3.characteristic],
-    ]
-    phi = np.column_stack(cols)
-    # column norms vary exponentially in Im(tau); gate the intrinsic
-    # (equilibrated) conditioning, not the scaling artifact
-    scales = np.linalg.norm(phi, axis=0)
-    if scales.min() == 0 or np.linalg.cond(phi / scales) > FRAME_COND_LIMIT:
+    g = np.array([grads[system[i].characteristic] for i in range(3)])
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    if norms.min() == 0 or np.linalg.cond(g := g / norms) > FRAME_COND_LIMIT:
         raise SpecialLocusError("frame matrix is numerically singular")
-    return phi
+    inv = np.linalg.inv(g)
+    g4 = grads[system[3].characteristic]
+    c4 = g4 @ inv
+    # |c4_j det g| / |g4| is |D[.., q_4, ..]| over its three gradient norms;
+    # numerators may legitimately be tiny (a near-zero coefficient), only a
+    # vanishing denominator poisons the frame
+    if np.abs(c4).min() * abs(np.linalg.det(g)) < JACOBIAN_DET_REL_TOL * np.linalg.norm(g4):
+        raise SpecialLocusError("vanishing Jacobian determinant denominator")
+    return inv / c4
 
 
 def weber_coefficients(
@@ -478,23 +455,24 @@ def weber_coefficients(
     pol: TruncationPolicy = DEFAULT_POLICY,
     eps=(1, 1, 1),
 ) -> AronholdFrame:
-    """Weber's formula end to end: the full normalized Aronhold frame.
+    """Weber's formula end to end: the normalized Aronhold frame.
 
     Refuses on the special locus, evaluates the nine coefficients a_ij,
-    solves for lambda and k (k = (1,1,1) up to roundoff is the
-    normalization contract), solves for the xi forms, and assembles the
-    frame transport matrix.
+    solves for lambda and k, and solves for the xi forms.  In exact
+    arithmetic Weber's normalization gives k = (1, 1, 1); numerically k
+    drifts from it as tau nears the special locus, where the smallest
+    even constants enter denominators, while the curve and its lines can
+    stay accurate, so |k - 1| is a diagnostic, not a measure of accuracy.
     """
     eps = tuple(int(e) for e in eps)
     if len(eps) != 3 or any(e not in (-1, 1) for e in eps):
         raise ValueError("eps must be three signs +-1")
     table = require_generic(tau, pol)
-    a, etas = _weber_matrix(system, table, eps)
+    a = _weber_matrix(system, table, eps)
     lam = solve_lambda(a)
     k = solve_k(a, lam)
     xi = xi_forms(a, k)
-    phi = frame_matrix(system, tau, pol)
-    return AronholdFrame(system=system, a=a, eta=etas, k=k, lam=lam, xi=xi, phi=phi)
+    return AronholdFrame(system=system, a=a, k=k, lam=lam, xi=xi)
 
 
 def all_bitangents(
@@ -505,22 +483,15 @@ def all_bitangents(
     """All 28 bitangents in the Weber frame, labelled by their odd forms.
 
     Ordered as the seven system forms b_1..b_7 followed by the 21
-    derived pair forms in (i, j) lexicographic order.  Each line is the
-    theta-frame gradient covector of its form transported through the
-    frame matrix.
+    derived pair forms in (i, j) lexicographic order.  Line q is
+    grad theta[q] . T with T from :func:`frame_matrix`: one solve for
+    all 28.
     """
-    require_generic(tau, pol)
-    phi = frame_matrix(system, tau, pol)
-    grads = dict(zip(_ODD, _tables(tau, pol)[1]))  # the kept pass frame_matrix just read
-    # solve through the column-equilibrated matrix: the raw inverse
-    # loses the small columns' digits when gradient scales spread
-    scales = np.linalg.norm(phi, axis=0)
-    inv_scaled = np.linalg.inv(phi / scales)
-    out = []
-    for q in _bitangent_labels(system):
-        covector = (inv_scaled @ grads[q.characteristic]) / scales
-        out.append((q, ProjLine(tuple(covector))))
-    return out
+    t = frame_matrix(system, tau, pol)
+    grads = odd_gradient_table(tau, pol)
+    labels = _bitangent_labels(system)
+    covectors = np.array([grads[q.characteristic] for q in labels]) @ t
+    return [(q, ProjLine(tuple(c))) for q, c in zip(labels, covectors)]
 
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)

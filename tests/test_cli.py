@@ -214,7 +214,11 @@ def test_selftest(capsys):
 
 def test_usage_errors_exit_1(tmp_path, capsys):
     # exit code 2 is kept for special-locus refusals
-    for argv in (["bitangents"], ["bitangents", "--tau", str(tmp_path / "t.json"), "--eps", "1,1"]):
+    tau = str(DATA / "tau_seed3.json")
+    non_finite = [[command, "--tau", tau, flag, value]
+                  for command, flag in (("verify", "--tol"), ("verify", "--tail"), ("bitangents", "--tol"))
+                  for value in ("nan", "inf", "-inf")]
+    for argv in [["bitangents"], ["bitangents", "--tau", str(tmp_path / "t.json"), "--eps", "1,1"]] + non_finite:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
@@ -222,6 +226,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         main(["selftest", "--help"])
     assert info.value.code == 0
     assert main(["selftest", "--trials", "0"]) == 1
+
+
+def test_inconsistent_three_radical_system_is_not_a_special_locus_refusal(capsys):
+    # system 5 on this tau: the xi solve fails, yet no even constant is near the 1e-8 gate
+    code, _, err = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"), "--system-index", "5")
+    assert code != 2
+    assert "three-radical" in err
 
 
 def _raise(*args, **kwargs):

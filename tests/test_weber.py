@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from thetaquartic import invariants
+from thetaquartic import invariants, weber
 from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, odd_forms
 from thetaquartic.errors import SingularSystemError, SpecialLocusError
 from thetaquartic.verify import bitangency_check
@@ -227,10 +227,21 @@ def test_quartic_curve_validation():
         QuarticCurve((1,) * 14)
 
 
+def test_frame_matrix_puts_system_gradients_on_normal_form(tau_seed1, tau_seed2):
+    # grad theta[q_j] . T is proportional to e_j, and grad theta[q_4] . T to (1, 1, 1)
+    from thetaquartic.thetaeval import grad_theta0
+
+    for tau in (tau_seed1, tau_seed2):
+        for system in (REFERENCE_SYSTEM, ORIGIN_SUM_SYSTEM):
+            t = frame_matrix(system, tau)
+            for q, want in zip(system.forms[:4], np.vstack([np.eye(3), np.ones(3)])):
+                covector = grad_theta0(q.characteristic, tau) @ t
+                assert ProjLine(tuple(covector)).residual_to(want) < 1e-12
+
+
 def test_frame_matrix_transport(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
     lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
-    assert abs(np.linalg.det(frame.phi)) > 0
     # the seven system lines land on the normal-form covectors
     expected = [
         (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
@@ -240,13 +251,34 @@ def test_frame_matrix_transport(tau_seed1):
         assert line.residual_to(np.asarray(want, dtype=complex)) < 1e-8
 
 
-def test_frame_matrix_consistent_with_gradients(tau_seed1):
-    from thetaquartic.thetaeval import grad_theta0
+@pytest.mark.parametrize("slot, combo, gate", [
+    (2, (1, 1, 0, 0), "numerically singular"),  # grad q3 = grad q1 + grad q2
+    (3, (0, 1, 1, 0), "Jacobian determinant denominator"),  # D[q4,q2,q3] = 0
+], ids=["condition", "denominator"])
+def test_frame_gates_guard_lines_and_rows(slot, combo, gate, tau_seed1, monkeypatch):
+    grads = weber.odd_gradient_table(tau_seed1)
+    chars = [q.characteristic for q in N[:4]]
+    grads[chars[slot]] = sum(c * grads[m] for c, m in zip(combo, chars))
+    monkeypatch.setattr(weber, "odd_gradient_table", lambda tau, pol: grads)
+    for build in (all_bitangents, aronhold_coeffs_dets):
+        with pytest.raises(SpecialLocusError, match=gate):
+            build(REFERENCE_SYSTEM, tau_seed1)
 
-    phi = frame_matrix(REFERENCE_SYSTEM, tau_seed1)
-    for col, q in zip(phi.T, REFERENCE_SYSTEM.forms[:3]):
-        g = grad_theta0(q.characteristic, tau_seed1)
-        assert ProjLine(tuple(col)).residual_to(g) < 1e-12
+
+def test_det_rows_match_explicit_jacobian_determinants(tau_seed1, tau_seed2):
+    # the one frame solve against D[q_{4+i},q2,q3]/D[q4,q2,q3], ... entrywise
+    from thetaquartic.thetaeval import jacobian_det
+
+    q1, q2, q3, q4 = (q.characteristic for q in N[:4])
+    for tau in (tau_seed1, tau_seed2):
+        rows = aronhold_coeffs_dets(REFERENCE_SYSTEM, tau)
+        for row, qe in zip(rows, (q.characteristic for q in N[4:])):
+            want = np.array([
+                jacobian_det(qe, q2, q3, tau) / jacobian_det(q4, q2, q3, tau),
+                jacobian_det(q1, qe, q3, tau) / jacobian_det(q1, q4, q3, tau),
+                jacobian_det(q1, q2, qe, tau) / jacobian_det(q1, q2, q4, tau),
+            ])
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_all_bitangents_distinct(tau_seed1):
