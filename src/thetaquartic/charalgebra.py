@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Bits = tuple[int, int, int]
 
@@ -55,10 +55,6 @@ class F2Vector:
     @property
     def key(self) -> tuple:
         return self.lam + self.mu
-
-    @classmethod
-    def from_key(cls, key: Sequence[int]) -> "F2Vector":
-        return cls(tuple(key[:3]), tuple(key[3:]))
 
 
 def all_vectors() -> list[F2Vector]:
@@ -205,9 +201,6 @@ class AronholdSystem:
     def as_set(self) -> frozenset:
         return frozenset(self.forms)
 
-    def sorted(self) -> "AronholdSystem":
-        return AronholdSystem(tuple(sorted(self.forms, key=lambda q: q.key)))
-
 
 #: The classical ordered reference system of Weber's worked example.
 REFERENCE_SYSTEM = AronholdSystem((
@@ -225,40 +218,31 @@ REFERENCE_SYSTEM = AronholdSystem((
 def enumerate_aronhold() -> tuple[AronholdSystem, ...]:
     """All 288 Aronhold systems, as sets in a canonical order.
 
-    Backtracking over the 28 odd forms in key order, pruning any partial
-    tuple that acquires a non-azygetic triple.  Each returned system has
-    its forms sorted, and the tuple is sorted lexicographically on the
-    sorted keys, so the output order is deterministic.  The enumeration
-    runs once per process; later calls return the same tuple.
+    Backtracking over the 28 odd forms in key order.  Each step carries
+    the pool of later forms that are azygetic with every pair of chosen
+    ones; choosing a form keeps only the pool members azygetic with it
+    and each earlier choice, one table lookup per pair, and a branch
+    stops when too few members remain to reach seven.  Each returned
+    system has its forms sorted, and the tuple is sorted
+    lexicographically on the sorted keys, so the output order is
+    deterministic.  The enumeration runs once per process; later calls
+    return the same tuple.
     """
     odds = sorted(odd_forms(), key=lambda q: q.key)
-    packed = [_pack(q) for q in odds]
-
+    form_of = {_pack(q): q for q in odds}
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
 
-    def extend(start: int):
+    def extend(chosen: tuple[int, ...], pool: list[int]):
+        # chosen and pool hold packed forms; pool is in key order
         if len(chosen) == 7:
-            out.append(tuple(chosen))
+            out.append(chosen)
             return
-        for c in range(start, 28):
-            pc = packed[c]
-            ok = True
-            for i in range(len(chosen)):
-                pi = packed[chosen[i]]
-                for j in range(i + 1, len(chosen)):
-                    if not _EVEN_LUT[pi ^ packed[chosen[j]] ^ pc]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                chosen.append(c)
-                extend(c + 1)
-                chosen.pop()
+        # a form followed by fewer than 6 - len(chosen) pool members cannot complete a system
+        for i, c in enumerate(pool[: len(pool) + len(chosen) - 6]):
+            extend(chosen + (c,), [d for d in pool[i + 1 :] if all(_EVEN_LUT[x ^ c ^ d] for x in chosen)])
 
-    extend(0)
-    return tuple(AronholdSystem(tuple(odds[i] for i in sel)) for sel in out)
+    extend((), list(form_of))
+    return tuple(AronholdSystem(tuple(form_of[x] for x in sel)) for sel in out)
 
 
 @dataclass(frozen=True)
@@ -343,9 +327,6 @@ class Characteristic:
             tuple(a + b for a, b in zip(self.mp, other.mp)),
             tuple(a + b for a, b in zip(self.mpp, other.mpp)),
         )
-
-    def is_reduced(self) -> bool:
-        return all(x in (0, 1) for x in self.mp + self.mpp)
 
     def parity(self) -> int:
         """Parity of the reduced characteristic: 0 even, 1 odd."""

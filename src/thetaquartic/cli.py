@@ -200,11 +200,11 @@ def cmd_quartic(args) -> int:
     _, _, code = _certify(quartic, lines)
     _emit({
         "aronhold": [q.characteristic.to_json() for q in frame.system],
-        "a": [[wb.complex_to_json(x) for x in row] for row in frame.a],
-        "k": [wb.complex_to_json(x) for x in frame.k],
-        "lambda": [wb.complex_to_json(x) for x in frame.lam],
-        "xi": [line.to_json() for line in frame.xi],
-        "quartic": quartic.to_json(),
+        "a": te.complex_to_json(frame.a),
+        "k": te.complex_to_json(frame.k),
+        "lambda": te.complex_to_json(frame.lam),
+        "xi": te.complex_to_json(wb.unit_pivot([line.c for line in frame.xi])),
+        "quartic": te.complex_to_json(quartic.coeffs),
     }, args)
     if code == EXIT_OK:
         _note("quartic reconstructed; coefficients normalized to unit max modulus")
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     except SpecialLocusError as exc:
         _note(f"special locus: {exc}")
         return EXIT_SPECIAL_LOCUS
-    except (InvalidTauError, TruncationError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (InvalidTauError, TruncationError, OSError, json.JSONDecodeError, ValueError) as exc:
         _note(f"input error: {exc}")
         return EXIT_INPUT
     except ThetaQuarticError as exc:

@@ -109,16 +109,12 @@ class TruncationPolicy:
     """Controls the lattice truncation of the theta series.
 
     ``target_tail`` bounds the neglected value plus gradient mass (see
-    the module docstring).  ``radius`` is a floor on the ellipsoid's
-    radius: every point with (n+c).Im(tau).(n+c) <= radius^2 is summed.
+    the module docstring); it fixes the ellipsoid's radius R.
     """
 
-    radius: int = 1
     target_tail: float = DEFAULT_TAIL
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
         if not 0 < self.target_tail <= 1e-6:
             raise ValueError("target_tail must lie in (0, 1e-6]")
 
@@ -210,7 +206,7 @@ def _packing_radius(tau: PeriodMatrix, chol: np.ndarray) -> float:
 
 
 def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: TruncationPolicy) -> float:
-    """R^2 of the summation ellipsoid: the tail bound's, or pol.radius^2 if larger."""
+    """R^2 of the summation ellipsoid: the smallest the tail bound allows for pol.target_tail."""
     rho = _packing_radius(tau, chol)
     pref = 1.5 * (2 / rho) ** 3
     w_value = 1 + 2 * math.pi * float(np.linalg.norm(a))
@@ -228,7 +224,7 @@ def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: Truncation
         # approach the root from below and stop at most 0.01 past it
         t += max(math.log(b / pol.target_tail), 0.01)
     r = math.sqrt(t) + rho / 2
-    return max(r * r / math.pi, pol.radius**2)
+    return r * r / math.pi
 
 
 def _series(chars, tau: PeriodMatrix, z, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -449,10 +445,20 @@ def random_tau(rng: np.random.Generator) -> np.ndarray:
     return a + 1j * (m @ m.T + np.eye(3) / 2)
 
 
+def complex_to_json(z):
+    """The JSON form of complex numbers: {"re", "im"} for a number, nested lists of them for an array.
+
+    Every complex number the package writes goes through here.
+    """
+    if np.ndim(z):
+        return [complex_to_json(x) for x in z]
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
 def tau_to_json(tau) -> dict:
-    """Serialize a period matrix as {"tau": [[{"re","im"}, ...], ...]}."""
-    arr = tau.tau if isinstance(tau, PeriodMatrix) else np.asarray(tau, dtype=complex)
-    return {"tau": [[{"re": float(x.real), "im": float(x.imag)} for x in row] for row in arr]}
+    """Serialize a period matrix as {"tau": complex_to_json of its 3x3 matrix}."""
+    return {"tau": complex_to_json(tau.tau if isinstance(tau, PeriodMatrix) else tau)}
 
 
 def tau_from_json(obj) -> np.ndarray:

@@ -20,7 +20,9 @@ points 0, oo, +-1, +-i, chosen so that the chart's point at infinity
 is far from every root; a double root anywhere, [1 : 0] included, is
 then an ordinary pair of close affine roots.  One batched eigenvalue
 call on the 28 companion matrices gives the roots.  Pairing, residuals
-and canonical contact points are array operations.
+and canonical contact points are array operations, and the result stays
+arrays: :func:`bitangency_summary` writes its JSON rows from them, and
+only :func:`bitangency_check` builds a :class:`BitangencyReport`.
 """
 
 from __future__ import annotations
@@ -32,16 +34,16 @@ from itertools import combinations
 import numpy as np
 from numpy.linalg import LinAlgError, eigvals
 
-from .charalgebra import Characteristic
 from .errors import DegenerateCurveError, ThetaQuarticError
 from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
+    complex_to_json,
     random_tau,
     vanishing_even_characteristics,
 )
-from .weber import MONOMIALS, ProjLine, QuarticCurve, complex_to_json
+from .weber import MONOMIALS, ProjLine, QuarticCurve
 
 DEFAULT_BITANGENCY_TOL = 1e-6
 
@@ -73,19 +75,6 @@ class BitangencyReport:
     contact_points: tuple
     residual: float
     near_flex: bool = False
-
-    def to_json(self, q: Characteristic | None = None) -> dict:
-        out = {}
-        if q is not None:
-            out["q"] = q.to_json()
-        out.update(
-            {
-                "is_bitangent": bool(self.is_bitangent),
-                "residual": float(self.residual),
-                "contacts": [[complex_to_json(x) for x in pt] for pt in self.contact_points],
-            }
-        )
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +213,13 @@ def _canonical(x: np.ndarray) -> np.ndarray:
     return np.where((first > 0)[:, None, None], x[:, ::-1], x)
 
 
-def _certify(curve: QuarticCurve, lines, tol: float) -> list:
-    """Root-clustering certificates for a list of lines, in one array pass."""
-    if not lines:
-        return []
+def _certify(curve: QuarticCurve, lines, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Root-clustering certificates for a non-empty list of L lines, in one array pass.
+
+    Returns (is_bitangent, residual, contacts, near_flex): boolean and
+    float arrays of length L, and contacts of shape (L, 2, 3), the two
+    canonical contact points of each line (see :func:`bitangency_check`).
+    """
     g, p, q = _restrictions(curve, lines)
     pts = _sphere_roots(g)
 
@@ -256,10 +248,7 @@ def _certify(curve: QuarticCurve, lines, tol: float) -> list:
     is_bitangent = residual < tol
     near_flex = is_bitangent & (separation <= 10 * np.maximum(radii.max(axis=1), 1e-300))
     contacts = _canonical(s0[..., None] * p[:, None, :] + t0[..., None] * q[:, None, :])
-    return [
-        BitangencyReport(line, bool(ok), (x[0], x[1]), float(r), bool(flex))
-        for line, ok, x, r, flex in zip(lines, is_bitangent, contacts, residual, near_flex)
-    ]
+    return is_bitangent, residual, contacts, near_flex
 
 
 def bitangency_check(
@@ -274,7 +263,8 @@ def bitangency_check(
     ``near_flex`` flags the degenerate case where the two double roots
     themselves (nearly) collide, i.e. a hyperflex-like contact.
     """
-    return _certify(curve, [line], tol)[0]
+    ok, residual, contacts, flex = _certify(curve, [line], tol)
+    return BitangencyReport(line, bool(ok[0]), tuple(contacts[0]), float(residual[0]), bool(flex[0]))
 
 
 def bitangency_summary(
@@ -282,18 +272,26 @@ def bitangency_summary(
     labelled_lines,
     tol: float = DEFAULT_BITANGENCY_TOL,
 ) -> tuple[list, dict]:
-    """Check every labelled line against the curve.
+    """Check every labelled (odd form, line) pair against the curve in one pass.
 
-    Returns (reports, summary): reports is a list of per-line JSON
-    objects, summary counts passes/failures and the worst residual.
+    Returns (reports, summary).  reports holds one JSON object per line,
+    with keys q, is_bitangent, residual and contacts, written straight
+    from the arrays of the batched certificate; summary counts
+    passes/failures and the worst residual (0.0 for no lines).
     """
     labelled = list(labelled_lines)
-    results = _certify(curve, [line for _, line in labelled], tol)
-    reports = [rep.to_json(q.characteristic) for (q, _), rep in zip(labelled, results)]
-    n_pass = sum(1 for r in results if r.is_bitangent)
-    summary = {
-        "pass": n_pass,
-        "fail": len(results) - n_pass,
-        "max_residual": max((r.residual for r in results), default=0.0),
-    }
+    if not labelled:
+        return [], {"pass": 0, "fail": 0, "max_residual": 0.0}
+    ok, residual, contacts, _ = _certify(curve, [line for _, line in labelled], tol)
+    reports = [
+        {
+            "q": q.characteristic.to_json(),
+            "is_bitangent": bool(b),
+            "residual": float(r),
+            "contacts": complex_to_json(x),
+        }
+        for (q, _), b, r, x in zip(labelled, ok, residual, contacts)
+    ]
+    n_pass = int(ok.sum())
+    summary = {"pass": n_pass, "fail": len(labelled) - n_pass, "max_residual": float(residual.max())}
     return reports, summary

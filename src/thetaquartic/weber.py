@@ -10,8 +10,9 @@ and Weber's formula expresses each a_ij as a ratio of four theta
 constants times an explicit fourth-root-of-unity phase.  With that
 normalization the scaling system for the remaining construction has the
 distinguished solution k = (1, 1, 1), the three linear forms xi_23,
-xi_13, xi_12 follow from one 12-equation linear system, the curve
-itself is recovered from its three-radical model, and the map between
+xi_13, xi_12 follow from one 12-equation linear system with three
+right-hand sides, the curve itself is recovered from its three-radical
+model as 15 coefficients in MONOMIALS order, and the map between
 this frame and the theta-gradient frame is a single 3x3 matrix (see
 :func:`frame_matrix`).  Writing c[q] for the coordinates of grad theta[q]
 in the basis grad theta[q_1], grad theta[q_2], grad theta[q_3], the
@@ -24,6 +25,10 @@ characteristic sums such as (q_4 + q_r + q_j); the reduction signs they
 pick up are part of the formula and are either tracked explicitly
 (:func:`weber_symbolic`) or absorbed by evaluating through
 :func:`thetaquartic.thetaeval.theta`, which reduces internally.
+
+The numbers stay arrays up to the JSON report: covectors are scaled
+for output by :func:`unit_pivot`, and every complex number goes through
+:func:`thetaquartic.thetaeval.complex_to_json`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -51,6 +56,7 @@ from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
+    complex_to_json,
     even_constant_table,
     jacobian_det,
     odd_gradient_table,
@@ -59,6 +65,12 @@ from .thetaeval import (
 
 #: Exponent triples (a, b, c) of X1^a X2^b X3^c with a+b+c = 4, graded-lex order.
 MONOMIALS = tuple(sorted(((a, b, 4 - a - b) for a in range(5) for b in range(5 - a)), reverse=True))
+
+#: _QUARTIC_SUM[m, 27i + 9j + 3k + l] is 1 iff X_i X_j X_k X_l is monomial m
+_QUARTIC_SUM = np.array(
+    [[tuple(map(idx.count, range(3))) == e for idx in product(range(3), repeat=4)] for e in MONOMIALS],
+    dtype=float,
+)
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -74,11 +86,6 @@ XI_RESIDUAL_GATE = 1e-8
 
 #: bound of the caches keyed by an Aronhold system: one entry per system
 SYSTEM_CACHE_SIZE = 288
-
-
-def complex_to_json(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
 
 
 @dataclass(frozen=True)
@@ -99,20 +106,20 @@ class ProjLine:
     def vec(self) -> np.ndarray:
         return np.array(self.c, dtype=complex)
 
-    def normalized(self) -> "ProjLine":
-        """Scale so the largest-modulus entry (first such index) is exactly 1."""
-        v = self.vec
-        pivot = int(np.argmax(np.abs(v)))
-        return ProjLine(tuple(v / v[pivot]))
-
     def residual_to(self, other) -> float:
         """Normalized cross-product residual; 0 iff projectively equal."""
         u = self.vec
         w = other.vec if isinstance(other, ProjLine) else np.asarray(other, dtype=complex)
         return float(np.linalg.norm(np.cross(u, w)) / (np.linalg.norm(u) * np.linalg.norm(w)))
 
-    def to_json(self) -> list:
-        return [complex_to_json(x) for x in self.normalized().c]
+
+def unit_pivot(rows) -> np.ndarray:
+    """Rows scaled so each one's largest-modulus entry (first such index) is exactly 1.
+
+    The scale in which covectors and quartic coefficients are reported.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    return rows / np.take_along_axis(rows, np.argmax(np.abs(rows), axis=-1)[..., None], -1)
 
 
 @dataclass(frozen=True)
@@ -138,9 +145,6 @@ class QuarticCurve:
         return complex(
             sum(c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] for c, e in zip(self.coeffs, MONOMIALS))
         )
-
-    def to_json(self) -> list:
-        return [complex_to_json(x) for x in self.coeffs]
 
 
 @dataclass(frozen=True)
@@ -340,49 +344,20 @@ def xi_forms(a: np.ndarray, k: np.ndarray) -> tuple[ProjLine, ProjLine, ProjLine
         [1/a_i1, 1/a_i2, 1/a_i3] . y = -k_i a_il     (i = 1, 2, 3)
 
     (12 scalar equations for 9 unknowns, consistent of rank 3 per
-    column for genuine input).  Solved per column by row-equilibrated
-    least squares with a consistency gate on the relative residual.
+    column for genuine input).  The three columns are one least-squares
+    solve with three right-hand sides, rows equilibrated, and each
+    column's relative residual must pass the consistency gate.
     """
     a = np.asarray(a, dtype=complex)
     k = np.asarray(k, dtype=complex)
     b = np.vstack([np.ones(3, dtype=complex), 1.0 / a])
     w = 1.0 / np.abs(b).max(axis=1)
-    y = np.zeros((3, 3), dtype=complex)
-    for l in range(3):
-        rhs = -np.concatenate(([1.0 + 0j], k * a[:, l]))
-        sol, *_ = np.linalg.lstsq(b * w[:, None], rhs * w, rcond=None)
-        resid = np.linalg.norm(b @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        if resid > XI_RESIDUAL_GATE:
-            raise SingularSystemError(
-                f"three-radical scaling system inconsistent (residual {resid:.2e})"
-            )
-        y[:, l] = sol
+    rhs = -np.vstack([np.ones(3, dtype=complex), k[:, None] * a])  # column l: -(1, k_i a_il)
+    y, *_ = np.linalg.lstsq(b * w[:, None], rhs * w[:, None], rcond=None)
+    resid = (np.linalg.norm(b @ y - rhs, axis=0) / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)).max()
+    if resid > XI_RESIDUAL_GATE:
+        raise SingularSystemError(f"three-radical scaling system inconsistent (residual {resid:.2e})")
     return ProjLine(tuple(y[0])), ProjLine(tuple(y[1])), ProjLine(tuple(y[2]))
-
-
-def _lin_poly(c) -> dict:
-    return {(1, 0, 0): c[0], (0, 1, 0): c[1], (0, 0, 1): c[2]}
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[e] = out.get(e, 0) + ca * cb
-    return out
-
-
-def _poly_add(*ps) -> dict:
-    out: dict = {}
-    for p in ps:
-        for e, c in p.items():
-            out[e] = out.get(e, 0) + c
-    return out
-
-
-def _poly_scale(p: dict, s) -> dict:
-    return {e: s * c for e, c in p.items()}
 
 
 def riemann_quartic(xi: tuple[ProjLine, ProjLine, ProjLine]) -> QuarticCurve:
@@ -395,21 +370,19 @@ def riemann_quartic(xi: tuple[ProjLine, ProjLine, ProjLine]) -> QuarticCurve:
 
     which is symmetric under every permutation of the three products
     (the relative sign inside the square is a branch choice with no
-    invariant meaning).  The 15 coefficients are normalized so the
-    largest-modulus one is exactly 1.
+    invariant meaning).  A, B and C are 3x3 coefficient matrices
+    (entry (i, j) multiplies X_i X_j).  With S = A + B - C, the 81
+    entries of each 4-tensor A(x)B and S(x)S are summed into MONOMIALS
+    order by one 0/1 table built from MONOMIALS, and the quartic is
+    4 AB - SS.  The 15 coefficients are scaled by :func:`unit_pivot`.
     """
-    x23, x13, x12 = xi
-    ta = _poly_mul(_lin_poly((1, 0, 0)), _lin_poly(x23.c))
-    tb = _poly_mul(_lin_poly((0, 1, 0)), _lin_poly(x13.c))
-    tc = _poly_mul(_lin_poly((0, 0, 1)), _lin_poly(x12.c))
-    s = _poly_add(ta, tb, _poly_scale(tc, -1))
-    f = _poly_add(_poly_scale(_poly_mul(ta, tb), 4), _poly_scale(_poly_mul(s, s), -1))
-    coeffs = np.array([f.get(e, 0) for e in MONOMIALS], dtype=complex)
-    mags = np.abs(coeffs)
-    if mags.max() == 0:
+    a, b, c = (np.outer(unit, line.vec) for unit, line in zip(np.eye(3), xi))
+    s = a + b - c
+    ab, ss = (_QUARTIC_SUM @ np.multiply.outer(x, y).ravel() for x, y in ((a, b), (s, s)))
+    coeffs = 4 * ab - ss
+    if np.abs(coeffs).max() == 0:
         raise DegenerateCurveError("reconstruction produced the zero polynomial")
-    pivot = int(np.argmax(mags))
-    return QuarticCurve(tuple(coeffs / coeffs[pivot]))
+    return QuarticCurve(tuple(unit_pivot(coeffs)))
 
 
 def frame_matrix(
@@ -502,14 +475,20 @@ def _bitangent_labels(system: AronholdSystem) -> tuple[QuadForm, ...]:
 
 
 def frame_to_json(frame: AronholdFrame, bitangents, quartic: QuarticCurve) -> dict:
-    """The machine-readable pipeline output."""
+    """The machine-readable pipeline output.
+
+    Line covectors are scaled by :func:`unit_pivot`; a, k, lambda, the
+    lines and the quartic's coefficients are written by
+    :func:`thetaquartic.thetaeval.complex_to_json`.
+    """
+    lines = unit_pivot([line.c for _, line in bitangents])
     return {
         "aronhold": [q.characteristic.to_json() for q in frame.system],
-        "a": [[complex_to_json(x) for x in row] for row in frame.a],
+        "a": complex_to_json(frame.a),
         "bitangents": [
-            {"q": q.characteristic.to_json(), "line": line.to_json()} for q, line in bitangents
+            {"q": q.characteristic.to_json(), "line": complex_to_json(row)} for (q, _), row in zip(bitangents, lines)
         ],
-        "quartic": quartic.to_json(),
-        "k": [complex_to_json(x) for x in frame.k],
-        "lambda": [complex_to_json(x) for x in frame.lam],
+        "quartic": complex_to_json(quartic.coeffs),
+        "k": complex_to_json(frame.k),
+        "lambda": complex_to_json(frame.lam),
     }

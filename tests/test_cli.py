@@ -130,6 +130,11 @@ def test_malformed_tau_exit_1(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"tau": [[1, 2], [3, 4]]}))
     assert run_cli(capsys, "bitangents", "--tau", str(wrong))[0] == 1
+    # a directory where a file belongs is an input error, not a traceback
+    code, _, err = run_cli(capsys, "bitangents", "--tau", str(tmp_path))
+    assert code == 1 and err.startswith("input error: ")
+    code, _, err = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"), "--json", str(tmp_path))
+    assert code == 1 and "input error: " in err
 
 
 def test_non_pd_tau_exit_1(tmp_path, capsys):

@@ -22,7 +22,6 @@ from thetaquartic.errors import InvalidTauError, TruncationError
 from thetaquartic.thetaeval import (
     PeriodMatrix,
     _ellipsoid,
-    _radius2,
     TruncationPolicy,
     addition_formula_residual,
     even_constant_table,
@@ -294,7 +293,7 @@ def test_quasi_periodicity_composed(tau_seed1):
 
 def test_truncation_convergence(tau_seed1):
     tight = TruncationPolicy(target_tail=1e-15)
-    loose = TruncationPolicy(radius=14, target_tail=1e-15)  # R >= 14 against about 4 by the bound
+    loose = TruncationPolicy(target_tail=1e-300)  # R = 15.1 against 3.9 at 1e-15
     for q in (even_forms()[3], odd_forms()[12]):
         m = q.characteristic
         a = theta_const(m, tau_seed1, tight)
@@ -308,16 +307,11 @@ def test_truncation_convergence(tau_seed1):
 
 def test_truncation_policy_validation(tau_seed1):
     with pytest.raises(ValueError):
-        TruncationPolicy(radius=0)
-    with pytest.raises(ValueError):
         TruncationPolicy(target_tail=1e-3)
-    # radius is a floor on the ellipsoid: every lattice point with
-    # (n+c).Im(tau).(n+c) <= radius^2 is summed, and only those up to R^2
-    pol = TruncationPolicy(radius=6)
+    # the ellipsoid holds every lattice point with (n+c).Im(tau).(n+c) <= r2, and only those
     imag = tau_seed1.tau.imag
     chol = np.linalg.cholesky(imag).T
-    r2 = _radius2(tau_seed1, chol, np.zeros(3), pol)
-    assert r2 >= 36
+    r2 = 36.0
     center = np.array([0.5, 0.0, 0.5])
     points, _ = _ellipsoid(chol, center[None, :], r2)
     summed = {tuple(n) for n in points.astype(int)}

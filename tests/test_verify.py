@@ -22,7 +22,7 @@ from thetaquartic.verify import (
     random_admissible_tau,
     restrict_to_line,
 )
-from thetaquartic.thetaeval import PeriodMatrix, vanishing_even_characteristics
+from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, vanishing_even_characteristics
 from thetaquartic.weber import (
     MONOMIALS,
     ProjLine,
@@ -175,11 +175,18 @@ def test_bitangency_summary(tau_seed1):
 def test_report_json_structure(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
     quartic = riemann_quartic(frame.xi)
-    report = bitangency_check(quartic, ProjLine((1, 0, 0)))
-    obj = report.to_json(REFERENCE_SYSTEM.forms[0].characteristic)
-    assert obj["is_bitangent"] is True
-    assert len(obj["contacts"]) == 2
-    assert all(len(pt) == 3 for pt in obj["contacts"])
+    q = REFERENCE_SYSTEM.forms[0]
+    (row,), _ = bitangency_summary(quartic, [(q, ProjLine((1, 0, 0)))])
+    assert list(row) == ["q", "is_bitangent", "residual", "contacts"]
+    assert row["q"] == q.characteristic.to_json()
+    assert row["is_bitangent"] is True and type(row["residual"]) is float
+    assert len(row["contacts"]) == 2
+    assert all(len(pt) == 3 and all(set(x) == {"re", "im"} for x in pt) for pt in row["contacts"])
+
+
+def test_bitangency_summary_of_no_lines(tau_seed1):
+    quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau_seed1).xi)
+    assert bitangency_summary(quartic, []) == ([], {"pass": 0, "fail": 0, "max_residual": 0.0})
 
 
 def test_random_admissible_tau_exhaustion():
@@ -221,10 +228,16 @@ def _check_restrictions_against_mpmath(curve, lines):
 
 
 def test_check_equals_summary_row():
+    # row l of the batched summary is the single-line certificate of line l, field by field
     quartic, lines = _pipeline(1)
     reports, _ = bitangency_summary(quartic, lines)
     for (q, line), row in zip(lines, reports):
-        assert bitangency_check(quartic, line).to_json(q.characteristic) == row
+        report = bitangency_check(quartic, line)
+        assert set(row) == {"q", "is_bitangent", "residual", "contacts"}
+        assert row["q"] == q.characteristic.to_json()
+        assert row["is_bitangent"] is report.is_bitangent
+        assert row["residual"] == report.residual
+        assert row["contacts"] == complex_to_json(report.contact_points)
 
 
 @pytest.mark.parametrize("position", [0, 13, 27])

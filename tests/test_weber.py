@@ -199,6 +199,24 @@ def test_riemann_quartic_beta1_bitangent(tau_seed1):
     assert report.is_bitangent and report.residual < 1e-8
 
 
+def test_riemann_quartic_is_three_radical_model(tau_seed1, tau_seed2):
+    # F must be proportional to 4AB - (A + B - C)^2 with A = X1 xi_23, B = X2 xi_13,
+    # C = X3 xi_12, here evaluated pointwise rather than through coefficients
+    rng = np.random.default_rng(20)
+    points = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+    for tau in (tau_seed1, tau_seed2):
+        xi = weber_coefficients(REFERENCE_SYSTEM, tau).xi
+        curve = riemann_quartic(xi)
+        got = np.array([curve(x) for x in points])
+        want = []
+        for x in points:
+            a, b, c = (x[i] * (line.vec @ x) for i, line in enumerate(xi))
+            want.append(4 * a * b - (a + b - c) ** 2)
+        want = np.array(want)
+        scale = np.vdot(want, got) / np.vdot(want, want)
+        assert np.linalg.norm(got - scale * want) <= 1e-12 * np.linalg.norm(got)
+
+
 def test_riemann_quartic_swap_symmetry(tau_seed1):
     # simultaneous swap (X1, xi_23) <-> (X2, xi_13) relabels the output
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
