@@ -19,7 +19,6 @@ integer characteristics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -277,31 +276,22 @@ def derived_forms(system: AronholdSystem) -> DerivedForms:
 
 
 def complete_4tuple(q1: QuadForm, q2: QuadForm, q3: QuadForm, q4: QuadForm):
-    """The two odd triples completing an azygetic 4-tuple to Aronhold systems."""
+    """The two odd triples completing an azygetic 4-tuple to Aronhold systems.
+
+    Each is one of the 288 systems of :func:`enumerate_aronhold` that
+    contains the 4-tuple, less the 4-tuple, in that order and with forms
+    in key order.
+    """
     base = (q1, q2, q3, q4)
     if len(set(base)) != 4 or any(arf(q) != 1 for q in base):
         raise ValueError("need four distinct odd forms")
     if not all(is_azygetic_triple(*t) for t in combinations(base, 3)):
         raise ValueError("the 4-tuple is not azygetic")
-    packed_base = [_pack(q) for q in base]
-    # a candidate must keep every triple through two base forms azygetic
-    pool = []
-    for q in sorted(odd_forms(), key=lambda f: f.key):
-        if q in base:
-            continue
-        pc = _pack(q)
-        if all(_EVEN_LUT[x ^ y ^ pc] for x, y in combinations(packed_base, 2)):
-            pool.append(q)
-    completions = []
-    for triple in combinations(pool, 3):
-        pt = [_pack(q) for q in triple]
-        if not _EVEN_LUT[pt[0] ^ pt[1] ^ pt[2]]:
-            continue
-        if all(_EVEN_LUT[b ^ pt[i] ^ pt[j]] for b in packed_base for i, j in ((0, 1), (0, 2), (1, 2))):
-            completions.append(triple)
-    if len(completions) != 2:
-        raise ValueError(f"expected exactly 2 completing triples, found {len(completions)}")
-    return tuple(completions)
+    return tuple(
+        tuple(q for q in system if q not in base)
+        for system in enumerate_aronhold()
+        if system.as_set().issuperset(base)
+    )
 
 
 @dataclass(frozen=True)
@@ -332,11 +322,6 @@ class Characteristic:
         """Parity of the reduced characteristic: 0 even, 1 odd."""
         return sum(a * b for a, b in zip(self.mp, self.mpp)) % 2
 
-    def form(self) -> QuadForm:
-        """The quadratic form with these coordinates (reduced first)."""
-        r, _ = reduce_characteristic(self)
-        return QuadForm.from_bits(r.mp, r.mpp)
-
     def bracket(self) -> str:
         return "[" + "".join(map(str, self.mp)) + "|" + "".join(map(str, self.mpp)) + "]"
 
@@ -345,8 +330,6 @@ class Characteristic:
 
     @classmethod
     def from_json(cls, obj) -> "Characteristic":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(tuple(obj["mp"]), tuple(obj["mpp"]))
 
 

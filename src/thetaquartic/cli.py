@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -34,16 +35,6 @@ EXIT_SPECIAL_LOCUS = 2
 EXIT_INVARIANT = 3
 
 
-def _parse_eps(text: str):
-    try:
-        parts = [int(p) for p in text.replace(" ", "").split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError("eps must look like +1,+1,-1")
-    if len(parts) != 3 or any(p not in (-1, 1) for p in parts):
-        raise argparse.ArgumentTypeError("eps must be three signs +-1")
-    return tuple(parts)
-
-
 def _positive(text: str) -> float:
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
@@ -62,9 +53,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "tau": dict(required=True, help="path to period matrix JSON"),
     "tail": dict(type=_positive, default=te.DEFAULT_TAIL, help="series tail target"),
-    "tol": dict(type=_positive, default=vf.DEFAULT_BITANGENCY_TOL, help="bitangency residual tolerance"),
     "seed": dict(type=int, default=1, help="seed for seeded randomness"),
-    "eps": dict(type=_parse_eps, default=(1, 1, 1), help="row signs, e.g. +1,+1,-1"),
     "system-index": dict(type=int, default=None, help="index into the canonical list of 288 Aronhold systems "
                          "(default: the classical reference ordering)"),
     "trials": dict(type=int, default=5, help="number of seeded random period matrices, at least 1"),
@@ -84,6 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags + ("json",):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
+
+
+def _check_json_target(path: str) -> None:
+    """Refuse a --json path that cannot be written, before any work; the file is opened only by :func:`_emit`."""
+    if os.path.isdir(path):
+        raise ValueError(f"--json {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--json {path}: no such directory")
 
 
 def _emit(obj, args) -> None:
@@ -172,22 +169,22 @@ def _pipeline(args):
     tau = _load_tau(args)
     pol = _policy(args)
     system = _system(args)
-    frame = wb.weber_coefficients(system, tau, pol, eps=args.eps)
+    frame = wb.weber_coefficients(system, tau, pol)
     quartic = wb.riemann_quartic(frame.xi)
     lines = wb.all_bitangents(system, tau, pol)
     return frame, quartic, lines
 
 
-def _certify(quartic, lines, tol=vf.DEFAULT_BITANGENCY_TOL):
+def _certify(quartic, lines):
     """The 28 certificates, a summary line on stderr, and the exit code they earn."""
-    reports, summary = vf.bitangency_summary(quartic, lines, tol=tol)
+    reports, summary = vf.bitangency_summary(quartic, lines)
     _note(f"bitangency: {summary['pass']}/28 pass, max residual {summary['max_residual']:.3e}")
     return reports, summary, EXIT_OK if summary["pass"] == 28 else EXIT_INVARIANT
 
 
 def cmd_bitangents(args) -> int:
     frame, quartic, lines = _pipeline(args)
-    reports, summary, code = _certify(quartic, lines, args.tol)
+    reports, summary, code = _certify(quartic, lines)
     out = wb.frame_to_json(frame, lines, quartic)
     out["verify"] = {"reports": reports, "summary": summary}
     _emit(out, args)
@@ -213,7 +210,7 @@ def cmd_quartic(args) -> int:
 
 def cmd_verify(args) -> int:
     _, quartic, lines = _pipeline(args)
-    reports, summary, code = _certify(quartic, lines, args.tol)
+    reports, summary, code = _certify(quartic, lines)
     _emit({"reports": reports, "summary": summary}, args)
     return code
 
@@ -229,10 +226,8 @@ def cmd_selftest(args) -> int:
     taus = [vf.random_admissible_tau(args.seed * 1000 + i, pol) for i in range(args.trials)]
     results = []
     for check in iv.CHECKS:
-        if check is iv.bitangency_28:
-            check = iv.Check(check.name, args.tol, check.measure)
         try:
-            worst = np.max([np.max(check(tau, rng, pol, args.eps)) for tau in taus])
+            worst = np.max([np.max(check(tau, rng, pol)) for tau in taus])
             ok, detail = check.passes(worst), f"worst {worst:.2e}, tolerance {check.tol:.0e}"
         except ThetaQuarticError as exc:
             ok, detail = False, f"error: {exc}"
@@ -248,11 +243,11 @@ COMMANDS = {
     "classify": (cmd_classify, "list the 64 quadratic forms with parity and Arf invariant", ()),
     "aronhold": (cmd_aronhold, "enumerate Aronhold systems (optionally expand one)", ("system-index",)),
     "bitangents": (cmd_bitangents, "full pipeline: 28 bitangents + verification",
-                   ("tau", "tail", "tol", "eps", "system-index")),
-    "quartic": (cmd_quartic, "reconstruct the quartic equation", ("tau", "tail", "eps", "system-index")),
+                   ("tau", "tail", "system-index")),
+    "quartic": (cmd_quartic, "reconstruct the quartic equation", ("tau", "tail", "system-index")),
     "verify": (cmd_verify, "bitangency certificates for the reconstructed curve",
-               ("tau", "tail", "tol", "eps", "system-index")),
-    "selftest": (cmd_selftest, "run the named invariant suite", ("tail", "tol", "seed", "eps", "trials")),
+               ("tau", "tail", "system-index")),
+    "selftest": (cmd_selftest, "run the named invariant suite", ("tail", "seed", "trials")),
     "random-tau": (cmd_random_tau, "emit a seeded random admissible period matrix", ("tail", "seed")),
 }
 
@@ -260,6 +255,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.json_path:
+            _check_json_target(args.json_path)
         return COMMANDS[args.command][0](args)
     except SpecialLocusError as exc:
         _note(f"special locus: {exc}")

@@ -26,16 +26,18 @@ from . import weber as wb
 class Check:
     """A named identity and its tolerance.
 
-    Calling it measures one period matrix: ``measure(tau, rng, pol, eps)``
+    Calling it measures one period matrix: ``measure(tau, rng, pol)``
     returns the residual(s), drawing any random inputs from ``rng``.
+    Weber's coefficients are taken in his printed row-sign convention;
+    the signs do not change k, the quartic or the lines.
     """
 
     name: str
     tol: float
     measure: Callable
 
-    def __call__(self, tau=None, rng=None, pol=te.DEFAULT_POLICY, eps=(1, 1, 1), **kw):
-        return self.measure(tau, rng, pol, eps, **kw)
+    def __call__(self, tau=None, rng=None, pol=te.DEFAULT_POLICY, **kw):
+        return self.measure(tau, rng, pol, **kw)
 
     def passes(self, residuals) -> bool:
         """Whether no residual exceeds the tolerance (NaN fails)."""
@@ -85,7 +87,7 @@ def _random_z(rng) -> np.ndarray:
 
 
 #: Weber's printed coefficient table for the reference system: (i, j) ->
-#: (phase on eps_i, reduction-sign product, num1, num2, den1, den2).
+#: (phase, reduction-sign product, num1, num2, den1, den2), row signs eps = (+1, +1, +1).
 WEBER_TABLE = {
     (1, 1): (1j, 1, "[100|001]", "[000|101]", "[101|000]", "[001|100]"),
     (1, 2): (1j, 1, "[010|101]", "[110|001]", "[011|100]", "[111|000]"),
@@ -131,7 +133,7 @@ def weber_symbolic_table(*_):
 
 
 @_check("reduction-formula", 1e-10)
-def reduction_formula(tau, rng, pol, eps):
+def reduction_formula(tau, rng, pol):
     """theta at a random lift of the even [101|101] against the direct sum, relative."""
     shift = ca.Characteristic(
         tuple(2 * int(x) for x in rng.integers(0, 2, 3)),
@@ -143,7 +145,7 @@ def reduction_formula(tau, rng, pol, eps):
 
 
 @_check("parity-vanishing", 1e-10)
-def parity_vanishing(tau, rng, pol, eps):
+def parity_vanishing(tau, rng, pol):
     """Odd constants over the largest even one, and even gradients over the largest odd one."""
     scale = max(abs(v) for v in te.even_constant_table(tau, pol).values())
     gscale = max(np.linalg.norm(g) for g in te.odd_gradient_table(tau, pol).values())
@@ -153,7 +155,7 @@ def parity_vanishing(tau, rng, pol, eps):
 
 
 @_check("gradient-finite-difference", 1e-7)
-def gradient_finite_difference(tau, rng, pol, eps):
+def gradient_finite_difference(tau, rng, pol):
     """Series gradients of 3 random odd forms against central differences, relative."""
     worst = 0.0
     for idx in rng.integers(0, 28, 3):
@@ -165,7 +167,7 @@ def gradient_finite_difference(tau, rng, pol, eps):
 
 
 @_check("addition-formula", 1e-9)
-def addition_formula(tau, rng, pol, eps):
+def addition_formula(tau, rng, pol):
     """Four-term addition formula for (q5+q6+q7, q5, q6, q7) at u = 0 and a random v."""
     q5, q6, q7 = ca.REFERENCE_SYSTEM.forms[4:]
     return te.addition_formula_residual(
@@ -175,7 +177,7 @@ def addition_formula(tau, rng, pol, eps):
 
 
 @_check("quasi-periodicity", 1e-9)
-def quasi_periodicity(tau, rng, pol, eps):
+def quasi_periodicity(tau, rng, pol):
     """Half-period law for a random form, half period and z."""
     q = ca.all_forms()[int(rng.integers(0, 64))].characteristic
     k, h = rng.integers(0, 2, 3), rng.integers(0, 2, 3)
@@ -183,7 +185,7 @@ def quasi_periodicity(tau, rng, pol, eps):
 
 
 @_check("jacobi-ratio", 1e-8)
-def jacobi_ratio(tau, rng, pol, eps, system=ca.REFERENCE_SYSTEM):
+def jacobi_ratio(tau, rng, pol, system=ca.REFERENCE_SYSTEM):
     """Determinant-ratio identity for the first four forms of ``system``.
 
     Returns (worst relative residual over both completions, relative gap
@@ -199,23 +201,23 @@ def jacobi_ratio(tau, rng, pol, eps, system=ca.REFERENCE_SYSTEM):
 
 
 @_check("weber-normalization-k", 1e-8)
-def weber_normalization_k(tau, rng, pol, eps):
+def weber_normalization_k(tau, rng, pol):
     """max |k - 1| of Weber's normalization."""
-    return float(np.abs(wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol, eps).k - 1).max())
+    return float(np.abs(wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol).k - 1).max())
 
 
 @_check("determinant-ratio-rows", 1e-8)
-def determinant_ratio_rows(tau, rng, pol, eps):
+def determinant_ratio_rows(tau, rng, pol):
     """Projective residual of the coefficient rows against their determinant ratios."""
-    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol, eps)
+    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol)
     rows = wb.aronhold_coeffs_dets(ca.REFERENCE_SYSTEM, tau, pol)
     return max(wb.ProjLine(tuple(rows[i])).residual_to(frame.a[i]) for i in range(3))
 
 
-@_check("bitangency-28", vf.DEFAULT_BITANGENCY_TOL)
-def bitangency_28(tau, rng, pol, eps):
+@_check("bitangency-28", vf.BITANGENCY_TOL)
+def bitangency_28(tau, rng, pol):
     """Certificate residuals of the 28 transported lines on the reconstructed quartic."""
-    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol, eps)
+    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol)
     lines = wb.all_bitangents(ca.REFERENCE_SYSTEM, tau, pol)
     reports, _ = vf.bitangency_summary(wb.riemann_quartic(frame.xi), lines)
     return np.array([r["residual"] for r in reports])

@@ -45,7 +45,8 @@ from .thetaeval import (
 )
 from .weber import MONOMIALS, ProjLine, QuarticCurve
 
-DEFAULT_BITANGENCY_TOL = 1e-6
+#: a line is certified bitangent when its root-clustering residual is below this
+BITANGENCY_TOL = 1e-6
 
 #: restriction coefficients below this (relative to the curve's scale)
 #: mean the line lies on the curve
@@ -213,7 +214,7 @@ def _canonical(x: np.ndarray) -> np.ndarray:
     return np.where((first > 0)[:, None, None], x[:, ::-1], x)
 
 
-def _certify(curve: QuarticCurve, lines, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _certify(curve: QuarticCurve, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Root-clustering certificates for a non-empty list of L lines, in one array pass.
 
     Returns (is_bitangent, residual, contacts, near_flex): boolean and
@@ -245,44 +246,41 @@ def _certify(curve: QuarticCurve, lines, tol: float) -> tuple[np.ndarray, np.nda
     residual = np.linalg.norm(g - amp * model, axis=1) / np.linalg.norm(g, axis=1)
 
     separation = _chord(centers[:, 0], centers[:, 1])
-    is_bitangent = residual < tol
+    is_bitangent = residual < BITANGENCY_TOL
     near_flex = is_bitangent & (separation <= 10 * np.maximum(radii.max(axis=1), 1e-300))
     contacts = _canonical(s0[..., None] * p[:, None, :] + t0[..., None] * q[:, None, :])
     return is_bitangent, residual, contacts, near_flex
 
 
-def bitangency_check(
-    curve: QuarticCurve, line: ProjLine, tol: float = DEFAULT_BITANGENCY_TOL
-) -> BitangencyReport:
+def bitangency_check(curve: QuarticCurve, line: ProjLine) -> BitangencyReport:
     """Root-clustering bitangency certificate.
 
     The line is bitangent iff the four restriction roots pair into two
     double roots: the squared pair form must reproduce the restriction
-    with relative residual below ``tol``.  Contact points are the pair
+    with relative residual below :data:`BITANGENCY_TOL`, the one threshold
+    every caller certifies against.  Contact points are the pair
     centers mapped back to the plane, in canonical phase and order.
     ``near_flex`` flags the degenerate case where the two double roots
     themselves (nearly) collide, i.e. a hyperflex-like contact.
     """
-    ok, residual, contacts, flex = _certify(curve, [line], tol)
+    ok, residual, contacts, flex = _certify(curve, [line])
     return BitangencyReport(line, bool(ok[0]), tuple(contacts[0]), float(residual[0]), bool(flex[0]))
 
 
-def bitangency_summary(
-    curve: QuarticCurve,
-    labelled_lines,
-    tol: float = DEFAULT_BITANGENCY_TOL,
-) -> tuple[list, dict]:
+def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[list, dict]:
     """Check every labelled (odd form, line) pair against the curve in one pass.
 
     Returns (reports, summary).  reports holds one JSON object per line,
     with keys q, is_bitangent, residual and contacts, written straight
-    from the arrays of the batched certificate; summary counts
-    passes/failures and the worst residual (0.0 for no lines).
+    from the arrays of the batched certificate; is_bitangent is the
+    verdict of :func:`bitangency_check` at :data:`BITANGENCY_TOL`.
+    summary counts passes/failures and the worst residual (0.0 for no
+    lines).
     """
     labelled = list(labelled_lines)
     if not labelled:
         return [], {"pass": 0, "fail": 0, "max_residual": 0.0}
-    ok, residual, contacts, _ = _certify(curve, [line for _, line in labelled], tol)
+    ok, residual, contacts, _ = _certify(curve, [line for _, line in labelled])
     reports = [
         {
             "q": q.characteristic.to_json(),

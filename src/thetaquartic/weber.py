@@ -151,8 +151,8 @@ class QuarticCurve:
 class WeberEntry:
     """Symbolic content of one coefficient a_ij before series evaluation.
 
-    ``phase`` is the fourth root of unity multiplying the free row sign
-    eps_i in the reduced-characteristic formula (the reduction-sign
+    ``phase`` is the fourth root of unity of the reduced-characteristic
+    formula, in Weber's printed row-sign convention (the reduction-sign
     product ``rho`` is already folded in); ``chars`` holds the reduced
     characteristics (num1, num2, den1, den2) of the four constants.
     """
@@ -269,13 +269,15 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
 
     The full coefficient is
 
-        a_ij = eps_i * phase * theta[n1] theta[n2] / (theta[d1] theta[d2])
+        a_ij = phase * theta[n1] theta[n2] / (theta[d1] theta[d2])
 
     with phase = i^t * (-1)^d * rho, where t = (q4+q_{4+i})'.(q4+q5+q6+q7)'',
     d = (q_j+q_r+q_s)'.(q4+q_{4+i})'', and rho the product of the four
-    reduction signs of the non-reduced constants.  The per-row sign
-    convention is fixed so that the classical printed table for the
-    reference system is reproduced with eps = (+1, +1, +1).
+    reduction signs of the non-reduced constants.  Weber's formula fixes
+    each row only up to a sign eps_i; the convention here is his printed
+    one, eps = (+1, +1, +1), which reproduces the classical table for the
+    reference system.  The signs cancel in lambda_i a_ij, so k, xi, the
+    quartic and the 28 lines do not depend on them.
     """
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError("row and column indices must be in {1, 2, 3}")
@@ -298,13 +300,13 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     return WeberEntry(phase=phase, chars=tuple(reduced), rho=rho)
 
 
-def _weber_matrix(system, table, eps) -> np.ndarray:
+def _weber_matrix(system, table) -> np.ndarray:
     a = np.zeros((3, 3), dtype=complex)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             entry = weber_symbolic(system, i, j)
             n1, n2, d1, d2 = entry.chars
-            a[i - 1, j - 1] = eps[i - 1] * entry.phase * (table[n1] * table[n2]) / (table[d1] * table[d2])
+            a[i - 1, j - 1] = entry.phase * (table[n1] * table[n2]) / (table[d1] * table[d2])
     return a
 
 
@@ -426,22 +428,19 @@ def weber_coefficients(
     system: AronholdSystem,
     tau: PeriodMatrix,
     pol: TruncationPolicy = DEFAULT_POLICY,
-    eps=(1, 1, 1),
 ) -> AronholdFrame:
     """Weber's formula end to end: the normalized Aronhold frame.
 
-    Refuses on the special locus, evaluates the nine coefficients a_ij,
+    Refuses on the special locus, evaluates the nine coefficients a_ij
+    in Weber's printed row-sign convention (see :func:`weber_symbolic`),
     solves for lambda and k, and solves for the xi forms.  In exact
     arithmetic Weber's normalization gives k = (1, 1, 1); numerically k
     drifts from it as tau nears the special locus, where the smallest
     even constants enter denominators, while the curve and its lines can
     stay accurate, so |k - 1| is a diagnostic, not a measure of accuracy.
     """
-    eps = tuple(int(e) for e in eps)
-    if len(eps) != 3 or any(e not in (-1, 1) for e in eps):
-        raise ValueError("eps must be three signs +-1")
     table = require_generic(tau, pol)
-    a = _weber_matrix(system, table, eps)
+    a = _weber_matrix(system, table)
     lam = solve_lambda(a)
     k = solve_k(a, lam)
     xi = xi_forms(a, k)

@@ -110,6 +110,11 @@ def test_bitangents_special_locus_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bitangents", "--tau", str(tau_path))
     assert code == 2
     assert "[110|110]" in err
+    # a refused run leaves an existing --json file as it was
+    report = tmp_path / "report.json"
+    report.write_text("earlier report\n")
+    assert run_cli(capsys, "bitangents", "--tau", str(tau_path), "--json", str(report))[0] == 2
+    assert report.read_text() == "earlier report\n"
 
 
 @pytest.mark.parametrize("command", ["bitangents", "quartic"])
@@ -133,8 +138,10 @@ def test_malformed_tau_exit_1(tmp_path, capsys):
     # a directory where a file belongs is an input error, not a traceback
     code, _, err = run_cli(capsys, "bitangents", "--tau", str(tmp_path))
     assert code == 1 and err.startswith("input error: ")
-    code, _, err = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"), "--json", str(tmp_path))
-    assert code == 1 and "input error: " in err
+    # an unwritable --json target is refused before any work
+    for target in (tmp_path, tmp_path / "missing" / "out.json"):
+        code, _, err = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"), "--json", str(target))
+        assert code == 1 and err.startswith("input error: ") and "bitangency:" not in err
 
 
 def test_non_pd_tau_exit_1(tmp_path, capsys):
@@ -196,16 +203,6 @@ def test_system_index_pipeline(tmp_path, capsys):
     assert json.loads(out)["verify"]["summary"]["pass"] == 28
 
 
-def test_eps_flag(tmp_path, capsys):
-    tau_path = tmp_path / "tau.json"
-    run_cli(capsys, "random-tau", "--seed", "1", "--json", str(tau_path))
-    code, out, _ = run_cli(
-        capsys, "bitangents", "--tau", str(tau_path), "--eps", "+1,-1,+1"
-    )
-    assert code == 0
-    assert json.loads(out)["verify"]["summary"]["pass"] == 28
-
-
 def test_selftest(capsys):
     code, out, err = run_cli(capsys, "selftest", "--trials", "2")
     assert code == 0, err
@@ -220,10 +217,9 @@ def test_selftest(capsys):
 def test_usage_errors_exit_1(tmp_path, capsys):
     # exit code 2 is kept for special-locus refusals
     tau = str(DATA / "tau_seed3.json")
-    non_finite = [[command, "--tau", tau, flag, value]
-                  for command, flag in (("verify", "--tol"), ("verify", "--tail"), ("bitangents", "--tol"))
-                  for value in ("nan", "inf", "-inf")]
-    for argv in [["bitangents"], ["bitangents", "--tau", str(tmp_path / "t.json"), "--eps", "1,1"]] + non_finite:
+    non_finite = [[command, "--tau", tau, "--tail", value]
+                  for command in ("verify", "bitangents") for value in ("nan", "inf", "-inf")]
+    for argv in [["bitangents"]] + non_finite:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
@@ -231,6 +227,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         main(["selftest", "--help"])
     assert info.value.code == 0
     assert main(["selftest", "--trials", "0"]) == 1
+
+
+@pytest.mark.parametrize("knob", [["--tol", "1e-6"], ["--eps=+1,+1,+1"]], ids=["tol", "eps"])
+@pytest.mark.parametrize("command", ["bitangents", "quartic", "verify", "selftest"])
+def test_removed_knobs_are_usage_errors(command, knob, capsys):
+    # one certificate threshold and Weber's printed row signs: neither is settable
+    argv = [command] + (["--tau", str(DATA / "tau_seed3.json")] if command != "selftest" else []) + knob
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: theta-quartic") and f"unrecognized arguments: {knob[0]}" in err
 
 
 def test_inconsistent_three_radical_system_is_not_a_special_locus_refusal(capsys):

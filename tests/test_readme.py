@@ -1,7 +1,10 @@
-"""The README's code stays runnable."""
+"""The README's code stays runnable, and its CLI section names the flags the parser declares."""
 
+import argparse
 import re
 from pathlib import Path
+
+from thetaquartic.cli import build_parser
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -11,3 +14,12 @@ def test_readme_library_recipe():
     section = README.read_text().split("## Library entry points", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_cli_flags_match_parser():
+    # the --flags named in the "CLI" section are exactly those the subcommands declare
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    assert named == declared - {"-h", "--help"}

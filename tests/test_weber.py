@@ -101,20 +101,6 @@ def test_weber_normalization_k(tau_seed1, tau_seed2):
             assert np.linalg.norm(r @ frame.lam + 1) < 1e-10
 
 
-def test_weber_eps_flips_row(tau_seed1):
-    base = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    flipped = weber_coefficients(REFERENCE_SYSTEM, tau_seed1, eps=(-1, 1, 1))
-    assert np.array_equal(flipped.a[0], -base.a[0])
-    assert np.array_equal(flipped.a[1:], base.a[1:])
-    # k is insensitive to row signs
-    assert np.abs(flipped.k - 1).max() < 1e-8
-
-
-def test_weber_eps_validation(tau_seed1):
-    with pytest.raises(ValueError):
-        weber_coefficients(REFERENCE_SYSTEM, tau_seed1, eps=(2, 1, 1))
-
-
 def test_weber_special_locus_refusal(tau_identity):
     with pytest.raises(SpecialLocusError) as info:
         weber_coefficients(REFERENCE_SYSTEM, tau_identity)
