@@ -328,10 +328,6 @@ class Characteristic:
     def to_json(self) -> dict:
         return {"mp": list(self.mp), "mpp": list(self.mpp)}
 
-    @classmethod
-    def from_json(cls, obj) -> "Characteristic":
-        return cls(tuple(obj["mp"]), tuple(obj["mpp"]))
-
 
 def char_sum(*items) -> Characteristic:
     """Entrywise integer sum of characteristics (or forms, via their coords)."""

@@ -48,6 +48,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # every parser refuses what it does not know, so a subcommand prints its own usage
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
 
 #: argparse settings of every flag; each subcommand declares the ones it reads
 _FLAGS = {
@@ -165,54 +172,66 @@ def cmd_random_tau(args) -> int:
     return EXIT_OK
 
 
-def _pipeline(args):
+#: the top-level keys of each pipeline command's report, in print order
+REPORT_KEYS = {
+    "bitangents": ("aronhold", "a", "bitangents", "quartic", "k", "lambda", "verify"),
+    "quartic": ("aronhold", "a", "k", "lambda", "xi", "quartic"),
+    "verify": ("reports", "summary"),
+}
+
+
+def _report(keys, frame, quartic, lines, certs, summary) -> dict:
+    """The report of one pipeline run under the given top-level keys, in their order.
+
+    The one place the pipeline's JSON layout is written, and a field is
+    built only when its key is asked for.  Covectors are scaled by
+    :func:`~thetaquartic.weber.unit_pivot`; complex numbers are written by
+    :func:`~thetaquartic.thetaeval.complex_to_json`.
+    """
+    ok, residual, contacts, _ = certs
+    labels = [q.characteristic.to_json() for q, _ in lines]
+    fields = {
+        "aronhold": lambda: [q.characteristic.to_json() for q in frame.system],
+        "a": lambda: te.complex_to_json(frame.a),
+        "bitangents": lambda: [
+            {"q": q, "line": te.complex_to_json(row)}
+            for q, row in zip(labels, wb.unit_pivot([line.c for _, line in lines]))
+        ],
+        "quartic": lambda: te.complex_to_json(quartic.coeffs),
+        "k": lambda: te.complex_to_json(frame.k),
+        "lambda": lambda: te.complex_to_json(frame.lam),
+        "xi": lambda: te.complex_to_json(wb.unit_pivot([line.c for line in frame.xi])),
+        "reports": lambda: [
+            {"q": q, "is_bitangent": bool(b), "residual": float(r), "contacts": te.complex_to_json(x)}
+            for q, b, r, x in zip(labels, ok, residual, contacts)
+        ],
+        "summary": lambda: summary,
+        "verify": lambda: _report(REPORT_KEYS["verify"], frame, quartic, lines, certs, summary),
+    }
+    return {key: fields[key]() for key in keys}
+
+
+def cmd_pipeline(args) -> int:
+    """``bitangents``, ``quartic`` and ``verify``: one pipeline run and one certificate.
+
+    Each command prints the report keys :data:`REPORT_KEYS` gives it.  A
+    curve counts as reconstructed only if its 28 lines certify; otherwise
+    each of the three exits 3 after writing its report.
+    """
     tau = _load_tau(args)
     pol = _policy(args)
     system = _system(args)
     frame = wb.weber_coefficients(system, tau, pol)
     quartic = wb.riemann_quartic(frame.xi)
     lines = wb.all_bitangents(system, tau, pol)
-    return frame, quartic, lines
-
-
-def _certify(quartic, lines):
-    """The 28 certificates, a summary line on stderr, and the exit code they earn."""
-    reports, summary = vf.bitangency_summary(quartic, lines)
+    certs, summary = vf.bitangency_summary(quartic, lines)
     _note(f"bitangency: {summary['pass']}/28 pass, max residual {summary['max_residual']:.3e}")
-    return reports, summary, EXIT_OK if summary["pass"] == 28 else EXIT_INVARIANT
-
-
-def cmd_bitangents(args) -> int:
-    frame, quartic, lines = _pipeline(args)
-    reports, summary, code = _certify(quartic, lines)
-    out = wb.frame_to_json(frame, lines, quartic)
-    out["verify"] = {"reports": reports, "summary": summary}
-    _emit(out, args)
-    return code
-
-
-def cmd_quartic(args) -> int:
-    frame, quartic, lines = _pipeline(args)
-    # a curve is reported as reconstructed only if its 28 lines certify
-    _, _, code = _certify(quartic, lines)
-    _emit({
-        "aronhold": [q.characteristic.to_json() for q in frame.system],
-        "a": te.complex_to_json(frame.a),
-        "k": te.complex_to_json(frame.k),
-        "lambda": te.complex_to_json(frame.lam),
-        "xi": te.complex_to_json(wb.unit_pivot([line.c for line in frame.xi])),
-        "quartic": te.complex_to_json(quartic.coeffs),
-    }, args)
-    if code == EXIT_OK:
+    _emit(_report(REPORT_KEYS[args.command], frame, quartic, lines, certs, summary), args)
+    if summary["pass"] != 28:
+        return EXIT_INVARIANT
+    if args.command == "quartic":
         _note("quartic reconstructed; coefficients normalized to unit max modulus")
-    return code
-
-
-def cmd_verify(args) -> int:
-    _, quartic, lines = _pipeline(args)
-    reports, summary, code = _certify(quartic, lines)
-    _emit({"reports": reports, "summary": summary}, args)
-    return code
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +261,10 @@ def cmd_selftest(args) -> int:
 COMMANDS = {
     "classify": (cmd_classify, "list the 64 quadratic forms with parity and Arf invariant", ()),
     "aronhold": (cmd_aronhold, "enumerate Aronhold systems (optionally expand one)", ("system-index",)),
-    "bitangents": (cmd_bitangents, "full pipeline: 28 bitangents + verification",
+    "bitangents": (cmd_pipeline, "full pipeline: 28 bitangents + verification",
                    ("tau", "tail", "system-index")),
-    "quartic": (cmd_quartic, "reconstruct the quartic equation", ("tau", "tail", "system-index")),
-    "verify": (cmd_verify, "bitangency certificates for the reconstructed curve",
+    "quartic": (cmd_pipeline, "reconstruct the quartic equation", ("tau", "tail", "system-index")),
+    "verify": (cmd_pipeline, "bitangency certificates for the reconstructed curve",
                ("tau", "tail", "system-index")),
     "selftest": (cmd_selftest, "run the named invariant suite", ("tail", "seed", "trials")),
     "random-tau": (cmd_random_tau, "emit a seeded random admissible period matrix", ("tail", "seed")),

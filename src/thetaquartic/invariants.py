@@ -219,5 +219,5 @@ def bitangency_28(tau, rng, pol):
     """Certificate residuals of the 28 transported lines on the reconstructed quartic."""
     frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol)
     lines = wb.all_bitangents(ca.REFERENCE_SYSTEM, tau, pol)
-    reports, _ = vf.bitangency_summary(wb.riemann_quartic(frame.xi), lines)
-    return np.array([r["residual"] for r in reports])
+    (_, residual, _, _), _ = vf.bitangency_summary(wb.riemann_quartic(frame.xi), lines)
+    return residual

@@ -21,8 +21,9 @@ is far from every root; a double root anywhere, [1 : 0] included, is
 then an ordinary pair of close affine roots.  One batched eigenvalue
 call on the 28 companion matrices gives the roots.  Pairing, residuals
 and canonical contact points are array operations, and the result stays
-arrays: :func:`bitangency_summary` writes its JSON rows from them, and
-only :func:`bitangency_check` builds a :class:`BitangencyReport`.
+arrays: :func:`bitangency_summary` returns them with their pass count,
+and only :func:`bitangency_check` builds a :class:`BitangencyReport`.
+Laying the certificates out as a report is the command line's job.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
-    complex_to_json,
     random_tau,
     vanishing_even_characteristics,
 )
@@ -108,7 +108,7 @@ def _restrictions(curve: QuarticCurve, lines) -> tuple[np.ndarray, np.ndarray, n
     :class:`DegenerateCurveError` if any restriction vanishes, i.e. a
     line is a component of the curve.
     """
-    covectors = np.array([line.c for line in lines], dtype=complex)
+    covectors = np.array([line.c for line in lines], dtype=complex).reshape(-1, 3)
     _, _, vh = np.linalg.svd(covectors[:, None, :])
     p, q = vh[:, 1].conj(), vh[:, 2].conj()
     coeffs = curve.vec / np.abs(curve.vec).max()
@@ -215,7 +215,7 @@ def _canonical(x: np.ndarray) -> np.ndarray:
 
 
 def _certify(curve: QuarticCurve, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Root-clustering certificates for a non-empty list of L lines, in one array pass.
+    """Root-clustering certificates for a list of L lines (L may be 0), in one array pass.
 
     Returns (is_bitangent, residual, contacts, near_flex): boolean and
     float arrays of length L, and contacts of shape (L, 2, 3), the two
@@ -267,29 +267,18 @@ def bitangency_check(curve: QuarticCurve, line: ProjLine) -> BitangencyReport:
     return BitangencyReport(line, bool(ok[0]), tuple(contacts[0]), float(residual[0]), bool(flex[0]))
 
 
-def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[list, dict]:
+def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict]:
     """Check every labelled (odd form, line) pair against the curve in one pass.
 
-    Returns (reports, summary).  reports holds one JSON object per line,
-    with keys q, is_bitangent, residual and contacts, written straight
-    from the arrays of the batched certificate; is_bitangent is the
-    verdict of :func:`bitangency_check` at :data:`BITANGENCY_TOL`.
-    summary counts passes/failures and the worst residual (0.0 for no
-    lines).
+    Returns (certs, summary).  certs is the tuple of arrays (is_bitangent,
+    residual, contacts, near_flex) of the batched certificate, aligned
+    with the input lines: row l holds the verdict of
+    :func:`bitangency_check` at :data:`BITANGENCY_TOL`, the residual, the
+    two canonical contact points (shape (2, 3)) and the near-flex flag of
+    line l.  summary counts passes/failures and the worst residual (0.0
+    for no lines).
     """
-    labelled = list(labelled_lines)
-    if not labelled:
-        return [], {"pass": 0, "fail": 0, "max_residual": 0.0}
-    ok, residual, contacts, _ = _certify(curve, [line for _, line in labelled])
-    reports = [
-        {
-            "q": q.characteristic.to_json(),
-            "is_bitangent": bool(b),
-            "residual": float(r),
-            "contacts": complex_to_json(x),
-        }
-        for (q, _), b, r, x in zip(labelled, ok, residual, contacts)
-    ]
+    certs = _certify(curve, [line for _, line in labelled_lines])
+    ok, residual = certs[:2]
     n_pass = int(ok.sum())
-    summary = {"pass": n_pass, "fail": len(labelled) - n_pass, "max_residual": float(residual.max())}
-    return reports, summary
+    return certs, {"pass": n_pass, "fail": len(ok) - n_pass, "max_residual": float(residual.max(initial=0.0))}

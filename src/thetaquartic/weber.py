@@ -26,9 +26,9 @@ pick up are part of the formula and are either tracked explicitly
 (:func:`weber_symbolic`) or absorbed by evaluating through
 :func:`thetaquartic.thetaeval.theta`, which reduces internally.
 
-The numbers stay arrays up to the JSON report: covectors are scaled
-for output by :func:`unit_pivot`, and every complex number goes through
-:func:`thetaquartic.thetaeval.complex_to_json`.
+Results stay arrays and dataclasses; laying them out as a report is the
+command line's job.  Covectors and quartic coefficients are scaled for
+output by :func:`unit_pivot`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
-    complex_to_json,
     even_constant_table,
     jacobian_det,
     odd_gradient_table,
@@ -402,25 +401,34 @@ def frame_matrix(
     D[q1,q2,q3].  G is inverted with its rows scaled to unit norm: row
     norms vary exponentially in Im(tau) and cancel in the ratio.
 
-    Refuses on the special locus, when that equilibrated G has condition
-    number above FRAME_COND_LIMIT, and when a denominator D[.., q_4, ..]
-    is below JACOBIAN_DET_REL_TOL times the product of its three gradient
-    norms.
+    Refuses on the special locus.  Raises :class:`SingularSystemError`,
+    naming the gate and the measured value, when that equilibrated G has
+    condition number above FRAME_COND_LIMIT, or when a denominator
+    D[.., q_4, ..] is below JACOBIAN_DET_REL_TOL times the product of its
+    three gradient norms: a frame double precision cannot represent,
+    which says nothing about the even constants.
     """
     require_generic(tau, pol)
     grads = odd_gradient_table(tau, pol)
     g = np.array([grads[system[i].characteristic] for i in range(3)])
     norms = np.linalg.norm(g, axis=1, keepdims=True)
-    if norms.min() == 0 or np.linalg.cond(g := g / norms) > FRAME_COND_LIMIT:
-        raise SpecialLocusError("frame matrix is numerically singular")
+    cond = np.linalg.cond(g := g / norms) if norms.min() > 0 else np.inf
+    if not cond <= FRAME_COND_LIMIT:
+        raise SingularSystemError(
+            f"frame matrix condition number {cond:.2e} exceeds FRAME_COND_LIMIT {FRAME_COND_LIMIT:.0e}"
+        )
     inv = np.linalg.inv(g)
     g4 = grads[system[3].characteristic]
     c4 = g4 @ inv
     # |c4_j det g| / |g4| is |D[.., q_4, ..]| over its three gradient norms;
     # numerators may legitimately be tiny (a near-zero coefficient), only a
     # vanishing denominator poisons the frame
-    if np.abs(c4).min() * abs(np.linalg.det(g)) < JACOBIAN_DET_REL_TOL * np.linalg.norm(g4):
-        raise SpecialLocusError("vanishing Jacobian determinant denominator")
+    denominator, scale = np.abs(c4).min() * abs(np.linalg.det(g)), np.linalg.norm(g4)
+    if denominator < JACOBIAN_DET_REL_TOL * scale:
+        raise SingularSystemError(
+            f"Jacobian determinant denominator {denominator / scale:.2e} (relative to its gradient norms) "
+            f"is below JACOBIAN_DET_REL_TOL {JACOBIAN_DET_REL_TOL:.0e}"
+        )
     return inv / c4
 
 
@@ -472,22 +480,3 @@ def _bitangent_labels(system: AronholdSystem) -> tuple[QuadForm, ...]:
     pairs = derived_forms(system).pair
     return tuple(system.forms) + tuple(pairs[key] for key in sorted(pairs))
 
-
-def frame_to_json(frame: AronholdFrame, bitangents, quartic: QuarticCurve) -> dict:
-    """The machine-readable pipeline output.
-
-    Line covectors are scaled by :func:`unit_pivot`; a, k, lambda, the
-    lines and the quartic's coefficients are written by
-    :func:`thetaquartic.thetaeval.complex_to_json`.
-    """
-    lines = unit_pivot([line.c for _, line in bitangents])
-    return {
-        "aronhold": [q.characteristic.to_json() for q in frame.system],
-        "a": complex_to_json(frame.a),
-        "bitangents": [
-            {"q": q.characteristic.to_json(), "line": complex_to_json(row)} for (q, _), row in zip(bitangents, lines)
-        ],
-        "quartic": complex_to_json(quartic.coeffs),
-        "k": complex_to_json(frame.k),
-        "lambda": complex_to_json(frame.lam),
-    }

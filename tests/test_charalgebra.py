@@ -295,7 +295,7 @@ def test_reduction_sign_product_entry_23():
 
 def test_characteristic_json_roundtrip():
     m = Characteristic((1, 0, 3), (-2, 1, 0))
-    assert Characteristic.from_json(m.to_json()) == m
+    assert Characteristic(**m.to_json()) == m
     assert m.to_json() == {"mp": [1, 0, 3], "mpp": [-2, 1, 0]}
 
 

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from thetaquartic import invariants
+from thetaquartic.charalgebra import REFERENCE_SYSTEM
 from thetaquartic.cli import main
 from thetaquartic.errors import SingularSystemError
-from thetaquartic.thetaeval import tau_to_json
+from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, tau_from_json, tau_to_json
+from thetaquartic.verify import bitangency_check
+from thetaquartic.weber import all_bitangents, riemann_quartic, weber_coefficients
 
 DATA = Path(__file__).parent / "data"
 
@@ -238,7 +241,9 @@ def test_removed_knobs_are_usage_errors(command, knob, capsys):
         main(argv)
     assert info.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: theta-quartic") and f"unrecognized arguments: {knob[0]}" in err
+    # the usage printed is the subcommand's, which lists the flags it does take
+    assert err.startswith(f"usage: theta-quartic {command} [-h]")
+    assert f"theta-quartic {command}: error: unrecognized arguments: {knob[0]}" in err
 
 
 def test_inconsistent_three_radical_system_is_not_a_special_locus_refusal(capsys):
@@ -246,6 +251,50 @@ def test_inconsistent_three_radical_system_is_not_a_special_locus_refusal(capsys
     code, _, err = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"), "--system-index", "5")
     assert code != 2
     assert "three-radical" in err
+
+
+def test_ill_conditioned_frame_is_not_a_special_locus_refusal(capsys):
+    # system 32 on this tau: the frame's condition number is about 4e13, while the
+    # smallest even constant is 1.7e-4 of the largest, far above the 1e-8 gate
+    code, _, err = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"), "--system-index", "32")
+    assert code != 2
+    assert "special locus" not in err and "FRAME_COND_LIMIT" in err
+
+
+@pytest.mark.parametrize("tau, code", [("tau_seed3.json", 0), ("tau_rng201_draw213.json", 3)])
+def test_pipeline_commands_agree(tau, code, capsys):
+    # one pipeline run reported three ways: quartic and verify print parts of the bitangents report
+    outputs = {}
+    for command in ("bitangents", "quartic", "verify"):
+        got, out, _ = run_cli(capsys, command, "--tau", str(DATA / tau))
+        assert got == code, command
+        outputs[command] = json.loads(out)
+    full = outputs["bitangents"]
+    for key in ("aronhold", "a", "k", "lambda", "quartic"):
+        assert outputs["quartic"][key] == full[key], key
+    assert outputs["verify"] == full["verify"]
+
+
+def test_report_json_structure(capsys):
+    # each report row is the single-line certificate of its labelled line, in a fixed key order
+    tau_path = DATA / "tau_seed3.json"
+    code, out, _ = run_cli(capsys, "verify", "--tau", str(tau_path))
+    assert code == 0
+    tau = PeriodMatrix(tau_from_json(json.loads(tau_path.read_text())))
+    quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau).xi)
+    rows = json.loads(out)["reports"]
+    lines = all_bitangents(REFERENCE_SYSTEM, tau)
+    assert len(rows) == len(lines) == 28
+    for (q, line), row in zip(lines, rows):
+        report = bitangency_check(quartic, line)
+        assert list(row) == ["q", "is_bitangent", "residual", "contacts"]
+        assert row == {
+            "q": q.characteristic.to_json(),
+            "is_bitangent": report.is_bitangent,
+            "residual": report.residual,
+            "contacts": complex_to_json(report.contact_points),
+        }
+        assert type(row["is_bitangent"]) is bool and type(row["residual"]) is float
 
 
 def _raise(*args, **kwargs):

@@ -1,12 +1,14 @@
-"""The README's code stays runnable, and its CLI section names the flags the parser declares."""
+"""The README's code stays runnable, and its CLI section names the flags and report keys the CLI has."""
 
 import argparse
+import json
 import re
 from pathlib import Path
 
-from thetaquartic.cli import build_parser
+from thetaquartic.cli import build_parser, main
 
 README = Path(__file__).parent.parent / "README.md"
+TAU = Path(__file__).parent / "data" / "tau_seed3.json"
 
 
 def test_readme_library_recipe():
@@ -23,3 +25,14 @@ def test_readme_cli_flags_match_parser():
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     declared = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
     assert named == declared - {"-h", "--help"}
+
+
+def test_readme_output_keys_match_commands(capsys):
+    # each "`command` prints" block under "Output format" gives that command's top-level keys, in order
+    section = README.read_text().split("### Output format", 1)[1].split("\n## ", 1)[0]
+    blocks = dict(re.findall(r"`([a-z]+)` prints.*?```json\n(.*?)```", section, re.S))
+    assert sorted(blocks) == ["bitangents", "quartic", "verify"]
+    for command, block in blocks.items():
+        assert main([command, "--tau", str(TAU)]) == 0
+        printed = list(json.loads(capsys.readouterr().out))
+        assert re.findall(r'^  "([a-z]+)":', block, re.M) == printed, command

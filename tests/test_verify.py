@@ -22,7 +22,7 @@ from thetaquartic.verify import (
     random_admissible_tau,
     restrict_to_line,
 )
-from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, vanishing_even_characteristics
+from thetaquartic.thetaeval import PeriodMatrix, vanishing_even_characteristics
 from thetaquartic.weber import (
     MONOMIALS,
     ProjLine,
@@ -166,27 +166,17 @@ def test_bitangency_summary(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
     quartic = riemann_quartic(frame.xi)
     lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
-    reports, summary = bitangency_summary(quartic, lines)
-    assert summary["pass"] == 28 and summary["fail"] == 0
-    assert len(reports) == 28
-    assert set(reports[0]) == {"q", "is_bitangent", "residual", "contacts"}
-
-
-def test_report_json_structure(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
-    q = REFERENCE_SYSTEM.forms[0]
-    (row,), _ = bitangency_summary(quartic, [(q, ProjLine((1, 0, 0)))])
-    assert list(row) == ["q", "is_bitangent", "residual", "contacts"]
-    assert row["q"] == q.characteristic.to_json()
-    assert row["is_bitangent"] is True and type(row["residual"]) is float
-    assert len(row["contacts"]) == 2
-    assert all(len(pt) == 3 and all(set(x) == {"re", "im"} for x in pt) for pt in row["contacts"])
+    (ok, residual, contacts, flex), summary = bitangency_summary(quartic, lines)
+    assert summary == {"pass": 28, "fail": 0, "max_residual": float(residual.max())}
+    assert ok.shape == residual.shape == flex.shape == (28,) and contacts.shape == (28, 2, 3)
+    assert ok.dtype == flex.dtype == bool and residual.dtype == float
 
 
 def test_bitangency_summary_of_no_lines(tau_seed1):
     quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau_seed1).xi)
-    assert bitangency_summary(quartic, []) == ([], {"pass": 0, "fail": 0, "max_residual": 0.0})
+    certs, summary = bitangency_summary(quartic, [])
+    assert summary == {"pass": 0, "fail": 0, "max_residual": 0.0}
+    assert [c.shape for c in certs] == [(0,), (0,), (0, 2, 3), (0,)]
 
 
 def test_random_admissible_tau_exhaustion():
@@ -228,16 +218,13 @@ def _check_restrictions_against_mpmath(curve, lines):
 
 
 def test_check_equals_summary_row():
-    # row l of the batched summary is the single-line certificate of line l, field by field
+    # row l of the batched certificate is the single-line certificate of line l, field by field
     quartic, lines = _pipeline(1)
-    reports, _ = bitangency_summary(quartic, lines)
-    for (q, line), row in zip(lines, reports):
+    (ok, residual, contacts, flex), _ = bitangency_summary(quartic, lines)
+    for l, (_, line) in enumerate(lines):
         report = bitangency_check(quartic, line)
-        assert set(row) == {"q", "is_bitangent", "residual", "contacts"}
-        assert row["q"] == q.characteristic.to_json()
-        assert row["is_bitangent"] is report.is_bitangent
-        assert row["residual"] == report.residual
-        assert row["contacts"] == complex_to_json(report.contact_points)
+        assert (ok[l], residual[l], flex[l]) == (report.is_bitangent, report.residual, report.near_flex)
+        assert np.array_equal(contacts[l], report.contact_points)
 
 
 @pytest.mark.parametrize("position", [0, 13, 27])

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from thetaquartic.weber import (
     all_bitangents,
     aronhold_coeffs_dets,
     frame_matrix,
-    frame_to_json,
     jacobi_ratio,
     riemann_quartic,
     solve_k,
@@ -256,16 +253,17 @@ def test_frame_matrix_transport(tau_seed1):
 
 
 @pytest.mark.parametrize("slot, combo, gate", [
-    (2, (1, 1, 0, 0), "numerically singular"),  # grad q3 = grad q1 + grad q2
-    (3, (0, 1, 1, 0), "Jacobian determinant denominator"),  # D[q4,q2,q3] = 0
+    (2, (1, 1, 0, 0), "condition number .* exceeds FRAME_COND_LIMIT 1e\\+10"),  # grad q3 = grad q1 + grad q2
+    (3, (0, 1, 1, 0), "Jacobian determinant denominator .* below JACOBIAN_DET_REL_TOL 1e-12"),  # D[q4,q2,q3] = 0
 ], ids=["condition", "denominator"])
 def test_frame_gates_guard_lines_and_rows(slot, combo, gate, tau_seed1, monkeypatch):
+    # a frame double precision cannot represent is a singular solve, not the special locus
     grads = weber.odd_gradient_table(tau_seed1)
     chars = [q.characteristic for q in N[:4]]
     grads[chars[slot]] = sum(c * grads[m] for c, m in zip(combo, chars))
     monkeypatch.setattr(weber, "odd_gradient_table", lambda tau, pol: grads)
     for build in (all_bitangents, aronhold_coeffs_dets):
-        with pytest.raises(SpecialLocusError, match=gate):
+        with pytest.raises(SingularSystemError, match=gate):
             build(REFERENCE_SYSTEM, tau_seed1)
 
 
@@ -293,25 +291,3 @@ def test_all_bitangents_distinct(tau_seed1):
     for i in range(28):
         for j in range(i + 1, 28):
             assert vecs[i].residual_to(vecs[j]) > 1e-6
-
-
-def test_pipeline_json_deterministic(tau_seed1):
-    def run():
-        frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-        quartic = riemann_quartic(frame.xi)
-        lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
-        return json.dumps(frame_to_json(frame, lines, quartic))
-
-    assert run() == run()
-
-
-def test_frame_json_shape(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
-    lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
-    obj = frame_to_json(frame, lines, quartic)
-    assert set(obj) == {"aronhold", "a", "bitangents", "quartic", "k", "lambda"}
-    assert len(obj["aronhold"]) == 7
-    assert len(obj["bitangents"]) == 28
-    assert len(obj["quartic"]) == 15
-    assert all(set(entry) == {"q", "line"} for entry in obj["bitangents"])
