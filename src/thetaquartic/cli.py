@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout (or to the file named by
-``--json``); human-readable summaries go to stderr.  Exit codes:
+``--json``); human-readable summaries go to stderr.  The JSON layout is
+``json.dumps(indent=2)``'s, byte for byte, written by :func:`_dump`.  Exit codes:
 0 success, 1 input error (usage errors included), 2 special-locus
 refusal, 3 invariant or verification failure.
 """
@@ -90,8 +91,111 @@ def _check_json_target(path: str) -> None:
         raise ValueError(f"--json {path}: no such directory")
 
 
+# ---------------------------------------------------------------------------
+# JSON writer
+
+def _float_text(x) -> str:
+    """A float as ``json`` writes it: ``float.__repr__``, or NaN / Infinity / -Infinity."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _dump_dict(node, pad, out) -> None:
+    if not node:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    sep = "{\n" + inner
+    for key, value in node.items():
+        out.append(sep + _quote(key) + ": ")
+        _dump(value, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + pad + "}")
+
+
+def _dump_list(node, pad, out) -> None:
+    if not len(node):
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = "[\n" + inner
+    for value in node:
+        out.append(sep)
+        _dump(value, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + pad + "]")
+
+
+def _complex_text(node, pad: str, finite: bool) -> str:
+    """A complex array at indent ``pad``: a 1-D one from one template per number, a deeper one row by row."""
+    if not len(node):
+        return "[]"
+    inner = pad + "  "
+    if node.ndim > 1:
+        items = [_complex_text(row, inner, finite) for row in node]
+    else:
+        real, imag = node.real.tolist(), node.imag.tolist()
+        if not finite:
+            real, imag = map(_float_text, real), map(_float_text, imag)
+        field = inner + "  "
+        items = [f'{{\n{field}"re": {x},\n{field}"im": {y}\n{inner}}}' for x, y in zip(real, imag)]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _dump_complex(node, pad, out) -> None:
+    if node.dtype.kind != "c" or node.ndim == 0:
+        raise TypeError(f"Object of type ndarray of {node.dtype} is not JSON serializable")
+    out.append(_complex_text(node, pad, bool(np.isfinite(node).all())))
+
+
+@functools.lru_cache(maxsize=None)
+def _char_text(char: ca.Characteristic, pad: str) -> str:
+    """The text of ``char``'s wire form (``Characteristic.to_json``) at indent ``pad``."""
+    inner, entry = pad + "  ", ",\n" + pad + "    "
+    mp, mpp = (entry[1:] + entry.join(map(str, half)) for half in (char.mp, char.mpp))
+    return f'{{\n{inner}"mp": [{mp}\n{inner}],\n{inner}"mpp": [{mpp}\n{inner}]\n{pad}}}'
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+#: exact type -> writer of one JSON value at indent ``pad``
+_WRITERS = {
+    dict: _dump_dict,
+    list: _dump_list,
+    np.ndarray: _dump_complex,
+    ca.Characteristic: lambda node, pad, out: out.append(_char_text(node, pad)),
+    str: lambda node, pad, out: out.append(_quote(node)),
+    float: lambda node, pad, out: out.append(_float_text(node)),
+    np.float64: lambda node, pad, out: out.append(_float_text(node)),
+    bool: lambda node, pad, out: out.append("true" if node else "false"),
+    int: lambda node, pad, out: out.append(int.__repr__(node)),
+    type(None): lambda node, pad, out: out.append("null"),
+}
+
+
+def _dump(node, pad: str, out: list) -> None:
+    """Append the text of ``node`` at indent ``pad`` to ``out``, as ``json.dumps(indent=2)`` lays it out.
+
+    Dicts with string keys, lists, strings, floats, ints, bools and
+    None are written as ``json`` writes them.  Two leaves are written from
+    templates: a complex ndarray in the form of
+    :func:`~thetaquartic.thetaeval.complex_to_json`, and a
+    :class:`~thetaquartic.charalgebra.Characteristic` in the form of its
+    ``to_json``.  Any other type raises TypeError, as ``json`` does.
+    """
+    writer = _WRITERS.get(type(node))
+    if writer is None:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+    writer(node, pad, out)
+
+
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, indent=2)
+    out = []
+    _dump(obj, "", out)
+    text = "".join(out)
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")
@@ -130,7 +234,7 @@ def cmd_classify(args) -> int:
     for q in ca.all_forms():
         arf_q = ca.arf(q)
         rows.append({
-            "char": q.characteristic.to_json(),
+            "char": q.characteristic,
             "bracket": q.bracket(),
             "arf": arf_q,
             "parity": "odd" if arf_q else "even",
@@ -149,17 +253,17 @@ def cmd_aronhold(args) -> int:
     if args.system_index is None:
         _emit({
             "count": len(systems),
-            "systems": [[q.characteristic.to_json() for q in s] for s in systems],
+            "systems": [[q.characteristic for q in s] for s in systems],
         }, args)
         _note(f"{len(systems)} Aronhold systems")
         return EXIT_OK
     system = _system(args)
     der = ca.derived_forms(system)
     _emit({
-        "system": [q.characteristic.to_json() for q in system],
-        "q_s": der.q_s.characteristic.to_json(),
-        "pair_forms": {f"{i}{j}": q.characteristic.to_json() for (i, j), q in sorted(der.pair.items())},
-        "triple_forms": {f"{i}{j}{k}": q.characteristic.to_json() for (i, j, k), q in sorted(der.triple.items())},
+        "system": [q.characteristic for q in system],
+        "q_s": der.q_s.characteristic,
+        "pair_forms": {f"{i}{j}": q.characteristic for (i, j), q in sorted(der.pair.items())},
+        "triple_forms": {f"{i}{j}{k}": q.characteristic for (i, j, k), q in sorted(der.triple.items())},
     }, args)
     _note("system: " + " ".join(q.bracket() for q in system))
     return EXIT_OK
@@ -184,26 +288,26 @@ def _report(keys, frame, quartic, lines, certs, summary) -> dict:
     """The report of one pipeline run under the given top-level keys, in their order.
 
     The one place the pipeline's JSON layout is written, and a field is
-    built only when its key is asked for.  Covectors are scaled by
-    :func:`~thetaquartic.weber.unit_pivot`; complex numbers are written by
-    :func:`~thetaquartic.thetaeval.complex_to_json`.
+    built only when its key is asked for.  Complex numbers stay in
+    arrays and labels stay :class:`~thetaquartic.charalgebra.Characteristic`
+    objects; :func:`_dump` writes both.  Covectors are scaled by
+    :func:`~thetaquartic.weber.unit_pivot`.
     """
     ok, residual, contacts, _ = certs
-    labels = [q.characteristic.to_json() for q, _ in lines]
+    labels = [q.characteristic for q, _ in lines]
     fields = {
-        "aronhold": lambda: [q.characteristic.to_json() for q in frame.system],
-        "a": lambda: te.complex_to_json(frame.a),
+        "aronhold": lambda: [q.characteristic for q in frame.system],
+        "a": lambda: frame.a,
         "bitangents": lambda: [
-            {"q": q, "line": te.complex_to_json(row)}
-            for q, row in zip(labels, wb.unit_pivot([line.c for _, line in lines]))
+            {"q": q, "line": row} for q, row in zip(labels, wb.unit_pivot([line.c for _, line in lines]))
         ],
-        "quartic": lambda: te.complex_to_json(quartic.coeffs),
-        "k": lambda: te.complex_to_json(frame.k),
-        "lambda": lambda: te.complex_to_json(frame.lam),
-        "xi": lambda: te.complex_to_json(wb.unit_pivot([line.c for line in frame.xi])),
+        "quartic": lambda: np.array(quartic.coeffs),
+        "k": lambda: frame.k,
+        "lambda": lambda: frame.lam,
+        "xi": lambda: wb.unit_pivot([line.c for line in frame.xi]),
         "reports": lambda: [
-            {"q": q, "is_bitangent": bool(b), "residual": float(r), "contacts": te.complex_to_json(x)}
-            for q, b, r, x in zip(labels, ok, residual, contacts)
+            {"q": q, "is_bitangent": b, "residual": r, "contacts": x}
+            for q, b, r, x in zip(labels, ok.tolist(), residual.tolist(), contacts)
         ],
         "summary": lambda: summary,
         "verify": lambda: _report(REPORT_KEYS["verify"], frame, quartic, lines, certs, summary),

@@ -1,13 +1,14 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thetaquartic import invariants
-from thetaquartic.charalgebra import REFERENCE_SYSTEM
-from thetaquartic.cli import main
+from thetaquartic.charalgebra import REFERENCE_SYSTEM, all_forms
+from thetaquartic.cli import _dump, main
 from thetaquartic.errors import SingularSystemError
 from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, tau_from_json, tau_to_json
 from thetaquartic.verify import bitangency_check
@@ -309,3 +310,76 @@ def test_selftest_reports_a_failing_check(change, monkeypatch, capsys):
     assert code == 3
     assert [r["ok"] for r in json.loads(out)["results"]] == [True, False]
     assert "PASS  parity-counts" in err and "FAIL  reduction-formula" in err
+
+
+PIPELINE_TAUS = {"tau_seed3": 0, "tau_seed6": 0, "tau_rng201_draw213": 3}
+LAYOUT_RUNS = [
+    *[([command, "--tau", str(DATA / f"{tau}.json")], code)
+      for tau, code in PIPELINE_TAUS.items() for command in ("bitangents", "quartic", "verify")],
+    (["classify"], 0),
+    (["aronhold"], 0),
+    (["aronhold", "--system-index", "3"], 0),
+    (["random-tau", "--seed", "4"], 0),
+    (["selftest", "--trials", "1"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", LAYOUT_RUNS,
+                         ids=[" ".join(Path(a).stem for a in argv) for argv, _ in LAYOUT_RUNS])
+def test_output_layout_is_json_dumps_indent_2(argv, code, tmp_path, capsys):
+    # every subcommand prints exactly what json.dumps(indent=2) makes of its own report
+    got, out, _ = run_cli(capsys, *argv)
+    assert got == code
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    path = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "--json", str(path))[0] == code
+    assert path.read_bytes() == out.encode()
+
+
+def dumped(node, pad=""):
+    out = []
+    _dump(node, pad, out)
+    return "".join(out)
+
+
+def indented(obj, pad):
+    """json.dumps(obj, indent=2) as it reads when nested at indent ``pad``."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
+NON_FINITE = np.array([complex(math.nan, 1.0), complex(math.inf, -math.inf), 0.5 - 2j, complex(-0.0, 1e-300)])
+CONTACTS = np.array([[1, 0.25 - 1j, 1e-17j], [3.5e20 + 1j, -1, 2j / 3]])
+
+
+@pytest.mark.parametrize("node, wire", [
+    ({"residual": math.nan, "worst": [math.inf, -math.inf]}, None),
+    (NON_FINITE, complex_to_json(NON_FINITE)),
+    ({"empty_list": [], "empty_dict": {}, "empty": np.array([], dtype=complex)},
+     {"empty_list": [], "empty_dict": {}, "empty": []}),
+    (CONTACTS, complex_to_json(CONTACTS)),
+    (np.stack([CONTACTS, -CONTACTS]), complex_to_json(np.stack([CONTACTS, -CONTACTS]))),
+    (np.float64(0.1) / 3, None),
+    ([True, 1, False, 0, None, 1.0, -7, 2**70], None),
+    ({"ascii": "plain", "escaped": "q\"u\\o\nte\u00e9\U0001d703"}, None),
+], ids=["non-finite floats", "non-finite complex", "empty", "contacts", "3-d complex", "float64", "bool next to int",
+        "strings"])
+def test_writer_matches_json_dumps(node, wire):
+    assert dumped(node) == json.dumps(node if wire is None else wire, indent=2)
+
+
+@pytest.mark.parametrize("pad", ["", "  ", "    ", "          "])
+def test_writer_templates_match_their_wire_form(pad):
+    # the complex template is complex_to_json's form, the label template Characteristic.to_json's
+    for z in (NON_FINITE, CONTACTS[0], CONTACTS[1] * 1e-5, np.array([0j])):
+        assert dumped(z, pad) == indented(complex_to_json(z), pad)
+    for q in all_forms():
+        assert dumped(q.characteristic, pad) == indented(q.characteristic.to_json(), pad)
+
+
+@pytest.mark.parametrize("node", [object(), {1, 2}, 1 + 2j, np.int64(1), np.bool_(True),
+                                  np.zeros(3), np.array(1j), [np.float32(1.0)]])
+def test_writer_refuses_what_json_refuses(node):
+    with pytest.raises(TypeError):
+        json.dumps(node)
+    with pytest.raises(TypeError):
+        dumped(node)
