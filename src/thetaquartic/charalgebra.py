@@ -143,9 +143,13 @@ def is_azygetic_triple(q1: QuadForm, q2: QuadForm, q3: QuadForm) -> bool:
     return total % 2 == 1
 
 
-def _pack(q: QuadForm) -> int:
-    k = q.key
-    return sum(b << i for i, b in enumerate(k))
+def pack(q) -> int:
+    """The 6-bit packed index of a form or a reduced characteristic: bit i is (m' + m'')[i].
+
+    So the packed index of [m'; m''] is x + 8 y, with x and y the 3-bit
+    codes of m' and m''.  The theta tables are indexed by it.
+    """
+    return sum(b << i for i, b in enumerate(q.mp + q.mpp))
 
 
 def _unpack(x: int) -> F2Vector:
@@ -164,7 +168,7 @@ def is_aronhold(forms: Iterable[QuadForm]) -> bool:
     For odd forms the Arf sum of a triple is 1 + a(q1+q2+q3), so a triple
     is azygetic iff its sum is even: one table lookup on the packed forms.
     """
-    packed = [_pack(q) for q in forms]
+    packed = [pack(q) for q in forms]
     if len(packed) != 7 or len(set(packed)) != 7:
         return False
     if any(_EVEN_LUT[x] for x in packed):
@@ -228,7 +232,7 @@ def enumerate_aronhold() -> tuple[AronholdSystem, ...]:
     return the same tuple.
     """
     odds = sorted(odd_forms(), key=lambda q: q.key)
-    form_of = {_pack(q): q for q in odds}
+    form_of = {pack(q): q for q in odds}
     out: list[tuple[int, ...]] = []
 
     def extend(chosen: tuple[int, ...], pool: list[int]):

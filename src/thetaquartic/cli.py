@@ -290,21 +290,21 @@ def _report(keys, frame, quartic, lines, certs, summary) -> dict:
     The one place the pipeline's JSON layout is written, and a field is
     built only when its key is asked for.  Complex numbers stay in
     arrays and labels stay :class:`~thetaquartic.charalgebra.Characteristic`
-    objects; :func:`_dump` writes both.  Covectors are scaled by
-    :func:`~thetaquartic.weber.unit_pivot`.
+    objects; :func:`_dump` writes both.  ``lines`` is (labels, covectors)
+    as :func:`~thetaquartic.weber.all_bitangents` returns it; covectors
+    are scaled by :func:`~thetaquartic.weber.unit_pivot`.
     """
     ok, residual, contacts, _ = certs
-    labels = [q.characteristic for q, _ in lines]
+    forms, covectors = lines
+    labels = [q.characteristic for q in forms]
     fields = {
         "aronhold": lambda: [q.characteristic for q in frame.system],
         "a": lambda: frame.a,
-        "bitangents": lambda: [
-            {"q": q, "line": row} for q, row in zip(labels, wb.unit_pivot([line.c for _, line in lines]))
-        ],
+        "bitangents": lambda: [{"q": q, "line": row} for q, row in zip(labels, wb.unit_pivot(covectors))],
         "quartic": lambda: np.array(quartic.coeffs),
         "k": lambda: frame.k,
         "lambda": lambda: frame.lam,
-        "xi": lambda: wb.unit_pivot([line.c for line in frame.xi]),
+        "xi": lambda: wb.unit_pivot(frame.xi),
         "reports": lambda: [
             {"q": q, "is_bitangent": b, "residual": r, "contacts": x}
             for q, b, r, x in zip(labels, ok.tolist(), residual.tolist(), contacts)

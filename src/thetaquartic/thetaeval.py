@@ -22,13 +22,18 @@ Gaussian peak.  Each m' shift sums over its ellipsoid
     (n + c).Y.(n + c) <= R^2,
 
 enumerated level by level from the Cholesky factor of Y (Fincke-Pohst);
-one vectorized pass enumerates the ellipsoids of all requested shifts.
-The points and the factor e(p.tau.p + 2p.z) depend on m' only, and
-e(p.m'') is a power of i, so all m'' of one shift come out of the same
-points: the values are the column sums of the N x k term matrix, the
-gradients 2*pi*i p^T times it.  The pipeline's 36 even constants and 28
-odd gradients at z = 0 come from one pass over all 8 shifts, kept on the
-PeriodMatrix per policy (:func:`_tables`), so every stage reads it.
+one vectorized pass enumerates the ellipsoids of all requested shifts,
+its N points grouped by shift.  The points and the factor
+e(p.tau.p + 2p.z) depend on m' only, and e(p.m'') = i^(2p.m'') is a power
+of i, so one N x 8 table holds the terms of every m'' at every point.
+Segment sums of that table over the groups (``np.add.reduceat``) give
+the values of all 8 m'' of every shift, and segment sums of it weighted
+by each coordinate of p give the gradients, times 2*pi*i.  The
+pipeline's theta data at z = 0 come from one pass over all 8 shifts: the
+64 constants and 64 gradients by packed index
+(:func:`thetaquartic.charalgebra.pack`) and the special-locus verdict,
+kept on the PeriodMatrix per policy (:func:`theta_tables`), so every
+stage reads them.
 
 R follows the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004).  In
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +74,7 @@ from .charalgebra import (
     char_sum,
     even_forms,
     odd_forms,
+    pack,
     reduce_characteristic,
 )
 from .errors import InvalidTauError, TruncationError
@@ -79,7 +86,8 @@ VANISHING_REL_TOL = 1e-8
 DEFAULT_TAIL = 1e-15
 
 #: Cap on the lattice points of one m' shift.  A pass over all eight
-#: shifts then holds at most about a million points (about 200 MB).
+#: shifts then holds at most about a million points (about 250 MB at its
+#: peak, most of it one N x 8 complex term table).
 MAX_POINTS = 1 << 17
 
 #: Cap on the packing radius the tail bound uses.  The bound's radius
@@ -93,8 +101,13 @@ _T_MIN = (10 + math.sqrt(68)) / 8
 
 _UNITS = np.array([1, 1j, -1, -1j])
 
+#: _BITS[x] holds the bits of x: the characteristic of packed index x + 8 y is [_BITS[x]; _BITS[y]]
+_BITS = np.array([[(x >> i) & 1 for i in range(3)] for x in range(8)], dtype=np.int8)
+
 _EVEN = tuple(q.characteristic for q in even_forms())
 _ODD = tuple(q.characteristic for q in odd_forms())
+_EVEN_IDX = np.array([pack(m) for m in _EVEN])
+_ODD_IDX = np.array([pack(m) for m in _ODD])
 
 ASYMMETRY_TOL = 1e-9
 
@@ -149,7 +162,7 @@ class PeriodMatrix:
         tau.setflags(write=False)
         self.tau = tau
         self.lam_min = float(eigs.min())
-        self._tables: dict = {}  # policy -> (even constants, odd gradients), see _tables
+        self._tables: dict = {}  # policy -> ThetaTables, see theta_tables
 
     def __repr__(self):
         return f"PeriodMatrix(lam_min={self.lam_min:.4g})"
@@ -227,33 +240,39 @@ def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: Truncation
     return r * r / math.pi
 
 
-def _series(chars, tau: PeriodMatrix, z, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Values and z-gradients of theta at the reduced characteristics ``chars``.
+def _series(mps, tau: PeriodMatrix, z, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Values and z-gradients of theta at every reduced characteristic whose m' is in ``mps``.
 
-    One lattice pass over the ellipsoids of their distinct m' (see the
-    module docstring); returns (values, gradients) aligned with ``chars``.
+    ``mps`` holds 3-bit codes x of m' = _BITS[x].  One lattice pass over
+    their ellipsoids (see the module docstring) returns values (S, 8) and
+    gradients (S, 8, 3): entry [s, y] belongs to [_BITS[mps[s]]; _BITS[y]],
+    packed index mps[s] + 8 y.
     """
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
     zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     a = np.linalg.solve(imag, zz.imag)
     r2 = _radius2(tau, chol, a, pol)
-    shifts: dict[tuple, list[int]] = {}
-    for j, m in enumerate(chars):
-        shifts.setdefault(m.mp, []).append(j)
-    half_mp = np.array(list(shifts)) / 2
-    n, owner = _ellipsoid(chol, half_mp + a, r2)
-    p = n + half_mp[owner]
+    half_mp = _BITS[list(mps)] / 2
+    p, owner = _ellipsoid(chol, half_mp + a, r2)
+    p += half_mp[owner]  # p = n + m'/2
     w = np.exp(1j * np.pi * (((p @ tau.tau) * p).sum(axis=1) + 2 * p @ zz))  # e(x) convention
-    ends = np.cumsum(np.bincount(owner, minlength=len(shifts)))[:-1]
-    values = np.empty(len(chars), dtype=complex)
-    grads = np.empty((len(chars), 3), dtype=complex)
-    for idx, ps, ws in zip(shifts.values(), np.split(p, ends), np.split(w, ends)):
-        mpp = np.array([chars[j].mpp for j in idx]).T
-        units = _UNITS[(2 * ps @ mpp).astype(int) % 4]  # e(p.m'') = i^(2p.m''), 2p integral
-        values[idx] = ws @ units
-        grads[idx] = (2j * np.pi * (ps * ws[:, None]).T @ units).T
-    return values, grads
+    # e(p.m'') = i^(2p.m''), 2p integral: the N x 8 table of exponents mod 4, one column per m''
+    powers = (p @ (2 * _BITS.T)).astype(np.intp) & 3
+    counts = np.bincount(owner, minlength=len(half_mp))
+    full = counts > 0  # a shift whose ellipsoid holds no point sums to 0
+    starts = (np.cumsum(counts) - counts)[full]
+
+    def sums(weight):  # per-shift sums of the term table weight[n] * i^powers[n, y]
+        terms = _UNITS[powers]
+        terms *= weight[:, None]
+        out = np.zeros((len(counts), 8), dtype=complex)
+        out[full] = np.add.reduceat(terms, starts, axis=0)
+        return out
+
+    values = sums(w)
+    grads = np.stack([sums(p[:, l] * w) for l in range(3)], axis=-1)
+    return values, 2j * np.pi * grads
 
 
 def theta(m: Characteristic, tau: PeriodMatrix, z=None, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -263,7 +282,8 @@ def theta(m: Characteristic, tau: PeriodMatrix, z=None, pol: TruncationPolicy = 
     may pass non-reduced sums of characteristics directly.
     """
     r, sign = reduce_characteristic(m)
-    return sign * _series([r], tau, z, pol)[0][0]
+    x = pack(r)
+    return sign * _series([x % 8], tau, z, pol)[0][0, x // 8]
 
 
 def theta_const(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -274,7 +294,8 @@ def theta_const(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DE
 def grad_theta0(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """The z-gradient of theta_m at z = 0, by the termwise differentiated series."""
     r, sign = reduce_characteristic(m)
-    return sign * _series([r], tau, None, pol)[1][0]
+    x = pack(r)
+    return sign * _series([x % 8], tau, None, pol)[1][0, x // 8]
 
 
 def jacobian_det(
@@ -285,13 +306,13 @@ def jacobian_det(
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """D[q1,q2,q3]: determinant of the three stacked theta gradients at 0, from the kept table."""
-    grads = dict(zip(_ODD, _tables(tau, pol)[1]))
+    grads = theta_tables(tau, pol).grads
     rows = []
     for q in (q1, q2, q3):
         r, sign = reduce_characteristic(q)
-        if r not in grads:
+        if not r.parity():
             raise ValueError(f"jacobian_det needs odd characteristics, got {q.bracket()}")
-        rows.append(sign * grads[r])
+        rows.append(sign * grads[pack(r)])
     return complex(np.linalg.det(rows))
 
 
@@ -391,30 +412,51 @@ def quasi_periodicity_residual(
     return float(abs(lhs - rhs) / scale)
 
 
-def _tables(tau: PeriodMatrix, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """The 36 even constants and 28 odd gradients at z = 0, aligned with _EVEN and _ODD.
+class ThetaTables(NamedTuple):
+    """The theta data at z = 0 that the pipeline reads, from one lattice pass (:func:`theta_tables`).
 
-    One lattice pass over the 8 m' shifts, kept on ``tau`` per policy as
-    read-only arrays; tau and the policy are immutable, so it never goes stale.
+    ``values`` (64,) and ``grads`` (64, 3) are read-only arrays indexed by
+    packed index (:func:`thetaquartic.charalgebra.pack`): the 36 even
+    constants and 28 odd gradients, with the odd constants and even
+    gradients (zero up to the tail) in the other slots.  ``vanishing``
+    is the special-locus verdict (:func:`vanishing_even_characteristics`).
+    """
+
+    values: np.ndarray
+    grads: np.ndarray
+    vanishing: tuple[Characteristic, ...]
+
+
+def theta_tables(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> ThetaTables:
+    """The 64 theta constants and gradients at z = 0 and the special-locus scan, once per (tau, policy).
+
+    One lattice pass over the 8 m' shifts, kept on ``tau`` per policy;
+    tau and the policy are immutable, so it never goes stale.  A pass
+    that raises keeps nothing.
     """
     kept = tau._tables.get(pol)
     if kept is None:
-        values, grads = _series(_EVEN + _ODD, tau, None, pol)
-        kept = values[: len(_EVEN)], grads[len(_EVEN) :]
-        for arr in kept:
+        values, grads = _series(range(8), tau, None, pol)
+        values, grads = values.T.ravel(), grads.transpose(1, 0, 2).reshape(64, 3)  # [s, y] -> s + 8 y
+        for arr in (values, grads):
             arr.setflags(write=False)
-        tau._tables[pol] = kept
+        mags = np.abs(values[_EVEN_IDX])
+        tol = VANISHING_REL_TOL * mags.max()
+        vanishing = tuple(m for m, v in zip(_EVEN, mags) if v < tol)  # _EVEN is in (m', m'') order
+        kept = tau._tables[pol] = ThetaTables(values, grads, vanishing)
     return kept
 
 
 def even_constant_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
-    """All 36 even theta constants, keyed by reduced Characteristic: a fresh dict over :func:`_tables`."""
-    return dict(zip(_EVEN, _tables(tau, pol)[0]))
+    """All 36 even theta constants by reduced Characteristic: a fresh dict over :func:`theta_tables`."""
+    return dict(zip(_EVEN, theta_tables(tau, pol).values[_EVEN_IDX]))
 
 
 def odd_gradient_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
-    """All 28 odd theta gradients at z = 0 by reduced Characteristic: read-only rows of :func:`_tables`."""
-    return dict(zip(_ODD, _tables(tau, pol)[1]))
+    """All 28 odd theta gradients at z = 0 by reduced Characteristic: read-only rows of :func:`theta_tables`."""
+    rows = theta_tables(tau, pol).grads[_ODD_IDX]
+    rows.setflags(write=False)
+    return dict(zip(_ODD, rows))
 
 
 def vanishing_even_characteristics(
@@ -425,11 +467,10 @@ def vanishing_even_characteristics(
     "Zero" is scale-free: |theta| < VANISHING_REL_TOL * max over the
     even constants.  A non-empty answer means tau sits on (or hugs) the
     hyperelliptic/decomposable locus where the reconstruction formulas
-    divide by zero.
+    divide by zero.  The scan runs once per (tau, policy), with the
+    lattice pass, and is kept in :func:`theta_tables`.
     """
-    mags = np.abs(_tables(tau, pol)[0])
-    tol = VANISHING_REL_TOL * mags.max()
-    return sorted((m for m, v in zip(_EVEN, mags) if v < tol), key=lambda m: m.mp + m.mpp)
+    return list(theta_tables(tau, pol).vanishing)
 
 
 def random_tau(rng: np.random.Generator) -> np.ndarray:

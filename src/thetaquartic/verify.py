@@ -8,19 +8,20 @@ restriction.  Root clustering (rather than resultant conditions) is
 used because it also yields the two contact points for the report and
 degrades gracefully near degenerate tangencies.
 
-All entry points run one batched pass over a list of lines.  A stacked
-SVD gives each line's spanning points p, q.  An exact binomial
+All entry points run one batched pass over a stack of line covectors, an
+(L, 3) array such as :func:`thetaquartic.weber.all_bitangents` returns.
+A stacked SVD gives each line's spanning points p, q.  An exact binomial
 contraction gives every restriction g(s, t) = F(s p + t q) of the curve
 scaled to unit largest coefficient; sampling F at five roots of unity
 and taking an inverse DFT is exact in exact arithmetic too, but mixes
 all 15 monomials into every sample and certified fewer digits (mean
 13.34 against 13.41 over 200 random period matrices).  Each restriction
 is then moved to one of six charts of P^1, centred on the octahedron
-points 0, oo, +-1, +-i, chosen so that the chart's point at infinity
-is far from every root; a double root anywhere, [1 : 0] included, is
-then an ordinary pair of close affine roots.  One batched eigenvalue
-call on the 28 companion matrices gives the roots.  Pairing, residuals
-and canonical contact points are array operations, and the result stays
+points 0, oo, +-1, +-i, chosen so that the chart's point at infinity is
+far from every root; a double root anywhere, [1 : 0] included, is then
+an ordinary pair of close affine roots.  One batched eigenvalue call on
+the 28 companion matrices gives the roots.  Pairing, residuals and
+canonical contact points are array operations, and the result stays
 arrays: :func:`bitangency_summary` returns them with their pass count,
 and only :func:`bitangency_check` builds a :class:`BitangencyReport`.
 Laying the certificates out as a report is the command line's job.
@@ -99,8 +100,8 @@ _E_MINUS_K = np.clip(np.arange(5)[:, None] - np.arange(5), 0, None)
 _PAIRS = np.array(list(combinations(range(4), 2)))
 
 
-def _restrictions(curve: QuarticCurve, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Restrict the curve, scaled to unit largest coefficient, to a stack of lines.
+def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Restrict the curve, scaled to unit largest coefficient, to a stack of line covectors (L, 3).
 
     Returns (g, p, q): p[l], q[l] are unit spanning points of line l (the
     SVD null space of its covector) and g[l, k] is the coefficient of
@@ -108,7 +109,7 @@ def _restrictions(curve: QuarticCurve, lines) -> tuple[np.ndarray, np.ndarray, n
     :class:`DegenerateCurveError` if any restriction vanishes, i.e. a
     line is a component of the curve.
     """
-    covectors = np.array([line.c for line in lines], dtype=complex).reshape(-1, 3)
+    covectors = np.asarray(covectors, dtype=complex).reshape(-1, 3)
     _, _, vh = np.linalg.svd(covectors[:, None, :])
     p, q = vh[:, 1].conj(), vh[:, 2].conj()
     coeffs = curve.vec / np.abs(curve.vec).max()
@@ -131,7 +132,7 @@ def restrict_to_line(curve: QuarticCurve, line: ProjLine) -> np.ndarray:
     Raises :class:`DegenerateCurveError` when the restriction vanishes
     identically, i.e. the line is a component of the curve.
     """
-    return _restrictions(curve, [line])[0][0]
+    return _restrictions(curve, [line.c])[0][0]
 
 
 def _chart_transforms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,14 +215,14 @@ def _canonical(x: np.ndarray) -> np.ndarray:
     return np.where((first > 0)[:, None, None], x[:, ::-1], x)
 
 
-def _certify(curve: QuarticCurve, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Root-clustering certificates for a list of L lines (L may be 0), in one array pass.
+def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Root-clustering certificates for a stack of L line covectors (L may be 0), in one array pass.
 
     Returns (is_bitangent, residual, contacts, near_flex): boolean and
     float arrays of length L, and contacts of shape (L, 2, 3), the two
     canonical contact points of each line (see :func:`bitangency_check`).
     """
-    g, p, q = _restrictions(curve, lines)
+    g, p, q = _restrictions(curve, covectors)
     pts = _sphere_roots(g)
 
     # closest pair first (chordal metric, first minimum), the remaining two are forced
@@ -263,22 +264,26 @@ def bitangency_check(curve: QuarticCurve, line: ProjLine) -> BitangencyReport:
     ``near_flex`` flags the degenerate case where the two double roots
     themselves (nearly) collide, i.e. a hyperflex-like contact.
     """
-    ok, residual, contacts, flex = _certify(curve, [line])
+    ok, residual, contacts, flex = _certify(curve, [line.c])
     return BitangencyReport(line, bool(ok[0]), tuple(contacts[0]), float(residual[0]), bool(flex[0]))
 
 
 def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict]:
-    """Check every labelled (odd form, line) pair against the curve in one pass.
+    """Check labelled lines against the curve in one pass.
 
-    Returns (certs, summary).  certs is the tuple of arrays (is_bitangent,
-    residual, contacts, near_flex) of the batched certificate, aligned
-    with the input lines: row l holds the verdict of
+    ``labelled_lines`` is (labels, covectors) as
+    :func:`thetaquartic.weber.all_bitangents` returns it: L labels and an
+    (L, 3) array of covectors, taken as it is.  Returns (certs, summary).
+    certs is the tuple of arrays (is_bitangent, residual, contacts,
+    near_flex) of the batched certificate, aligned with the covectors:
+    row l holds the verdict of
     :func:`bitangency_check` at :data:`BITANGENCY_TOL`, the residual, the
     two canonical contact points (shape (2, 3)) and the near-flex flag of
     line l.  summary counts passes/failures and the worst residual (0.0
     for no lines).
     """
-    certs = _certify(curve, [line for _, line in labelled_lines])
+    _, covectors = labelled_lines
+    certs = _certify(curve, covectors)
     ok, residual = certs[:2]
     n_pass = int(ok.sum())
     return certs, {"pass": n_pass, "fail": len(ok) - n_pass, "max_residual": float(residual.max(initial=0.0))}

@@ -20,15 +20,26 @@ bitangent of q has Weber-frame covector c[q] / c[q_4] (entrywise); by
 Cramer's rule these are the Jacobian-determinant ratios, so the 28 lines
 and the determinant-ratio rows come from one 3x3 solve.
 
+After the lattice pass everything per system is an integer gather.  The
+kept theta tables are arrays by packed index
+(:func:`thetaquartic.thetaeval.theta_tables`), and each ordered system
+has a gather plan, built once from :func:`weber_symbolic` and the
+bitangent labels: the packed indices (n1, n2, d1, d2) and the phase of
+each a_ij, and the packed indices of its 28 odd forms.  So the nine
+coefficients are one gather of four constants, and the 28 lines are the
+gathered gradients times one 3x3 matrix.
+
 Phase bookkeeping: all theta arguments here are non-reduced integer
 characteristic sums such as (q_4 + q_r + q_j); the reduction signs they
 pick up are part of the formula and are either tracked explicitly
 (:func:`weber_symbolic`) or absorbed by evaluating through
 :func:`thetaquartic.thetaeval.theta`, which reduces internally.
 
-Results stay arrays and dataclasses; laying them out as a report is the
-command line's job.  Covectors and quartic coefficients are scaled for
-output by :func:`unit_pivot`.
+Results stay arrays: a stack of line covectors is an (L, 3) complex
+array, checked as :class:`ProjLine` checks one line
+(:func:`line_covectors`).  Laying them out as a report is the command
+line's job.  Covectors and quartic coefficients are scaled for output by
+:func:`unit_pivot`.
 """
 
 from __future__ import annotations
@@ -49,16 +60,20 @@ from .charalgebra import (
     derived_forms,
     is_aronhold,
     is_azygetic_triple,
+    pack,
     reduce_characteristic,
 )
 from .errors import DegenerateCurveError, SingularSystemError, SpecialLocusError
+# odd_gradient_table is not called here: perfbench/tracing.py wraps this module's binding of it
 from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
+    ThetaTables,
     TruncationPolicy,
     even_constant_table,
     jacobian_det,
     odd_gradient_table,
+    theta_tables,
     vanishing_even_characteristics,
 )
 
@@ -83,8 +98,23 @@ FRAME_COND_LIMIT = 1e10
 JACOBIAN_DET_REL_TOL = 1e-12
 XI_RESIDUAL_GATE = 1e-8
 
-#: bound of the caches keyed by an Aronhold system: one entry per system
+#: bound of the cache keyed by an Aronhold system: one entry per system
 SYSTEM_CACHE_SIZE = 288
+
+
+def line_covectors(rows) -> np.ndarray:
+    """``rows`` as a read-only (L, 3) complex array of line covectors.
+
+    Raises ValueError unless every row has 3 finite entries, not all zero:
+    the checks of :class:`ProjLine`, on a whole stack at once.
+    """
+    rows = np.array(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != 3 or not np.isfinite(rows).all():
+        raise ValueError("a line covector has 3 finite entries")
+    if not np.abs(rows).max(axis=1).all():
+        raise ValueError("zero covector does not define a line")
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -94,12 +124,7 @@ class ProjLine:
     c: tuple[complex, complex, complex]
 
     def __post_init__(self):
-        c = tuple(complex(x) for x in self.c)
-        if len(c) != 3 or not all(map(cmath.isfinite, c)):
-            raise ValueError("a line covector has 3 finite entries")
-        if max(abs(x) for x in c) == 0:
-            raise ValueError("zero covector does not define a line")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", tuple(line_covectors([self.c])[0].tolist()))
 
     @property
     def vec(self) -> np.ndarray:
@@ -163,23 +188,46 @@ class WeberEntry:
 
 @dataclass
 class AronholdFrame:
-    """Everything Weber's normalization attaches to (system, tau)."""
+    """Everything Weber's normalization attaches to (system, tau).
+
+    ``a`` is the 3x3 coefficient matrix, ``k`` and ``lam`` the scaling
+    solutions, and ``xi`` the read-only 3x3 array whose rows are the
+    covectors of xi_23, xi_13 and xi_12 (:func:`xi_forms`).
+    """
 
     system: AronholdSystem
     a: np.ndarray
     k: np.ndarray
     lam: np.ndarray
-    xi: tuple[ProjLine, ProjLine, ProjLine]
+    xi: np.ndarray
+
+
+@dataclass(frozen=True)
+class _GatherPlan:
+    """The integer gather of one ordered Aronhold system (see the module docstring).
+
+    ``chars[c, i - 1, j - 1]`` is the packed index of characteristic c of
+    a_ij, in the order (n1, n2, d1, d2) of ``WeberEntry.chars``;
+    ``phase`` is the 3x3 matrix of phases; ``labels`` are the 28 odd
+    forms in line order and ``lines`` their packed indices.
+    """
+
+    chars: np.ndarray
+    phase: np.ndarray
+    labels: tuple[QuadForm, ...]
+    lines: np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # admission gate
 
-def require_generic(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
-    """Return the even-constant table, refusing on the special locus.
+def require_generic(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> ThetaTables:
+    """Return the kept theta tables, refusing on the special locus.
 
-    Single source of truth for pipeline admission: exactly the scan in
-    :func:`thetaquartic.thetaeval.vanishing_even_characteristics`.
+    Single source of truth for pipeline admission: exactly the verdict of
+    :func:`thetaquartic.thetaeval.vanishing_even_characteristics`, kept
+    with the tables.  The pipeline's stages here read the tables
+    through this call.
     """
     vanishing = vanishing_even_characteristics(tau, pol)
     if vanishing:
@@ -188,7 +236,7 @@ def require_generic(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -
             + ", ".join(m.bracket() for m in vanishing),
             vanishing=vanishing,
         )
-    return even_constant_table(tau, pol)
+    return theta_tables(tau, pol)
 
 
 def _theta_from_table(table: dict, m: Characteristic) -> complex:
@@ -221,7 +269,8 @@ def jacobi_ratio(
     if not is_aronhold(quad + tuple(completion)):
         raise ValueError("completion does not extend the 4-tuple to an Aronhold system")
 
-    table = require_generic(tau, pol)
+    require_generic(tau, pol)
+    table = even_constant_table(tau, pol)
     lhs = jacobian_det(q4.characteristic, q2.characteristic, q3.characteristic, tau, pol) / jacobian_det(
         q1.characteristic, q2.characteristic, q3.characteristic, tau, pol
     )
@@ -255,14 +304,12 @@ def aronhold_coeffs_dets(
     meaningful, only its projective class.
     """
     t = frame_matrix(system, tau, pol)
-    grads = odd_gradient_table(tau, pol)
-    return np.array([grads[q.characteristic] for q in system.forms[4:]]) @ t
+    return require_generic(tau, pol).grads[_plan(system).lines[4:7]] @ t
 
 
 # ---------------------------------------------------------------------------
 # Weber's coefficient formula
 
-@lru_cache(maxsize=9 * SYSTEM_CACHE_SIZE)
 def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     """Exact symbolic content of a_ij: phase, reduced characteristics, rho.
 
@@ -299,14 +346,30 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     return WeberEntry(phase=phase, chars=tuple(reduced), rho=rho)
 
 
-def _weber_matrix(system, table) -> np.ndarray:
-    a = np.zeros((3, 3), dtype=complex)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            entry = weber_symbolic(system, i, j)
-            n1, n2, d1, d2 = entry.chars
-            a[i - 1, j - 1] = entry.phase * (table[n1] * table[n2]) / (table[d1] * table[d2])
-    return a
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _plan(system: AronholdSystem) -> _GatherPlan:
+    """The gather plan of ``system``, built on first use from :func:`weber_symbolic` and the labels."""
+    entries = [weber_symbolic(system, i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    chars = np.array([[pack(c) for c in e.chars] for e in entries]).T.reshape(4, 3, 3)
+    phase = np.array([e.phase for e in entries]).reshape(3, 3)
+    labels = _bitangent_labels(system)
+    lines = np.array([pack(q) for q in labels])
+    for arr in (chars, phase, lines):
+        arr.setflags(write=False)
+    return _GatherPlan(chars, phase, labels, lines)
+
+
+def _weber_matrix(plan: _GatherPlan, values: np.ndarray) -> np.ndarray:
+    """a = phase * (t[n1] t[n2]) / (t[d1] t[d2]) over the plan's gather of the constants t.
+
+    The products are formed as Python's complex type forms them, with no
+    fused multiply-add, so each a_ij keeps the bits of the scalar formula.
+    """
+    x, y = values[plan.chars[0::2]], values[plan.chars[1::2]]  # (n1, d1) and (n2, d2)
+    prod = np.empty(x.shape, dtype=complex)
+    prod.real = x.real * y.real - x.imag * y.imag
+    prod.imag = x.real * y.imag + x.imag * y.real
+    return plan.phase * prod[0] / prod[1]
 
 
 def _solve3(mat: np.ndarray, what: str) -> np.ndarray:
@@ -335,8 +398,8 @@ def solve_k(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return _solve3(m, "lambda-weighted coefficient matrix")
 
 
-def xi_forms(a: np.ndarray, k: np.ndarray) -> tuple[ProjLine, ProjLine, ProjLine]:
-    """The linear forms (xi_23, xi_13, xi_12) of the three-radical model.
+def xi_forms(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The linear forms (xi_23, xi_13, xi_12) of the three-radical model, as the rows of a 3x3 array.
 
     Coefficient-wise, each coordinate column y = (xi_23[l], xi_13[l],
     xi_12[l]) satisfies the same 4x3 system
@@ -347,7 +410,8 @@ def xi_forms(a: np.ndarray, k: np.ndarray) -> tuple[ProjLine, ProjLine, ProjLine
     (12 scalar equations for 9 unknowns, consistent of rank 3 per
     column for genuine input).  The three columns are one least-squares
     solve with three right-hand sides, rows equilibrated, and each
-    column's relative residual must pass the consistency gate.
+    column's relative residual must pass the consistency gate.  The rows
+    are checked as line covectors (:func:`line_covectors`).
     """
     a = np.asarray(a, dtype=complex)
     k = np.asarray(k, dtype=complex)
@@ -358,14 +422,16 @@ def xi_forms(a: np.ndarray, k: np.ndarray) -> tuple[ProjLine, ProjLine, ProjLine
     resid = (np.linalg.norm(b @ y - rhs, axis=0) / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)).max()
     if resid > XI_RESIDUAL_GATE:
         raise SingularSystemError(f"three-radical scaling system inconsistent (residual {resid:.2e})")
-    return ProjLine(tuple(y[0])), ProjLine(tuple(y[1])), ProjLine(tuple(y[2]))
+    return line_covectors(y)
 
 
-def riemann_quartic(xi: tuple[ProjLine, ProjLine, ProjLine]) -> QuarticCurve:
+def riemann_quartic(xi: np.ndarray) -> QuarticCurve:
     """The quartic recovered from the three scaled bitangent products.
 
-    With A = X1*xi_23, B = X2*xi_13, C = X3*xi_12, eliminating the
-    radicals from sqrt(A) + sqrt(B) + sqrt(C) = 0 gives
+    ``xi`` holds the covectors of xi_23, xi_13, xi_12 as rows, as
+    :attr:`AronholdFrame.xi` does.  With A = X1*xi_23, B = X2*xi_13,
+    C = X3*xi_12, eliminating the radicals from
+    sqrt(A) + sqrt(B) + sqrt(C) = 0 gives
 
         4AB - (A + B - C)^2  =  2(AB + BC + CA) - A^2 - B^2 - C^2,
 
@@ -377,7 +443,7 @@ def riemann_quartic(xi: tuple[ProjLine, ProjLine, ProjLine]) -> QuarticCurve:
     order by one 0/1 table built from MONOMIALS, and the quartic is
     4 AB - SS.  The 15 coefficients are scaled by :func:`unit_pivot`.
     """
-    a, b, c = (np.outer(unit, line.vec) for unit, line in zip(np.eye(3), xi))
+    a, b, c = (np.outer(unit, row) for unit, row in zip(np.eye(3), np.asarray(xi, dtype=complex)))
     s = a + b - c
     ab, ss = (_QUARTIC_SUM @ np.multiply.outer(x, y).ravel() for x, y in ((a, b), (s, s)))
     coeffs = 4 * ab - ss
@@ -408,9 +474,8 @@ def frame_matrix(
     three gradient norms: a frame double precision cannot represent,
     which says nothing about the even constants.
     """
-    require_generic(tau, pol)
-    grads = odd_gradient_table(tau, pol)
-    g = np.array([grads[system[i].characteristic] for i in range(3)])
+    grads, lines = require_generic(tau, pol).grads, _plan(system).lines
+    g, g4 = grads[lines[:3]], grads[lines[3]]
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     cond = np.linalg.cond(g := g / norms) if norms.min() > 0 else np.inf
     if not cond <= FRAME_COND_LIMIT:
@@ -418,7 +483,6 @@ def frame_matrix(
             f"frame matrix condition number {cond:.2e} exceeds FRAME_COND_LIMIT {FRAME_COND_LIMIT:.0e}"
         )
     inv = np.linalg.inv(g)
-    g4 = grads[system[3].characteristic]
     c4 = g4 @ inv
     # |c4_j det g| / |g4| is |D[.., q_4, ..]| over its three gradient norms;
     # numerators may legitimately be tiny (a near-zero coefficient), only a
@@ -447,8 +511,7 @@ def weber_coefficients(
     even constants enter denominators, while the curve and its lines can
     stay accurate, so |k - 1| is a diagnostic, not a measure of accuracy.
     """
-    table = require_generic(tau, pol)
-    a = _weber_matrix(system, table)
+    a = _weber_matrix(_plan(system), require_generic(tau, pol).values)
     lam = solve_lambda(a)
     k = solve_k(a, lam)
     xi = xi_forms(a, k)
@@ -459,22 +522,22 @@ def all_bitangents(
     system: AronholdSystem,
     tau: PeriodMatrix,
     pol: TruncationPolicy = DEFAULT_POLICY,
-) -> list[tuple[QuadForm, ProjLine]]:
-    """All 28 bitangents in the Weber frame, labelled by their odd forms.
+) -> tuple[tuple[QuadForm, ...], np.ndarray]:
+    """All 28 bitangents in the Weber frame: (labels, covectors).
 
-    Ordered as the seven system forms b_1..b_7 followed by the 21
-    derived pair forms in (i, j) lexicographic order.  Line q is
-    grad theta[q] . T with T from :func:`frame_matrix`: one solve for
-    all 28.
+    ``labels`` are the 28 odd forms, the seven system forms b_1..b_7
+    followed by the 21 derived pair forms in (i, j) lexicographic order,
+    the same tuple on every call for a system.  ``covectors`` is the
+    read-only (28, 3) array whose row l is the line of labels[l]:
+    grad theta[q] . T with T from :func:`frame_matrix`, one gather of
+    the kept gradients and one product for all 28, checked by
+    :func:`line_covectors`.
     """
     t = frame_matrix(system, tau, pol)
-    grads = odd_gradient_table(tau, pol)
-    labels = _bitangent_labels(system)
-    covectors = np.array([grads[q.characteristic] for q in labels]) @ t
-    return [(q, ProjLine(tuple(c))) for q, c in zip(labels, covectors)]
+    plan = _plan(system)
+    return plan.labels, line_covectors(require_generic(tau, pol).grads[plan.lines] @ t)
 
 
-@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def _bitangent_labels(system: AronholdSystem) -> tuple[QuadForm, ...]:
     # the seven system forms, then the 21 pair forms in (i, j) order
     pairs = derived_forms(system).pair

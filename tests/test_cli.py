@@ -12,7 +12,7 @@ from thetaquartic.cli import _dump, main
 from thetaquartic.errors import SingularSystemError
 from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, tau_from_json, tau_to_json
 from thetaquartic.verify import bitangency_check
-from thetaquartic.weber import all_bitangents, riemann_quartic, weber_coefficients
+from thetaquartic.weber import ProjLine, all_bitangents, riemann_quartic, weber_coefficients
 
 DATA = Path(__file__).parent / "data"
 
@@ -284,10 +284,10 @@ def test_report_json_structure(capsys):
     tau = PeriodMatrix(tau_from_json(json.loads(tau_path.read_text())))
     quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau).xi)
     rows = json.loads(out)["reports"]
-    lines = all_bitangents(REFERENCE_SYSTEM, tau)
-    assert len(rows) == len(lines) == 28
-    for (q, line), row in zip(lines, rows):
-        report = bitangency_check(quartic, line)
+    labels, covectors = all_bitangents(REFERENCE_SYSTEM, tau)
+    assert len(rows) == len(labels) == len(covectors) == 28
+    for q, covector, row in zip(labels, covectors, rows):
+        report = bitangency_check(quartic, ProjLine(covector))
         assert list(row) == ["q", "is_bitangent", "residual", "contacts"]
         assert row == {
             "q": q.characteristic.to_json(),

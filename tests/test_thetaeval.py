@@ -16,6 +16,7 @@ from thetaquartic.charalgebra import (
     char_sum,
     even_forms,
     odd_forms,
+    pack,
     reduce_characteristic,
 )
 from thetaquartic.errors import InvalidTauError, TruncationError
@@ -377,6 +378,21 @@ def test_failed_pass_is_not_kept(series_calls):
         with pytest.raises(TruncationError):
             table(tau)
     assert len(series_calls) == 3
+
+
+def test_shift_with_no_lattice_points():
+    # with Im(tau)_11 = 100 the ellipsoids of the four m' with m'_1 = 1 hold no lattice point;
+    # their constants and gradients are exactly 0, and every entry matches the cube sum
+    tau = PeriodMatrix(1j * np.diag([100.0, 1.1, 0.9]) + 0.1)
+    tables = thetaeval.theta_tables(tau)
+    scale = np.abs(tables.values).max()
+    for q in all_forms():
+        value, grad = cube_series(q.mp, q.mpp, tau.tau)
+        x = pack(q)
+        if q.mp[0]:
+            assert tables.values[x] == 0 and not tables.grads[x].any()
+        assert abs(tables.values[x] - value) <= 1e-14 * scale
+        assert np.abs(tables.grads[x] - grad).max() <= 1e-14 * scale
 
 
 def test_kept_table_cannot_be_changed_by_callers(tau_seed1):

@@ -28,6 +28,7 @@ from thetaquartic.weber import (
     ProjLine,
     QuarticCurve,
     all_bitangents,
+    line_covectors,
     require_generic,
     riemann_quartic,
     weber_coefficients,
@@ -140,21 +141,21 @@ def test_bitangency_scale_invariance(tau_seed1):
 def test_bitangent_contacts_on_curve_and_line(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
     quartic = riemann_quartic(frame.xi)
-    lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
+    _, covectors = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
     scale = max(abs(c) for c in quartic.coeffs)
-    for q, line in lines[:9]:
-        report = bitangency_check(quartic, line)
+    for row in covectors[:9]:
+        report = bitangency_check(quartic, ProjLine(row))
         assert report.is_bitangent
         for x in report.contact_points:
             assert abs(quartic(x)) < 1e-7 * scale
-            assert abs(line.vec @ x) < 1e-7 * np.linalg.norm(line.vec)
+            assert abs(row @ x) < 1e-7 * np.linalg.norm(row)
 
 
 def test_double_root_separation_or_flag(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
     quartic = riemann_quartic(frame.xi)
-    for q, line in all_bitangents(REFERENCE_SYSTEM, tau_seed1):
-        report = bitangency_check(quartic, line)
+    for row in all_bitangents(REFERENCE_SYSTEM, tau_seed1)[1]:
+        report = bitangency_check(quartic, ProjLine(row))
         assert report.is_bitangent
         # the two contact points are distinct unless flagged near-flex
         if not report.near_flex:
@@ -174,7 +175,7 @@ def test_bitangency_summary(tau_seed1):
 
 def test_bitangency_summary_of_no_lines(tau_seed1):
     quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau_seed1).xi)
-    certs, summary = bitangency_summary(quartic, [])
+    certs, summary = bitangency_summary(quartic, ((), np.empty((0, 3), dtype=complex)))
     assert summary == {"pass": 0, "fail": 0, "max_residual": 0.0}
     assert [c.shape for c in certs] == [(0,), (0,), (0, 2, 3), (0,)]
 
@@ -197,8 +198,8 @@ def _random_lines(seed, count):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_restriction_matches_mpmath_on_bitangents(seed):
-    quartic, lines = _pipeline(seed)
-    _check_restrictions_against_mpmath(quartic, [line for _, line in lines])
+    quartic, (_, covectors) = _pipeline(seed)
+    _check_restrictions_against_mpmath(quartic, [ProjLine(row) for row in covectors])
 
 
 @pytest.mark.parametrize("curve", [X1_FOURTH, DOUBLE_CONIC], ids=["x1_fourth", "double_conic"])
@@ -221,8 +222,8 @@ def test_check_equals_summary_row():
     # row l of the batched certificate is the single-line certificate of line l, field by field
     quartic, lines = _pipeline(1)
     (ok, residual, contacts, flex), _ = bitangency_summary(quartic, lines)
-    for l, (_, line) in enumerate(lines):
-        report = bitangency_check(quartic, line)
+    for l, row in enumerate(lines[1]):
+        report = bitangency_check(quartic, ProjLine(row))
         assert (ok[l], residual[l], flex[l]) == (report.is_bitangent, report.residual, report.near_flex)
         assert np.array_equal(contacts[l], report.contact_points)
 
@@ -231,15 +232,16 @@ def test_check_equals_summary_row():
 def test_line_on_curve_anywhere_in_batch(position):
     lines = _random_lines(13, 27)
     lines.insert(position, ProjLine((1, 0, 0)))
-    labelled = [(q, line) for q, line in zip(list(REFERENCE_SYSTEM.forms) * 4, lines)]
+    labelled = (REFERENCE_SYSTEM.forms * 4, np.array([line.c for line in lines]))
     with pytest.raises(DegenerateCurveError):
         bitangency_summary(X1_FOURTH, labelled)
 
 
 def test_contacts_canonical_under_rescaling():
-    quartic, lines = _pipeline(1)
+    quartic, (_, covectors) = _pipeline(1)
     scaled_curve = QuarticCurve(tuple((3 - 4j) * c for c in quartic.coeffs))
-    for _, line in lines:
+    for row in covectors:
+        line = ProjLine(row)
         scaled_line = ProjLine(tuple((0.01j - 2) * x for x in line.vec))
         a = bitangency_check(quartic, line).contact_points
         b = bitangency_check(scaled_curve, scaled_line).contact_points
@@ -261,6 +263,19 @@ def test_quartic_rejects_non_finite(bad):
 def test_line_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         ProjLine((1.0, bad, 0.5))
+
+
+@pytest.mark.parametrize("row", [0, 13, 27])
+@pytest.mark.parametrize("bad, message", [
+    ((1.0, float("nan"), 0.5), "finite"), ((0, 0, 0), "zero covector"),
+], ids=["non-finite", "zero"])
+def test_covector_stack_checks_every_row(row, bad, message):
+    # a stack of covectors is refused as one ProjLine of its bad row is
+    rows = np.array([line.c for line in _random_lines(14, 28)])
+    rows[row] = bad
+    for build in (line_covectors, lambda rows: ProjLine(rows[row])):
+        with pytest.raises(ValueError, match=message):
+            build(rows)
 
 
 def test_huge_coefficients_certified():

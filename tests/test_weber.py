@@ -1,9 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from thetaquartic import invariants, weber
-from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, odd_forms
+from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, enumerate_aronhold, odd_forms, pack
 from thetaquartic.errors import SingularSystemError, SpecialLocusError
+from thetaquartic.thetaeval import even_constant_table, theta_tables
 from thetaquartic.verify import bitangency_check
 from thetaquartic.weber import (
     MONOMIALS,
@@ -137,7 +140,7 @@ def test_solve_k_scaling_and_singular():
 def test_xi_forms_satisfy_all_equations(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
     a, k = frame.a, frame.k
-    x23, x13, x12 = (line.vec for line in frame.xi)
+    x23, x13, x12 = frame.xi
     ones = np.ones(3)
     assert np.linalg.norm(x23 + x13 + x12 + ones) < 1e-8
     for i in range(3):
@@ -156,23 +159,23 @@ def test_xi_forms_deterministic_under_equation_permutation(tau_seed1):
         w = 1.0 / np.abs(b[perm]).max(axis=1)
         sol, *_ = np.linalg.lstsq(b[perm] * w[:, None], rhs[perm] * w, rcond=None)
         y[:, col] = sol
-    for line, resolved in zip(frame.xi, y):
-        assert np.abs(line.vec - resolved).max() < 1e-10 * max(1.0, np.abs(resolved).max())
+    for row, resolved in zip(frame.xi, y):
+        assert np.abs(row - resolved).max() < 1e-10 * max(1.0, np.abs(resolved).max())
 
 
 def test_xi_lines_are_bitangent(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
     quartic = riemann_quartic(frame.xi)
-    for line in frame.xi:
-        assert bitangency_check(quartic, line).is_bitangent
+    for row in frame.xi:
+        assert bitangency_check(quartic, ProjLine(row)).is_bitangent
 
 
 def test_xi_lines_match_transported_pair_forms(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    lines = dict(all_bitangents(REFERENCE_SYSTEM, tau_seed1))
+    lines = dict(zip(*all_bitangents(REFERENCE_SYSTEM, tau_seed1)))
     pairs = derived_forms(REFERENCE_SYSTEM).pair
-    for xi_line, key in zip(frame.xi, [(2, 3), (1, 3), (1, 2)]):
-        assert xi_line.residual_to(lines[pairs[key]]) < 1e-8
+    for xi_row, key in zip(frame.xi, [(2, 3), (1, 3), (1, 2)]):
+        assert ProjLine(xi_row).residual_to(lines[pairs[key]]) < 1e-8
 
 
 def test_riemann_quartic_beta1_bitangent(tau_seed1):
@@ -193,7 +196,7 @@ def test_riemann_quartic_is_three_radical_model(tau_seed1, tau_seed2):
         got = np.array([curve(x) for x in points])
         want = []
         for x in points:
-            a, b, c = (x[i] * (line.vec @ x) for i, line in enumerate(xi))
+            a, b, c = (x[i] * (row @ x) for i, row in enumerate(xi))
             want.append(4 * a * b - (a + b - c) ** 2)
         want = np.array(want)
         scale = np.vdot(want, got) / np.vdot(want, want)
@@ -203,15 +206,13 @@ def test_riemann_quartic_is_three_radical_model(tau_seed1, tau_seed2):
 def test_riemann_quartic_swap_symmetry(tau_seed1):
     # simultaneous swap (X1, xi_23) <-> (X2, xi_13) relabels the output
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    x23, x13, x12 = (line.vec for line in frame.xi)
+    x23, x13, x12 = frame.xi
 
     def swap12(v):
         return (v[1], v[0], v[2])
 
     f_orig = riemann_quartic(frame.xi)
-    f_swap = riemann_quartic(
-        (ProjLine(swap12(x13)), ProjLine(swap12(x23)), ProjLine(swap12(x12)))
-    )
+    f_swap = riemann_quartic(np.array([swap12(x13), swap12(x23), swap12(x12)]))
     relabeled = {}
     for coeff, (a, b, c) in zip(f_orig.coeffs, MONOMIALS):
         relabeled[(b, a, c)] = coeff
@@ -242,14 +243,15 @@ def test_frame_matrix_puts_system_gradients_on_normal_form(tau_seed1, tau_seed2)
 
 def test_frame_matrix_transport(tau_seed1):
     frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
+    labels, covectors = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
+    assert labels[:7] == REFERENCE_SYSTEM.forms
     # the seven system lines land on the normal-form covectors
     expected = [
         (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
         frame.a[0], frame.a[1], frame.a[2],
     ]
-    for (q, line), want in zip(lines[:7], expected):
-        assert line.residual_to(np.asarray(want, dtype=complex)) < 1e-8
+    for row, want in zip(covectors[:7], expected):
+        assert ProjLine(row).residual_to(np.asarray(want, dtype=complex)) < 1e-8
 
 
 @pytest.mark.parametrize("slot, combo, gate", [
@@ -257,11 +259,13 @@ def test_frame_matrix_transport(tau_seed1):
     (3, (0, 1, 1, 0), "Jacobian determinant denominator .* below JACOBIAN_DET_REL_TOL 1e-12"),  # D[q4,q2,q3] = 0
 ], ids=["condition", "denominator"])
 def test_frame_gates_guard_lines_and_rows(slot, combo, gate, tau_seed1, monkeypatch):
-    # a frame double precision cannot represent is a singular solve, not the special locus
-    grads = weber.odd_gradient_table(tau_seed1)
-    chars = [q.characteristic for q in N[:4]]
-    grads[chars[slot]] = sum(c * grads[m] for c, m in zip(combo, chars))
-    monkeypatch.setattr(weber, "odd_gradient_table", lambda tau, pol: grads)
+    # a frame double precision cannot represent is a singular solve, not the special locus;
+    # weber reads the kept tables through its theta_tables binding
+    tables = theta_tables(tau_seed1)
+    grads = tables.grads.copy()
+    idx = [pack(q) for q in N[:4]]
+    grads[idx[slot]] = sum(c * grads[m] for c, m in zip(combo, idx))
+    monkeypatch.setattr(weber, "theta_tables", lambda tau, pol: tables._replace(grads=grads))
     for build in (all_bitangents, aronhold_coeffs_dets):
         with pytest.raises(SingularSystemError, match=gate):
             build(REFERENCE_SYSTEM, tau_seed1)
@@ -284,10 +288,27 @@ def test_det_rows_match_explicit_jacobian_determinants(tau_seed1, tau_seed2):
 
 
 def test_all_bitangents_distinct(tau_seed1):
-    lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
-    assert len(lines) == 28
-    assert len({q for q, _ in lines}) == 28
-    vecs = [line for _, line in lines]
+    labels, covectors = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
+    assert len(labels) == 28 and covectors.shape == (28, 3) and not covectors.flags.writeable
+    assert len(set(labels)) == 28
+    vecs = [ProjLine(row) for row in covectors]
     for i in range(28):
         for j in range(i + 1, 28):
             assert vecs[i].residual_to(vecs[j]) > 1e-6
+
+
+def test_gather_plan_matches_symbolic_formula(tau_seed1):
+    # every canonical system: the plan's gather of a equals Weber's formula evaluated
+    # entry by entry on the dict of constants, bit for bit, and its labels are the line order
+    table = even_constant_table(tau_seed1)
+    values = theta_tables(tau_seed1).values
+    for system in enumerate_aronhold():
+        plan = weber._plan(system)
+        assert plan.labels == weber._bitangent_labels(system)
+        assert plan.lines.tolist() == [pack(q) for q in plan.labels]
+        want = np.empty((3, 3), dtype=complex)
+        for i, j in product((1, 2, 3), repeat=2):
+            entry = weber_symbolic(system, i, j)
+            n1, n2, d1, d2 = (table[c] for c in entry.chars)
+            want[i - 1, j - 1] = entry.phase * (n1 * n2) / (d1 * d2)
+        assert np.array_equal(weber._weber_matrix(plan, values).view(np.int64), want.view(np.int64))
