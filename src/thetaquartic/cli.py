@@ -36,13 +36,6 @@ EXIT_SPECIAL_LOCUS = 2
 EXIT_INVARIANT = 3
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a usage error is an input error; exit code 2 means a special-locus refusal
@@ -60,7 +53,6 @@ class _Parser(argparse.ArgumentParser):
 #: argparse settings of every flag; each subcommand declares the ones it reads
 _FLAGS = {
     "tau": dict(required=True, help="path to period matrix JSON"),
-    "tail": dict(type=_positive, default=te.DEFAULT_TAIL, help="series tail target"),
     "seed": dict(type=int, default=1, help="seed for seeded randomness"),
     "system-index": dict(type=int, default=None, help="index into the canonical list of 288 Aronhold systems "
                          "(default: the classical reference ordering)"),
@@ -207,10 +199,6 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _policy(args) -> te.TruncationPolicy:
-    return te.TruncationPolicy(target_tail=args.tail)
-
-
 def _system(args) -> ca.AronholdSystem:
     if args.system_index is None:
         return ca.REFERENCE_SYSTEM
@@ -270,7 +258,7 @@ def cmd_aronhold(args) -> int:
 
 
 def cmd_random_tau(args) -> int:
-    tau = vf.random_admissible_tau(args.seed, _policy(args))
+    tau = vf.random_admissible_tau(args.seed)
     _emit(te.tau_to_json(tau), args)
     _note(f"admissible period matrix for seed {args.seed} (lam_min={tau.lam_min:.4f})")
     return EXIT_OK
@@ -323,11 +311,10 @@ def cmd_pipeline(args) -> int:
     each of the three exits 3 after writing its report.
     """
     tau = _load_tau(args)
-    pol = _policy(args)
     system = _system(args)
-    frame = wb.weber_coefficients(system, tau, pol)
+    frame = wb.weber_coefficients(system, tau)
     quartic = wb.riemann_quartic(frame.xi)
-    lines = wb.all_bitangents(system, tau, pol)
+    lines = wb.all_bitangents(system, tau)
     certs, summary = vf.bitangency_summary(quartic, lines)
     _note(f"bitangency: {summary['pass']}/28 pass, max residual {summary['max_residual']:.3e}")
     _emit(_report(REPORT_KEYS[args.command], frame, quartic, lines, certs, summary), args)
@@ -344,13 +331,12 @@ def cmd_pipeline(args) -> int:
 def cmd_selftest(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    pol = _policy(args)
     rng = np.random.default_rng(args.seed)
-    taus = [vf.random_admissible_tau(args.seed * 1000 + i, pol) for i in range(args.trials)]
+    taus = [vf.random_admissible_tau(args.seed * 1000 + i) for i in range(args.trials)]
     results = []
     for check in iv.CHECKS:
         try:
-            worst = np.max([np.max(check(tau, rng, pol)) for tau in taus])
+            worst = np.max([np.max(check(tau, rng)) for tau in taus])
             ok, detail = check.passes(worst), f"worst {worst:.2e}, tolerance {check.tol:.0e}"
         except ThetaQuarticError as exc:
             ok, detail = False, f"error: {exc}"
@@ -365,13 +351,11 @@ def cmd_selftest(args) -> int:
 COMMANDS = {
     "classify": (cmd_classify, "list the 64 quadratic forms with parity and Arf invariant", ()),
     "aronhold": (cmd_aronhold, "enumerate Aronhold systems (optionally expand one)", ("system-index",)),
-    "bitangents": (cmd_pipeline, "full pipeline: 28 bitangents + verification",
-                   ("tau", "tail", "system-index")),
-    "quartic": (cmd_pipeline, "reconstruct the quartic equation", ("tau", "tail", "system-index")),
-    "verify": (cmd_pipeline, "bitangency certificates for the reconstructed curve",
-               ("tau", "tail", "system-index")),
-    "selftest": (cmd_selftest, "run the named invariant suite", ("tail", "seed", "trials")),
-    "random-tau": (cmd_random_tau, "emit a seeded random admissible period matrix", ("tail", "seed")),
+    "bitangents": (cmd_pipeline, "full pipeline: 28 bitangents + verification", ("tau", "system-index")),
+    "quartic": (cmd_pipeline, "reconstruct the quartic equation", ("tau", "system-index")),
+    "verify": (cmd_pipeline, "bitangency certificates for the reconstructed curve", ("tau", "system-index")),
+    "selftest": (cmd_selftest, "run the named invariant suite", ("seed", "trials")),
+    "random-tau": (cmd_random_tau, "emit a seeded random admissible period matrix", ("seed",)),
 }
 
 

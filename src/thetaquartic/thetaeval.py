@@ -10,30 +10,31 @@ it lives in exactly one helper (:func:`ephase`) and every phase in the
 package goes through it or through ``numpy.exp(1j*pi*...)`` on a value
 assembled right next to a comment saying so.
 
-Non-reduced integer characteristics are reduced first and the series is
-evaluated at the reduced representative, multiplied by the tracked
-reduction sign.
+Every series goes through one private kernel (:func:`_series`): one
+lattice pass at one z returns the values (64,) and z-gradients (64, 3) of
+all 64 reduced characteristics, indexed by packed index
+(:func:`thetaquartic.charalgebra.pack`).  Every theta quantity is read
+from such a table by one helper (:func:`_lookup`), which reduces an
+integer characteristic m = r + 2n and applies the reduction sign.  At
+z = 0 the table is the one kept on the PeriodMatrix per policy, with the
+special-locus verdict beside it (:func:`theta_tables`), so the
+constants, the gradients, the Jacobian determinants and every pipeline
+stage read the same pass; a value at any other z costs one fresh pass.
 
-Every series goes through one private kernel (:func:`_series`).  With
-Y = Im(tau), p = n + m'/2 and a = Y^-1 Im(z), a term has modulus
+With Y = Im(tau), p = n + m'/2 and a = Y^-1 Im(z), a term has modulus
 exp(pi a.Y.a) exp(-pi (n+c).Y.(n+c)) with center c = m'/2 + a, the
 Gaussian peak.  Each m' shift sums over its ellipsoid
 
     (n + c).Y.(n + c) <= R^2,
 
 enumerated level by level from the Cholesky factor of Y (Fincke-Pohst);
-one vectorized pass enumerates the ellipsoids of all requested shifts,
-its N points grouped by shift.  The points and the factor
-e(p.tau.p + 2p.z) depend on m' only, and e(p.m'') = i^(2p.m'') is a power
-of i, so one N x 8 table holds the terms of every m'' at every point.
-Segment sums of that table over the groups (``np.add.reduceat``) give
-the values of all 8 m'' of every shift, and segment sums of it weighted
-by each coordinate of p give the gradients, times 2*pi*i.  The
-pipeline's theta data at z = 0 come from one pass over all 8 shifts: the
-64 constants and 64 gradients by packed index
-(:func:`thetaquartic.charalgebra.pack`) and the special-locus verdict,
-kept on the PeriodMatrix per policy (:func:`theta_tables`), so every
-stage reads them.
+one vectorized pass enumerates the ellipsoids of the 8 shifts, its N
+points grouped by shift.  The points and the factor e(p.tau.p + 2p.z)
+depend on m' only, and e(p.m'') = i^(2p.m'') is a power of i, so one
+N x 8 table holds the terms of every m'' at every point.  Segment sums
+of that table over the groups (``np.add.reduceat``) give the values of
+all 8 m'' of every shift, and segment sums of it weighted by each
+coordinate of p give the gradients, times 2*pi*i.
 
 R follows the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004).  In
@@ -144,7 +145,10 @@ class PeriodMatrix:
     """
 
     def __init__(self, tau):
-        tau = np.asarray(tau, dtype=complex)
+        try:
+            tau = np.asarray(tau, dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidTauError(f"entries are not complex numbers: {exc}") from exc
         if tau.shape != (3, 3):
             raise InvalidTauError(f"expected a 3x3 matrix, got shape {tau.shape}")
         if not np.all(np.isfinite(tau)):
@@ -240,50 +244,53 @@ def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: Truncation
     return r * r / math.pi
 
 
-def _series(mps, tau: PeriodMatrix, z, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Values and z-gradients of theta at every reduced characteristic whose m' is in ``mps``.
+def _series(tau: PeriodMatrix, z, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Values (64,) and z-gradients (64, 3) of theta at every reduced characteristic, by packed index.
 
-    ``mps`` holds 3-bit codes x of m' = _BITS[x].  One lattice pass over
-    their ellipsoids (see the module docstring) returns values (S, 8) and
-    gradients (S, 8, 3): entry [s, y] belongs to [_BITS[mps[s]]; _BITS[y]],
-    packed index mps[s] + 8 y.
+    One lattice pass over the ellipsoids of the 8 m' shifts (see the
+    module docstring); ``z`` None means z = 0.
     """
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
     zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     a = np.linalg.solve(imag, zz.imag)
     r2 = _radius2(tau, chol, a, pol)
-    half_mp = _BITS[list(mps)] / 2
+    half_mp = _BITS / 2  # row x: m' = _BITS[x]
     p, owner = _ellipsoid(chol, half_mp + a, r2)
     p += half_mp[owner]  # p = n + m'/2
     w = np.exp(1j * np.pi * (((p @ tau.tau) * p).sum(axis=1) + 2 * p @ zz))  # e(x) convention
     # e(p.m'') = i^(2p.m''), 2p integral: the N x 8 table of exponents mod 4, one column per m''
     powers = (p @ (2 * _BITS.T)).astype(np.intp) & 3
-    counts = np.bincount(owner, minlength=len(half_mp))
+    counts = np.bincount(owner, minlength=8)
     full = counts > 0  # a shift whose ellipsoid holds no point sums to 0
     starts = (np.cumsum(counts) - counts)[full]
 
     def sums(weight):  # per-shift sums of the term table weight[n] * i^powers[n, y]
         terms = _UNITS[powers]
         terms *= weight[:, None]
-        out = np.zeros((len(counts), 8), dtype=complex)
+        out = np.zeros((8, 8), dtype=complex)
         out[full] = np.add.reduceat(terms, starts, axis=0)
         return out
 
-    values = sums(w)
+    values = sums(w)  # [x, y] belongs to [_BITS[x]; _BITS[y]], packed index x + 8 y
     grads = np.stack([sums(p[:, l] * w) for l in range(3)], axis=-1)
-    return values, 2j * np.pi * grads
+    return values.T.ravel(), 2j * np.pi * grads.transpose(1, 0, 2).reshape(64, 3)
+
+
+def _lookup(table: np.ndarray, m: Characteristic):
+    """theta_m's entry of a table by packed index, for any integer m: reduce m, index, apply the sign."""
+    r, sign = reduce_characteristic(m)
+    return sign * table[pack(r)]
 
 
 def theta(m: Characteristic, tau: PeriodMatrix, z=None, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """theta_m(tau, z) for an arbitrary integer characteristic m.
 
     Reduces m first and premultiplies by the reduction sign, so callers
-    may pass non-reduced sums of characteristics directly.
+    may pass non-reduced sums of characteristics directly.  With z None
+    it reads the kept table at z = 0; any other z costs one lattice pass.
     """
-    r, sign = reduce_characteristic(m)
-    x = pack(r)
-    return sign * _series([x % 8], tau, z, pol)[0][0, x // 8]
+    return _lookup(theta_tables(tau, pol).values if z is None else _series(tau, z, pol)[0], m)
 
 
 def theta_const(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -292,10 +299,8 @@ def theta_const(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DE
 
 
 def grad_theta0(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """The z-gradient of theta_m at z = 0, by the termwise differentiated series."""
-    r, sign = reduce_characteristic(m)
-    x = pack(r)
-    return sign * _series([x % 8], tau, None, pol)[1][0, x // 8]
+    """The z-gradient of theta_m at z = 0, by the termwise differentiated series, from the kept table."""
+    return _lookup(theta_tables(tau, pol).grads, m)
 
 
 def jacobian_det(
@@ -306,14 +311,11 @@ def jacobian_det(
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """D[q1,q2,q3]: determinant of the three stacked theta gradients at 0, from the kept table."""
-    grads = theta_tables(tau, pol).grads
-    rows = []
     for q in (q1, q2, q3):
-        r, sign = reduce_characteristic(q)
-        if not r.parity():
+        if not q.parity():
             raise ValueError(f"jacobian_det needs odd characteristics, got {q.bracket()}")
-        rows.append(sign * grads[pack(r)])
-    return complex(np.linalg.det(rows))
+    grads = theta_tables(tau, pol).grads
+    return complex(np.linalg.det([_lookup(grads, q) for q in (q1, q2, q3)]))
 
 
 _ADDITION_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
@@ -347,15 +349,16 @@ def addition_formula_residual(
     """
     ms = (m1, m2, m3, m4)
     ns = [_half_combination(ms, s) for s in _ADDITION_SIGNS]
-    u = np.zeros(3, dtype=complex) if u is None else np.asarray(u, dtype=complex)
-    v = np.zeros(3, dtype=complex) if v is None else np.asarray(v, dtype=complex)
-
+    zero = np.zeros(3, dtype=complex)
+    uu, vv = (zero if x is None else np.asarray(x, dtype=complex) for x in (u, v))
+    consts = theta_tables(tau, pol).values
     lhs = (
-        theta(m1, tau, u + v, pol)
-        * theta(m2, tau, u - v, pol)
-        * theta_const(m3, tau, pol)
-        * theta_const(m4, tau, pol)
+        _lookup(_series(tau, uu + vv, pol)[0], m1)
+        * _lookup(_series(tau, uu - vv, pol)[0], m2)
+        * _lookup(consts, m3)
+        * _lookup(consts, m4)
     )
+    at_u, at_v = (consts if x is None else _series(tau, x, pol)[0] for x in (u, v))
     total = 0.0 + 0.0j
     peak = 0.0
     factor_peak = 0.0
@@ -363,10 +366,10 @@ def addition_formula_residual(
         a = a_form.characteristic
         sign = -1 if sum(m1.mp[i] * a.mpp[i] for i in range(3)) % 2 else 1
         factors = (
-            theta(char_sum(ns[0], a), tau, u, pol),
-            theta(char_sum(ns[1], a), tau, u, pol),
-            theta(char_sum(ns[2], a), tau, v, pol),
-            theta(char_sum(ns[3], a), tau, v, pol),
+            _lookup(at_u, char_sum(ns[0], a)),
+            _lookup(at_u, char_sum(ns[1], a)),
+            _lookup(at_v, char_sum(ns[2], a)),
+            _lookup(at_v, char_sum(ns[3], a)),
         )
         factor_peak = max(factor_peak, *(abs(f) for f in factors))
         term = sign * factors[0] * factors[1] * factors[2] * factors[3]
@@ -436,8 +439,7 @@ def theta_tables(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> T
     """
     kept = tau._tables.get(pol)
     if kept is None:
-        values, grads = _series(range(8), tau, None, pol)
-        values, grads = values.T.ravel(), grads.transpose(1, 0, 2).reshape(64, 3)  # [s, y] -> s + 8 y
+        values, grads = _series(tau, None, pol)
         for arr in (values, grads):
             arr.setflags(write=False)
         mags = np.abs(values[_EVEN_IDX])
@@ -502,11 +504,23 @@ def tau_to_json(tau) -> dict:
     return {"tau": complex_to_json(tau.tau if isinstance(tau, PeriodMatrix) else tau)}
 
 
+def _real(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise InvalidTauError(f"malformed tau JSON: entry {x!r} is not a number")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise InvalidTauError("malformed tau JSON: an integer entry is too large for a float") from exc
+
+
 def tau_from_json(obj) -> np.ndarray:
-    """Parse the {"tau": ...} wire format into a raw complex matrix."""
+    """Parse the {"tau": ...} wire format into a raw complex matrix.
+
+    Each "re" and "im" must be a JSON number (not a boolean) that a float can hold.
+    """
     try:
         rows = obj["tau"]
-        arr = np.array([[complex(c["re"], c["im"]) for c in row] for row in rows], dtype=complex)
+        arr = np.array([[complex(_real(c["re"]), _real(c["im"])) for c in row] for row in rows], dtype=complex)
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidTauError(f"malformed tau JSON: {exc}") from exc
     if arr.shape != (3, 3):

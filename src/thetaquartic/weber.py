@@ -32,8 +32,8 @@ gathered gradients times one 3x3 matrix.
 Phase bookkeeping: all theta arguments here are non-reduced integer
 characteristic sums such as (q_4 + q_r + q_j); the reduction signs they
 pick up are part of the formula and are either tracked explicitly
-(:func:`weber_symbolic`) or absorbed by evaluating through
-:func:`thetaquartic.thetaeval.theta`, which reduces internally.
+(:func:`weber_symbolic`) or absorbed by reading the constants through
+:func:`thetaquartic.thetaeval.theta_const`, which reduces internally.
 
 Results stay arrays: a stack of line covectors is an (L, 3) complex
 array, checked as :class:`ProjLine` checks one line
@@ -47,7 +47,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -64,7 +64,8 @@ from .charalgebra import (
     reduce_characteristic,
 )
 from .errors import DegenerateCurveError, SingularSystemError, SpecialLocusError
-# odd_gradient_table is not called here: perfbench/tracing.py wraps this module's binding of it
+# even_constant_table, odd_gradient_table, arf and is_azygetic_triple are not called here:
+# perfbench/tracing.py wraps this module's bindings of them
 from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
@@ -73,6 +74,7 @@ from .thetaeval import (
     even_constant_table,
     jacobian_det,
     odd_gradient_table,
+    theta_const,
     theta_tables,
     vanishing_even_characteristics,
 )
@@ -239,11 +241,6 @@ def require_generic(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -
     return theta_tables(tau, pol)
 
 
-def _theta_from_table(table: dict, m: Characteristic) -> complex:
-    r, sign = reduce_characteristic(m)
-    return sign * table[r]
-
-
 # ---------------------------------------------------------------------------
 # determinant ratios
 
@@ -261,16 +258,12 @@ def jacobi_ratio(
     independent; callers may verify by passing either completing triple.
     """
     q1, q2, q3, q4 = quad
-    if len(set(quad)) != 4 or any(arf(q) != 1 for q in quad):
-        raise ValueError("need four distinct odd forms")
-    if not all(is_azygetic_triple(*t) for t in combinations(quad, 3)):
-        raise ValueError("the 4-tuple is not azygetic")
     q5, q6, q7 = completion
+    # seven distinct odd forms, every triple azygetic: so the 4-tuple is an azygetic one
     if not is_aronhold(quad + tuple(completion)):
-        raise ValueError("completion does not extend the 4-tuple to an Aronhold system")
+        raise ValueError("the 4-tuple and its completion are not an Aronhold system")
 
     require_generic(tau, pol)
-    table = even_constant_table(tau, pol)
     lhs = jacobian_det(q4.characteristic, q2.characteristic, q3.characteristic, tau, pol) / jacobian_det(
         q1.characteristic, q2.characteristic, q3.characteristic, tau, pol
     )
@@ -280,8 +273,8 @@ def jacobi_ratio(
     pref = -_int_sign(sum(s567.mp[i] * s14.mpp[i] for i in range(3)))
     num = den = 1.0 + 0.0j
     for x, y in ((q5, q6), (q5, q7), (q6, q7)):
-        num *= _theta_from_table(table, char_sum(x, y, q1))
-        den *= _theta_from_table(table, char_sum(x, y, q4))
+        num *= theta_const(char_sum(x, y, q1), tau, pol)
+        den *= theta_const(char_sum(x, y, q4), tau, pol)
     rhs = pref * num / den
     return lhs, rhs
 

@@ -139,6 +139,13 @@ def test_malformed_tau_exit_1(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"tau": [[1, 2], [3, 4]]}))
     assert run_cli(capsys, "bitangents", "--tau", str(wrong))[0] == 1
+    # an entry that is no number, or too large for a float, is an input error, not a traceback
+    for entry in (10**400, True, "a", None):
+        obj = json.loads((DATA / "tau_seed3.json").read_text())
+        obj["tau"][1][2]["re"] = obj["tau"][2][1]["re"] = entry
+        wrong.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "bitangents", "--tau", str(wrong))
+        assert code == 1 and out == "" and err.startswith("input error: malformed tau JSON")
     # a directory where a file belongs is an input error, not a traceback
     code, _, err = run_cli(capsys, "bitangents", "--tau", str(tmp_path))
     assert code == 1 and err.startswith("input error: ")
@@ -220,24 +227,26 @@ def test_selftest(capsys):
 
 def test_usage_errors_exit_1(tmp_path, capsys):
     # exit code 2 is kept for special-locus refusals
-    tau = str(DATA / "tau_seed3.json")
-    non_finite = [[command, "--tau", tau, "--tail", value]
-                  for command in ("verify", "bitangents") for value in ("nan", "inf", "-inf")]
-    for argv in [["bitangents"]] + non_finite:
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 1
+    with pytest.raises(SystemExit) as info:
+        main(["bitangents"])
+    assert info.value.code == 1
     with pytest.raises(SystemExit) as info:
         main(["selftest", "--help"])
     assert info.value.code == 0
     assert main(["selftest", "--trials", "0"]) == 1
 
 
-@pytest.mark.parametrize("knob", [["--tol", "1e-6"], ["--eps=+1,+1,+1"]], ids=["tol", "eps"])
-@pytest.mark.parametrize("command", ["bitangents", "quartic", "verify", "selftest"])
+@pytest.mark.parametrize(
+    "knob",
+    [["--tol", "1e-6"], ["--eps=+1,+1,+1"], ["--tail", "1e-10"],
+     ["--tail", "nan"], ["--tail", "inf"], ["--tail=-inf"]],
+    ids=["tol", "eps", "tail", "tail-nan", "tail-inf", "tail-minus-inf"],
+)
+@pytest.mark.parametrize("command", ["bitangents", "quartic", "verify", "selftest", "random-tau"])
 def test_removed_knobs_are_usage_errors(command, knob, capsys):
-    # one certificate threshold and Weber's printed row signs: neither is settable
-    argv = [command] + (["--tau", str(DATA / "tau_seed3.json")] if command != "selftest" else []) + knob
+    # one certificate threshold, Weber's printed row signs and the default series tail: none is settable
+    needs_tau = command not in ("selftest", "random-tau")
+    argv = [command] + (["--tau", str(DATA / "tau_seed3.json")] if needs_tau else []) + knob
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 1

@@ -362,14 +362,32 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
     jacobian_det(*(q.characteristic for q in REFERENCE_SYSTEM.forms[:3]), tau)
     jacobi_ratio(REFERENCE_SYSTEM.forms[:4], REFERENCE_SYSTEM.forms[4:], tau)
     even_constant_table(tau, TruncationPolicy())  # equal to the default policy
+    # every value and gradient at z = 0 is a lookup in the kept tables, at any integer lift
+    lift = Characteristic((2, 0, -2), (0, 2, 4))
+    for q in all_forms():
+        theta_const(q.characteristic + lift, tau)
+        grad_theta0(q.characteristic + lift, tau)
+    invariants.parity_vanishing(tau)
     assert len(series_calls) == 1
+    # u = 0 reads the kept table; v, u + v and u - v cost one pass each
+    invariants.addition_formula(tau, np.random.default_rng(0))
+    assert len(series_calls) == 4
     loose = TruncationPolicy(target_tail=1e-10)
     even_constant_table(tau, loose)
     odd_gradient_table(tau, loose)
-    assert len(series_calls) == 2
+    assert len(series_calls) == 5
     twin = PeriodMatrix(tau_seed1.tau)
     odd_gradient_table(twin)
-    assert len(series_calls) == 3
+    assert len(series_calls) == 6
+
+
+def test_theta_at_zero_is_the_kept_constant(tau_seed1):
+    # a fresh pass at z = 0 and the kept table agree bit for bit, all 64 characteristics
+    zero = np.zeros(3)
+    for q in all_forms():
+        m = q.characteristic
+        fresh, kept = theta(m, tau_seed1, zero), theta_const(m, tau_seed1)
+        assert np.complex128(fresh).tobytes() == np.complex128(kept).tobytes()
 
 
 def test_failed_pass_is_not_kept(series_calls):
@@ -417,6 +435,11 @@ def test_period_matrix_validation():
         bad = bad + 0j
         bad[0, 1] = 1e-6
         PeriodMatrix(bad)
+    for entry in (10**400, "a"):
+        rows = (1j * np.eye(3)).tolist()
+        rows[0][1] = rows[1][0] = entry
+        with pytest.raises(InvalidTauError, match="not complex numbers"):
+            PeriodMatrix(rows)
     # tiny asymmetry is symmetrized
     nearly = 1j * np.eye(3) + 0j
     nearly[0, 1] = 1e-13
@@ -435,6 +458,12 @@ def test_tau_json_malformed():
         tau_from_json({"tau": [[1, 2], [3]]})
     with pytest.raises(InvalidTauError):
         tau_from_json({"nope": 1})
+    # every entry is a JSON number a float can hold: no boolean, string, null, list or 400-digit integer
+    for entry in (10**400, True, "a", None, [1.0]):
+        obj = tau_to_json(1j * np.eye(3))
+        obj["tau"][0][1]["im"] = entry
+        with pytest.raises(InvalidTauError, match="malformed tau JSON"):
+            tau_from_json(obj)
 
 
 def test_random_tau_recipe_shape():
