@@ -77,6 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_json_target(path: str) -> None:
     """Refuse a --json path that cannot be written, before any work; the file is opened only by :func:`_emit`."""
+    if not path:
+        raise ValueError("--json needs a file path, got an empty one")
     if os.path.isdir(path):
         raise ValueError(f"--json {path} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -188,7 +190,7 @@ def _emit(obj, args) -> None:
     out = []
     _dump(obj, "", out)
     text = "".join(out)
-    if args.json_path:
+    if args.json_path is not None:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -362,7 +364,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.json_path:
+        if args.json_path is not None:
             _check_json_target(args.json_path)
         return COMMANDS[args.command][0](args)
     except SpecialLocusError as exc:

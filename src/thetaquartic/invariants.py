@@ -26,8 +26,9 @@ from . import weber as wb
 class Check:
     """A named identity and its tolerance.
 
-    Calling it measures one period matrix: ``measure(tau, rng, pol)``
-    returns the residual(s), drawing any random inputs from ``rng``.
+    Calling it measures one period matrix: ``measure(tau, rng)``
+    returns the residual(s), drawing any random inputs from ``rng``;
+    theta values come from the tables kept at the default tail.
     Weber's coefficients are taken in his printed row-sign convention;
     the signs do not change k, the quartic or the lines.
     """
@@ -36,8 +37,8 @@ class Check:
     tol: float
     measure: Callable
 
-    def __call__(self, tau=None, rng=None, pol=te.DEFAULT_POLICY, **kw):
-        return self.measure(tau, rng, pol, **kw)
+    def __call__(self, tau=None, rng=None, **kw):
+        return self.measure(tau, rng, **kw)
 
     def passes(self, residuals) -> bool:
         """Whether no residual exceeds the tolerance (NaN fails)."""
@@ -133,7 +134,7 @@ def weber_symbolic_table(*_):
 
 
 @_check("reduction-formula", 1e-10)
-def reduction_formula(tau, rng, pol):
+def reduction_formula(tau, rng):
     """theta at a random lift of the even [101|101] against the direct sum, relative."""
     shift = ca.Characteristic(
         tuple(2 * int(x) for x in rng.integers(0, 2, 3)),
@@ -141,51 +142,51 @@ def reduction_formula(tau, rng, pol):
     )
     m = ca.Characteristic((1, 0, 1), (1, 0, 1)) + shift
     direct = raw_theta(m.mp, m.mpp, tau.tau, np.zeros(3))
-    return abs(direct - te.theta_const(m, tau, pol)) / abs(direct)
+    return abs(direct - te.theta_const(m, tau)) / abs(direct)
 
 
 @_check("parity-vanishing", 1e-10)
-def parity_vanishing(tau, rng, pol):
+def parity_vanishing(tau, rng):
     """Odd constants over the largest even one, and even gradients over the largest odd one."""
-    scale = max(abs(v) for v in te.even_constant_table(tau, pol).values())
-    gscale = max(np.linalg.norm(g) for g in te.odd_gradient_table(tau, pol).values())
-    odd = max(abs(te.theta_const(q.characteristic, tau, pol)) for q in ca.odd_forms())
-    even = max(np.linalg.norm(te.grad_theta0(q.characteristic, tau, pol)) for q in ca.even_forms())
+    scale = max(abs(v) for v in te.even_constant_table(tau).values())
+    gscale = max(np.linalg.norm(g) for g in te.odd_gradient_table(tau).values())
+    odd = max(abs(te.theta_const(q.characteristic, tau)) for q in ca.odd_forms())
+    even = max(np.linalg.norm(te.grad_theta0(q.characteristic, tau)) for q in ca.even_forms())
     return max(odd / scale, even / gscale)
 
 
 @_check("gradient-finite-difference", 1e-7)
-def gradient_finite_difference(tau, rng, pol):
+def gradient_finite_difference(tau, rng):
     """Series gradients of 3 random odd forms against central differences, relative."""
     worst = 0.0
     for idx in rng.integers(0, 28, 3):
         m = ca.odd_forms()[int(idx)].characteristic
-        g = te.grad_theta0(m, tau, pol)
-        fd = fd_gradient(lambda dz: te.theta(m, tau, dz, pol))
+        g = te.grad_theta0(m, tau)
+        fd = fd_gradient(lambda dz: te.theta(m, tau, dz))
         worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(g))
     return worst
 
 
 @_check("addition-formula", 1e-9)
-def addition_formula(tau, rng, pol):
+def addition_formula(tau, rng):
     """Four-term addition formula for (q5+q6+q7, q5, q6, q7) at u = 0 and a random v."""
     q5, q6, q7 = ca.REFERENCE_SYSTEM.forms[4:]
     return te.addition_formula_residual(
         ca.char_sum(q5, q6, q7), q5.characteristic, q6.characteristic, q7.characteristic,
-        None, _random_z(rng), tau, pol,
+        None, _random_z(rng), tau,
     )
 
 
 @_check("quasi-periodicity", 1e-9)
-def quasi_periodicity(tau, rng, pol):
+def quasi_periodicity(tau, rng):
     """Half-period law for a random form, half period and z."""
     q = ca.all_forms()[int(rng.integers(0, 64))].characteristic
     k, h = rng.integers(0, 2, 3), rng.integers(0, 2, 3)
-    return te.quasi_periodicity_residual(q, k, h, tau, _random_z(rng), pol)
+    return te.quasi_periodicity_residual(q, k, h, tau, _random_z(rng))
 
 
 @_check("jacobi-ratio", 1e-8)
-def jacobi_ratio(tau, rng, pol, system=ca.REFERENCE_SYSTEM):
+def jacobi_ratio(tau, rng, system=ca.REFERENCE_SYSTEM):
     """Determinant-ratio identity for the first four forms of ``system``.
 
     Returns (worst relative residual over both completions, relative gap
@@ -194,30 +195,30 @@ def jacobi_ratio(tau, rng, pol, system=ca.REFERENCE_SYSTEM):
     quad = system.forms[:4]
     worst, values = 0.0, []
     for comp in ca.complete_4tuple(*quad):
-        lhs, rhs = wb.jacobi_ratio(quad, comp, tau, pol)
+        lhs, rhs = wb.jacobi_ratio(quad, comp, tau)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
         values.append(rhs)
     return np.array([worst, abs(values[0] - values[1]) / abs(values[0])])
 
 
 @_check("weber-normalization-k", 1e-8)
-def weber_normalization_k(tau, rng, pol):
+def weber_normalization_k(tau, rng):
     """max |k - 1| of Weber's normalization."""
-    return float(np.abs(wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol).k - 1).max())
+    return float(np.abs(wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau).k - 1).max())
 
 
 @_check("determinant-ratio-rows", 1e-8)
-def determinant_ratio_rows(tau, rng, pol):
+def determinant_ratio_rows(tau, rng):
     """Projective residual of the coefficient rows against their determinant ratios."""
-    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol)
-    rows = wb.aronhold_coeffs_dets(ca.REFERENCE_SYSTEM, tau, pol)
+    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau)
+    rows = wb.aronhold_coeffs_dets(ca.REFERENCE_SYSTEM, tau)
     return max(wb.ProjLine(tuple(rows[i])).residual_to(frame.a[i]) for i in range(3))
 
 
 @_check("bitangency-28", vf.BITANGENCY_TOL)
-def bitangency_28(tau, rng, pol):
+def bitangency_28(tau, rng):
     """Certificate residuals of the 28 transported lines on the reconstructed quartic."""
-    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau, pol)
-    lines = wb.all_bitangents(ca.REFERENCE_SYSTEM, tau, pol)
+    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau)
+    lines = wb.all_bitangents(ca.REFERENCE_SYSTEM, tau)
     (_, residual, _, _), _ = vf.bitangency_summary(wb.riemann_quartic(frame.xi), lines)
     return residual

@@ -16,10 +16,13 @@ all 64 reduced characteristics, indexed by packed index
 (:func:`thetaquartic.charalgebra.pack`).  Every theta quantity is read
 from such a table by one helper (:func:`_lookup`), which reduces an
 integer characteristic m = r + 2n and applies the reduction sign.  At
-z = 0 the table is the one kept on the PeriodMatrix per policy, with the
-special-locus verdict beside it (:func:`theta_tables`), so the
-constants, the gradients, the Jacobian determinants and every pipeline
-stage read the same pass; a value at any other z costs one fresh pass.
+z = 0 the table is the one kept on the PeriodMatrix per truncation
+policy, with the special-locus verdict beside it (:func:`theta_tables`).
+The policy is a setting of the tables only: :func:`theta_tables` and
+:func:`even_constant_table` take one, and every other entry point reads
+the default-tail table, so the constants, the gradients, the Jacobian
+determinants and every pipeline stage read the same pass; a value at
+any other z costs one fresh default-tail pass.
 
 With Y = Im(tau), p = n + m'/2 and a = Y^-1 Im(z), a term has modulus
 exp(pi a.Y.a) exp(-pi (n+c).Y.(n+c)) with center c = m'/2 + a, the
@@ -244,7 +247,7 @@ def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: Truncation
     return r * r / math.pi
 
 
-def _series(tau: PeriodMatrix, z, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
+def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
     """Values (64,) and z-gradients (64, 3) of theta at every reduced characteristic, by packed index.
 
     One lattice pass over the ellipsoids of the 8 m' shifts (see the
@@ -283,38 +286,32 @@ def _lookup(table: np.ndarray, m: Characteristic):
     return sign * table[pack(r)]
 
 
-def theta(m: Characteristic, tau: PeriodMatrix, z=None, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta(m: Characteristic, tau: PeriodMatrix, z=None) -> complex:
     """theta_m(tau, z) for an arbitrary integer characteristic m.
 
     Reduces m first and premultiplies by the reduction sign, so callers
     may pass non-reduced sums of characteristics directly.  With z None
     it reads the kept table at z = 0; any other z costs one lattice pass.
     """
-    return _lookup(theta_tables(tau, pol).values if z is None else _series(tau, z, pol)[0], m)
+    return _lookup(theta_tables(tau).values if z is None else _series(tau, z)[0], m)
 
 
-def theta_const(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta_const(m: Characteristic, tau: PeriodMatrix) -> complex:
     """The theta constant theta_m(tau) := theta_m(tau, 0)."""
-    return theta(m, tau, None, pol)
+    return theta(m, tau)
 
 
-def grad_theta0(m: Characteristic, tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+def grad_theta0(m: Characteristic, tau: PeriodMatrix) -> np.ndarray:
     """The z-gradient of theta_m at z = 0, by the termwise differentiated series, from the kept table."""
-    return _lookup(theta_tables(tau, pol).grads, m)
+    return _lookup(theta_tables(tau).grads, m)
 
 
-def jacobian_det(
-    q1: Characteristic,
-    q2: Characteristic,
-    q3: Characteristic,
-    tau: PeriodMatrix,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
+def jacobian_det(q1: Characteristic, q2: Characteristic, q3: Characteristic, tau: PeriodMatrix) -> complex:
     """D[q1,q2,q3]: determinant of the three stacked theta gradients at 0, from the kept table."""
     for q in (q1, q2, q3):
         if not q.parity():
             raise ValueError(f"jacobian_det needs odd characteristics, got {q.bracket()}")
-    grads = theta_tables(tau, pol).grads
+    grads = theta_tables(tau).grads
     return complex(np.linalg.det([_lookup(grads, q) for q in (q1, q2, q3)]))
 
 
@@ -337,7 +334,6 @@ def addition_formula_residual(
     u,
     v,
     tau: PeriodMatrix,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """Normalized residual of the classical four-term addition formula.
 
@@ -351,14 +347,14 @@ def addition_formula_residual(
     ns = [_half_combination(ms, s) for s in _ADDITION_SIGNS]
     zero = np.zeros(3, dtype=complex)
     uu, vv = (zero if x is None else np.asarray(x, dtype=complex) for x in (u, v))
-    consts = theta_tables(tau, pol).values
+    consts = theta_tables(tau).values
     lhs = (
-        _lookup(_series(tau, uu + vv, pol)[0], m1)
-        * _lookup(_series(tau, uu - vv, pol)[0], m2)
+        _lookup(_series(tau, uu + vv)[0], m1)
+        * _lookup(_series(tau, uu - vv)[0], m2)
         * _lookup(consts, m3)
         * _lookup(consts, m4)
     )
-    at_u, at_v = (consts if x is None else _series(tau, x, pol)[0] for x in (u, v))
+    at_u, at_v = (consts if x is None else _series(tau, x)[0] for x in (u, v))
     total = 0.0 + 0.0j
     peak = 0.0
     factor_peak = 0.0
@@ -386,14 +382,7 @@ def addition_formula_residual(
     return abs(lhs - rhs) / scale
 
 
-def quasi_periodicity_residual(
-    q: Characteristic,
-    k,
-    h,
-    tau: PeriodMatrix,
-    z,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def quasi_periodicity_residual(q: Characteristic, k, h, tau: PeriodMatrix, z) -> float:
     """Residual of the half-period transformation law.
 
     Shifting z by h/2 + tau.k/2 multiplies theta[q] by
@@ -405,10 +394,10 @@ def quasi_periodicity_residual(
     k = np.array([int(x) for x in k])
     h = np.array([int(x) for x in h])
     z = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    lhs = theta(q, tau, z + h / 2 + tau.tau @ k / 2, pol)
+    lhs = theta(q, tau, z + h / 2 + tau.tau @ k / 2)
     mpp = np.array(q.mpp)
     exponent = -0.5 * k @ (mpp + h) - k @ z - 0.25 * k @ tau.tau @ k
-    rhs = ephase(exponent) * theta(char_sum(q, Characteristic(tuple(k), tuple(h))), tau, z, pol)
+    rhs = ephase(exponent) * theta(char_sum(q, Characteristic(tuple(k), tuple(h))), tau, z)
     scale = max(abs(lhs), abs(rhs))
     if scale == 0:
         return 0.0
@@ -454,25 +443,23 @@ def even_constant_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLIC
     return dict(zip(_EVEN, theta_tables(tau, pol).values[_EVEN_IDX]))
 
 
-def odd_gradient_table(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> dict:
+def odd_gradient_table(tau: PeriodMatrix) -> dict:
     """All 28 odd theta gradients at z = 0 by reduced Characteristic: read-only rows of :func:`theta_tables`."""
-    rows = theta_tables(tau, pol).grads[_ODD_IDX]
+    rows = theta_tables(tau).grads[_ODD_IDX]
     rows.setflags(write=False)
     return dict(zip(_ODD, rows))
 
 
-def vanishing_even_characteristics(
-    tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY
-) -> list[Characteristic]:
+def vanishing_even_characteristics(tau: PeriodMatrix) -> list[Characteristic]:
     """Reduced even characteristics whose constant is numerically zero.
 
     "Zero" is scale-free: |theta| < VANISHING_REL_TOL * max over the
     even constants.  A non-empty answer means tau sits on (or hugs) the
     hyperelliptic/decomposable locus where the reconstruction formulas
-    divide by zero.  The scan runs once per (tau, policy), with the
+    divide by zero.  The scan runs once per tau, with the default-tail
     lattice pass, and is kept in :func:`theta_tables`.
     """
-    return list(theta_tables(tau, pol).vanishing)
+    return list(theta_tables(tau).vanishing)
 
 
 def random_tau(rng: np.random.Generator) -> np.ndarray:
@@ -491,7 +478,9 @@ def random_tau(rng: np.random.Generator) -> np.ndarray:
 def complex_to_json(z):
     """The JSON form of complex numbers: {"re", "im"} for a number, nested lists of them for an array.
 
-    Every complex number the package writes goes through here.
+    The wire form of every complex number the package writes; the
+    command line's reports are written from templates pinned to it
+    (``thetaquartic.cli._complex_text``), and a tau file through here.
     """
     if np.ndim(z):
         return [complex_to_json(x) for x in z]

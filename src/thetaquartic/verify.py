@@ -37,13 +37,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigvals
 
 from .errors import DegenerateCurveError, ThetaQuarticError
-from .thetaeval import (
-    DEFAULT_POLICY,
-    PeriodMatrix,
-    TruncationPolicy,
-    random_tau,
-    vanishing_even_characteristics,
-)
+from .thetaeval import PeriodMatrix, random_tau, vanishing_even_characteristics
 from .weber import MONOMIALS, ProjLine, QuarticCurve
 
 #: a line is certified bitangent when its root-clustering residual is below this
@@ -53,19 +47,18 @@ BITANGENCY_TOL = 1e-6
 #: mean the line lies on the curve
 RESTRICTION_ZERO_TOL = 1e-12
 
+#: draws :func:`random_admissible_tau` makes before it gives up
+MAX_TRIES = 100
 
-def random_admissible_tau(
-    seed: int, pol: TruncationPolicy = DEFAULT_POLICY, max_tries: int = 100
-) -> PeriodMatrix:
+
+def random_admissible_tau(seed: int) -> PeriodMatrix:
     """Seeded random period matrix, rejection-sampled off the special locus."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         tau = PeriodMatrix(random_tau(rng))
-        if not vanishing_even_characteristics(tau, pol):
+        if not vanishing_even_characteristics(tau):
             return tau
-    raise ThetaQuarticError(
-        f"no admissible period matrix found in {max_tries} draws (seed {seed})"
-    )
+    raise ThetaQuarticError(f"no admissible period matrix found in {MAX_TRIES} draws (seed {seed})")
 
 
 @dataclass

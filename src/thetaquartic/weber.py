@@ -21,8 +21,9 @@ Cramer's rule these are the Jacobian-determinant ratios, so the 28 lines
 and the determinant-ratio rows come from one 3x3 solve.
 
 After the lattice pass everything per system is an integer gather.  The
-kept theta tables are arrays by packed index
-(:func:`thetaquartic.thetaeval.theta_tables`), and each ordered system
+theta tables kept at the default tail are arrays by packed index
+(:func:`thetaquartic.thetaeval.theta_tables`; no stage here takes a
+truncation policy), and each ordered system
 has a gather plan, built once from :func:`weber_symbolic` and the
 bitangent labels: the packed indices (n1, n2, d1, d2) and the phase of
 each a_ij, and the packed indices of its 28 odd forms.  So the nine
@@ -67,10 +68,8 @@ from .errors import DegenerateCurveError, SingularSystemError, SpecialLocusError
 # even_constant_table, odd_gradient_table, arf and is_azygetic_triple are not called here:
 # perfbench/tracing.py wraps this module's bindings of them
 from .thetaeval import (
-    DEFAULT_POLICY,
     PeriodMatrix,
     ThetaTables,
-    TruncationPolicy,
     even_constant_table,
     jacobian_det,
     odd_gradient_table,
@@ -223,22 +222,22 @@ class _GatherPlan:
 # ---------------------------------------------------------------------------
 # admission gate
 
-def require_generic(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> ThetaTables:
-    """Return the kept theta tables, refusing on the special locus.
+def require_generic(tau: PeriodMatrix) -> ThetaTables:
+    """Return the theta tables kept at the default tail, refusing on the special locus.
 
     Single source of truth for pipeline admission: exactly the verdict of
     :func:`thetaquartic.thetaeval.vanishing_even_characteristics`, kept
     with the tables.  The pipeline's stages here read the tables
     through this call.
     """
-    vanishing = vanishing_even_characteristics(tau, pol)
+    vanishing = vanishing_even_characteristics(tau)
     if vanishing:
         raise SpecialLocusError(
             "even theta constants vanish (hyperelliptic or decomposable tau): "
             + ", ".join(m.bracket() for m in vanishing),
             vanishing=vanishing,
         )
-    return theta_tables(tau, pol)
+    return theta_tables(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,6 @@ def jacobi_ratio(
     quad: tuple[QuadForm, QuadForm, QuadForm, QuadForm],
     completion: tuple[QuadForm, QuadForm, QuadForm],
     tau: PeriodMatrix,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ):
     """Both sides of the determinant-ratio identity for an azygetic 4-tuple.
 
@@ -263,9 +261,9 @@ def jacobi_ratio(
     if not is_aronhold(quad + tuple(completion)):
         raise ValueError("the 4-tuple and its completion are not an Aronhold system")
 
-    require_generic(tau, pol)
-    lhs = jacobian_det(q4.characteristic, q2.characteristic, q3.characteristic, tau, pol) / jacobian_det(
-        q1.characteristic, q2.characteristic, q3.characteristic, tau, pol
+    require_generic(tau)
+    lhs = jacobian_det(q4.characteristic, q2.characteristic, q3.characteristic, tau) / jacobian_det(
+        q1.characteristic, q2.characteristic, q3.characteristic, tau
     )
 
     s567 = char_sum(q5, q6, q7)
@@ -273,8 +271,8 @@ def jacobi_ratio(
     pref = -_int_sign(sum(s567.mp[i] * s14.mpp[i] for i in range(3)))
     num = den = 1.0 + 0.0j
     for x, y in ((q5, q6), (q5, q7), (q6, q7)):
-        num *= theta_const(char_sum(x, y, q1), tau, pol)
-        den *= theta_const(char_sum(x, y, q4), tau, pol)
+        num *= theta_const(char_sum(x, y, q1), tau)
+        den *= theta_const(char_sum(x, y, q4), tau)
     rhs = pref * num / den
     return lhs, rhs
 
@@ -283,11 +281,7 @@ def _int_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def aronhold_coeffs_dets(
-    system: AronholdSystem,
-    tau: PeriodMatrix,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def aronhold_coeffs_dets(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     """The rows (a_i1 : a_i2 : a_i3) as Jacobian determinant ratios.
 
     Row i is (D[q_{4+i},q2,q3]/D[q4,q2,q3], D[q1,q_{4+i},q3]/D[q1,q4,q3],
@@ -296,8 +290,8 @@ def aronhold_coeffs_dets(
     gates the denominators.  The overall scalar of each row is not
     meaningful, only its projective class.
     """
-    t = frame_matrix(system, tau, pol)
-    return require_generic(tau, pol).grads[_plan(system).lines[4:7]] @ t
+    t = frame_matrix(system, tau)
+    return require_generic(tau).grads[_plan(system).lines[4:7]] @ t
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +439,7 @@ def riemann_quartic(xi: np.ndarray) -> QuarticCurve:
     return QuarticCurve(tuple(unit_pivot(coeffs)))
 
 
-def frame_matrix(
-    system: AronholdSystem,
-    tau: PeriodMatrix,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     """The 3x3 matrix T taking theta-frame gradients to Weber-frame covectors.
 
     With G the gradients of theta[q_1], theta[q_2], theta[q_3] at 0
@@ -467,7 +457,7 @@ def frame_matrix(
     three gradient norms: a frame double precision cannot represent,
     which says nothing about the even constants.
     """
-    grads, lines = require_generic(tau, pol).grads, _plan(system).lines
+    grads, lines = require_generic(tau).grads, _plan(system).lines
     g, g4 = grads[lines[:3]], grads[lines[3]]
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     cond = np.linalg.cond(g := g / norms) if norms.min() > 0 else np.inf
@@ -489,11 +479,7 @@ def frame_matrix(
     return inv / c4
 
 
-def weber_coefficients(
-    system: AronholdSystem,
-    tau: PeriodMatrix,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> AronholdFrame:
+def weber_coefficients(system: AronholdSystem, tau: PeriodMatrix) -> AronholdFrame:
     """Weber's formula end to end: the normalized Aronhold frame.
 
     Refuses on the special locus, evaluates the nine coefficients a_ij
@@ -504,18 +490,14 @@ def weber_coefficients(
     even constants enter denominators, while the curve and its lines can
     stay accurate, so |k - 1| is a diagnostic, not a measure of accuracy.
     """
-    a = _weber_matrix(_plan(system), require_generic(tau, pol).values)
+    a = _weber_matrix(_plan(system), require_generic(tau).values)
     lam = solve_lambda(a)
     k = solve_k(a, lam)
     xi = xi_forms(a, k)
     return AronholdFrame(system=system, a=a, k=k, lam=lam, xi=xi)
 
 
-def all_bitangents(
-    system: AronholdSystem,
-    tau: PeriodMatrix,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> tuple[tuple[QuadForm, ...], np.ndarray]:
+def all_bitangents(system: AronholdSystem, tau: PeriodMatrix) -> tuple[tuple[QuadForm, ...], np.ndarray]:
     """All 28 bitangents in the Weber frame: (labels, covectors).
 
     ``labels`` are the 28 odd forms, the seven system forms b_1..b_7
@@ -526,9 +508,9 @@ def all_bitangents(
     the kept gradients and one product for all 28, checked by
     :func:`line_covectors`.
     """
-    t = frame_matrix(system, tau, pol)
+    t = frame_matrix(system, tau)
     plan = _plan(system)
-    return plan.labels, line_covectors(require_generic(tau, pol).grads[plan.lines] @ t)
+    return plan.labels, line_covectors(require_generic(tau).grads[plan.lines] @ t)
 
 
 def _bitangent_labels(system: AronholdSystem) -> tuple[QuadForm, ...]:

@@ -150,7 +150,7 @@ def test_malformed_tau_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bitangents", "--tau", str(tmp_path))
     assert code == 1 and err.startswith("input error: ")
     # an unwritable --json target is refused before any work
-    for target in (tmp_path, tmp_path / "missing" / "out.json"):
+    for target in (tmp_path, tmp_path / "missing" / "out.json", ""):
         code, _, err = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"), "--json", str(target))
         assert code == 1 and err.startswith("input error: ") and "bitangency:" not in err
 

@@ -35,6 +35,7 @@ from thetaquartic.thetaeval import (
     tau_to_json,
     theta,
     theta_const,
+    theta_tables,
     vanishing_even_characteristics,
 )
 from thetaquartic.weber import aronhold_coeffs_dets, jacobi_ratio, require_generic
@@ -293,16 +294,14 @@ def test_quasi_periodicity_composed(tau_seed1):
 
 
 def test_truncation_convergence(tau_seed1):
-    tight = TruncationPolicy(target_tail=1e-15)
-    loose = TruncationPolicy(target_tail=1e-300)  # R = 15.1 against 3.9 at 1e-15
-    for q in (even_forms()[3], odd_forms()[12]):
-        m = q.characteristic
-        a = theta_const(m, tau_seed1, tight)
-        b = theta_const(m, tau_seed1, loose)
-        scale = max(abs(v) for v in even_constant_table(tau_seed1).values())
-        assert abs(a - b) < 1e-12 * scale
-        ga = grad_theta0(m, tau_seed1, tight)
-        gb = grad_theta0(m, tau_seed1, loose)
+    # all 64 values and gradients, by packed index
+    tight = theta_tables(tau_seed1, TruncationPolicy(target_tail=1e-15))
+    loose = theta_tables(tau_seed1, TruncationPolicy(target_tail=1e-300))  # R = 15.1 against 3.9 at 1e-15
+    scale = max(abs(v) for v in even_constant_table(tau_seed1).values())
+    for q in all_forms():
+        x = pack(q)
+        assert abs(tight.values[x] - loose.values[x]) < 1e-12 * scale
+        ga, gb = tight.grads[x], loose.grads[x]
         assert np.linalg.norm(ga - gb) <= 1e-12 * max(np.linalg.norm(ga), scale)
 
 
@@ -374,10 +373,17 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
     assert len(series_calls) == 4
     loose = TruncationPolicy(target_tail=1e-10)
     even_constant_table(tau, loose)
-    odd_gradient_table(tau, loose)
+    coarse = theta_tables(tau, loose)
+    assert not np.array_equal(coarse.values, theta_tables(tau).values)
+    # the coarse table kept beside the default one never reaches the pipeline
+    a = weber_coefficients(REFERENCE_SYSTEM, tau).a
+    _, lines = all_bitangents(REFERENCE_SYSTEM, tau)
     assert len(series_calls) == 5
     twin = PeriodMatrix(tau_seed1.tau)
     odd_gradient_table(twin)
+    assert len(series_calls) == 6
+    assert a.tobytes() == weber_coefficients(REFERENCE_SYSTEM, twin).a.tobytes()
+    assert lines.tobytes() == all_bitangents(REFERENCE_SYSTEM, twin)[1].tobytes()
     assert len(series_calls) == 6
 
 

@@ -180,9 +180,10 @@ def test_bitangency_summary_of_no_lines(tau_seed1):
     assert [c.shape for c in certs] == [(0,), (0,), (0, 2, 3), (0,)]
 
 
-def test_random_admissible_tau_exhaustion():
+def test_random_admissible_tau_exhaustion(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_TRIES", 0)
     with pytest.raises(ThetaQuarticError, match="seed"):
-        random_admissible_tau(3, max_tries=0)
+        random_admissible_tau(3)
 
 
 def _pipeline(seed):

@@ -265,7 +265,7 @@ def test_frame_gates_guard_lines_and_rows(slot, combo, gate, tau_seed1, monkeypa
     grads = tables.grads.copy()
     idx = [pack(q) for q in N[:4]]
     grads[idx[slot]] = sum(c * grads[m] for c, m in zip(combo, idx))
-    monkeypatch.setattr(weber, "theta_tables", lambda tau, pol: tables._replace(grads=grads))
+    monkeypatch.setattr(weber, "theta_tables", lambda tau: tables._replace(grads=grads))
     for build in (all_bitangents, aronhold_coeffs_dets):
         with pytest.raises(SingularSystemError, match=gate):
             build(REFERENCE_SYSTEM, tau_seed1)
