@@ -28,16 +28,20 @@ With Y = Im(tau), p = n + m'/2 and a = Y^-1 Im(z), a term has modulus
 exp(pi a.Y.a) exp(-pi (n+c).Y.(n+c)) with center c = m'/2 + a, the
 Gaussian peak.  Each m' shift sums over its ellipsoid
 
-    (n + c).Y.(n + c) <= R^2,
+    (n + c).Y.(n + c) <= R^2.
 
-enumerated level by level from the Cholesky factor of Y (Fincke-Pohst);
-one vectorized pass enumerates the ellipsoids of the 8 shifts, its N
-points grouped by shift.  The points and the factor e(p.tau.p + 2p.z)
-depend on m' only, and e(p.m'') = i^(2p.m'') is a power of i, so one
-N x 8 table holds the terms of every m'' at every point.  Segment sums
-of that table over the groups (``np.add.reduceat``) give the values of
-all 8 m'' of every shift, and segment sums of it weighted by each
-coordinate of p give the gradients, times 2*pi*i.
+The 8 shifted ellipsoids are one ellipsoid in k = 2p, an integer vector
+with k mod 2 = m':
+
+    |(chol/2).(k + 2a)|^2 <= R^2,   Y = chol^T chol,
+
+enumerated level by level from the Cholesky factor (Fincke-Pohst) in one
+vectorized pass.  The factor w = e(p.tau.p + 2p.z) is common to all 64
+characteristics at a point, and e(p.m'') = i^(k.m'') depends only on
+k mod 4.  So the pass sums w and p_l w over the 64 classes of k mod 4
+(``np.bincount``), and one constant 64 x 64 table of units (i^(k.m'')
+where k mod 2 = m', else 0) maps the class sums to the values and, times
+2*pi*i, the gradients of every characteristic.
 
 R follows the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004).  In
@@ -55,9 +59,9 @@ value mass plus gradient mass, relative to exp(pi a.Y.a) (which is 1 at
 z = 0), is below ``target_tail``: values and gradients share one rule.
 
 The enumeration counts the points of each level before it allocates
-them, and a pass that would hold more than ``MAX_POINTS`` points per
-shift raises :class:`TruncationError`.  The count is usually about
-(4/3) pi R^3 / sqrt(det Y) per shift, which is invariant under
+them, and a pass that would hold more than ``MAX_POINTS`` points raises
+:class:`TruncationError`.  The count is usually about
+8 (4/3) pi R^3 / sqrt(det Y), which is invariant under
 tau -> U tau U^T for U in GL_3(Z).  R itself grows only logarithmically
 with 1/lam_min (through the gradient weight and the packing radius).
 An ellipsoid thinner than the lattice spacing in some direction holds
@@ -89,10 +93,9 @@ VANISHING_REL_TOL = 1e-8
 
 DEFAULT_TAIL = 1e-15
 
-#: Cap on the lattice points of one m' shift.  A pass over all eight
-#: shifts then holds at most about a million points (about 250 MB at its
-#: peak, most of it one N x 8 complex term table).
-MAX_POINTS = 1 << 17
+#: Cap on the lattice points k = 2p of one pass, all eight m' shifts
+#: together.  A pass near the cap peaks at about 180 MB (tracemalloc).
+MAX_POINTS = 1 << 20
 
 #: Cap on the packing radius the tail bound uses.  The bound's radius
 #: R(rho) is flat near its minimum at about this value, so a shortest
@@ -103,10 +106,23 @@ RHO_CAP = 0.5
 #: |u| exp(-|u|^2) is subharmonic in 3-D (exp(-|u|^2) from sqrt(3/2) on).
 _T_MIN = (10 + math.sqrt(68)) / 8
 
+#: Largest exponent whose exp is a float: a pass at z whose peak term exceeds it is refused
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 _UNITS = np.array([1, 1j, -1, -1j])
 
 #: _BITS[x] holds the bits of x: the characteristic of packed index x + 8 y is [_BITS[x]; _BITS[y]]
 _BITS = np.array([[(x >> i) & 1 for i in range(3)] for x in range(8)], dtype=np.int8)
+
+#: Class c of k mod 4 holds k = _CLASSES[c] mod 4, c = k_1 + 4 k_2 + 16 k_3
+_CLASS_STRIDES = np.array([1, 4, 16])
+_CLASSES = (np.arange(64)[:, None] // _CLASS_STRIDES) & 3
+#: [x + 8 y, c]: the factor of the class-c sums in theta at [m'; m''] = [_BITS[x]; _BITS[y]],
+#: i^(k.m'') where k mod 2 is m', else 0
+_CLASS_UNITS = (
+    _UNITS[(_BITS @ _CLASSES.T) & 3][:, None, :]  # [y, 1, c]: i^(k.m'')
+    * ((_CLASSES & 1) == _BITS[:, None]).all(axis=-1)  # [x, c]: k mod 2 is m'
+).reshape(64, 64)
 
 _EVEN = tuple(q.characteristic for q in even_forms())
 _ODD = tuple(q.characteristic for q in odd_forms())
@@ -175,40 +191,33 @@ class PeriodMatrix:
         return f"PeriodMatrix(lam_min={self.lam_min:.4g})"
 
 
-def _ellipsoid(chol: np.ndarray, centers: np.ndarray, r2: float):
-    """The integer points n with |chol.(n + c)|^2 <= r2, for each row c of ``centers``.
+def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
+    """The integer points k with |chol.(k + center)|^2 <= r2, as float rows.
 
-    Fincke-Pohst on the upper Cholesky factor: n_3 ranges over its
-    interval, then n_2 over the interval the remaining budget leaves for
-    each n_3, then n_1; each level is one vectorized expansion over all
-    centers at once.  Returns float rows n and, for each, the index of
-    its center; rows come grouped by center, in order.  Raises
+    Fincke-Pohst on the upper Cholesky factor: k_3 ranges over its
+    interval, then k_2 over the interval the remaining budget leaves for
+    each k_3, then k_1; each level is one vectorized expansion.  Raises
     :class:`TruncationError` before a level would exceed ``MAX_POINTS``
-    points per center.
+    points.
     """
-    n = np.zeros((len(centers), 0))
-    owner = np.arange(len(centers))
-    rem = np.full(len(centers), r2)
+    k = np.zeros((1, 0))
+    rem = np.full(1, r2)
     for i in (2, 1, 0):
         d = chol[i, i]
-        c = centers[owner]
-        mid = -c[:, i] - (n + c[:, i + 1 :]) @ (chol[i, i + 1 :] / d)  # window center for n_i
-        half = np.sqrt(rem.clip(0)) / d
+        mid = -center[i] - (k + center[i + 1 :]) @ (chol[i, i + 1 :] / d)  # window center for k_i
+        half = np.sqrt(np.maximum(rem, 0)) / d
         lo = np.ceil(mid - half)
         counts = np.floor(mid + half) - lo + 1
-        if counts.sum() > MAX_POINTS * len(centers):
+        if counts.sum() > MAX_POINTS:
             raise TruncationError(
-                f"{counts.sum():.3g} lattice points needed for {len(centers)} shift(s), "
-                f"over the cap of {MAX_POINTS} per shift; Im(tau) is too close to singular "
-                "for the requested tail"
+                f"{counts.sum():.3g} lattice points needed, over the cap of {MAX_POINTS}; "
+                "Im(tau) is too close to singular for the requested tail"
             )
         counts = counts.astype(int)
-        parent = np.repeat(np.arange(len(rem)), counts)
-        ni = np.arange(parent.size) + (lo - np.cumsum(counts) + counts)[parent]
-        n = np.column_stack([ni, n[parent]])
-        owner = owner[parent]
-        rem = rem[parent] - (d * (ni - mid[parent])) ** 2
-    return n, owner
+        ki = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        k = np.concatenate((ki[:, None], np.repeat(k, counts, axis=0)), axis=1)
+        rem = np.repeat(rem, counts) - (d * (ki - np.repeat(mid, counts))) ** 2
+    return k
 
 
 def _packing_radius(tau: PeriodMatrix, chol: np.ndarray) -> float:
@@ -220,7 +229,7 @@ def _packing_radius(tau: PeriodMatrix, chol: np.ndarray) -> float:
     """
     if math.pi * tau.lam_min >= RHO_CAP**2:
         return RHO_CAP  # |u|^2 >= pi * lam_min * |n|^2
-    n, _ = _ellipsoid(chol, np.zeros((1, 3)), RHO_CAP**2 / math.pi)
+    n = _ellipsoid(chol, np.zeros(3), RHO_CAP**2 / math.pi)
     norms = math.pi * ((n @ chol.T) ** 2).sum(axis=1)
     return math.sqrt(norms[norms > 0].min(initial=RHO_CAP**2))
 
@@ -250,34 +259,37 @@ def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: Truncation
 def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
     """Values (64,) and z-gradients (64, 3) of theta at every reduced characteristic, by packed index.
 
-    One lattice pass over the ellipsoids of the 8 m' shifts (see the
-    module docstring); ``z`` None means z = 0.
+    One lattice pass over k = 2p (see the module docstring); ``z`` None
+    means z = 0, and any other z must be 3 finite numbers.
     """
+    zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
+    if zz.shape != (3,) or not np.isfinite(zz).all():
+        raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
-    zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     a = np.linalg.solve(imag, zz.imag)
+    # log of the peak |w|, in Python floats, which overflow to inf without a warning
+    growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
+    if growth > _LOG_FLOAT_MAX:
+        raise ValueError(f"theta at z = {zz} leaves the float range: pi Im(z).Y^-1.Im(z) = {growth:.4g}")
     r2 = _radius2(tau, chol, a, pol)
-    half_mp = _BITS / 2  # row x: m' = _BITS[x]
-    p, owner = _ellipsoid(chol, half_mp + a, r2)
-    p += half_mp[owner]  # p = n + m'/2
+    try:
+        k = _ellipsoid(chol / 2, 2 * a, r2)  # (k/2 + a).Y.(k/2 + a) <= r2
+    except TruncationError as exc:
+        if z is None:
+            raise
+        raise TruncationError(f"{exc}; the pass was at z = {zz}") from None
+    cls = (k.astype(np.intp) & 3) @ _CLASS_STRIDES  # k mod 4
+    p = np.divide(k, 2, out=k)  # p = k/2, in place
     w = np.exp(1j * np.pi * (((p @ tau.tau) * p).sum(axis=1) + 2 * p @ zz))  # e(x) convention
-    # e(p.m'') = i^(2p.m''), 2p integral: the N x 8 table of exponents mod 4, one column per m''
-    powers = (p @ (2 * _BITS.T)).astype(np.intp) & 3
-    counts = np.bincount(owner, minlength=8)
-    full = counts > 0  # a shift whose ellipsoid holds no point sums to 0
-    starts = (np.cumsum(counts) - counts)[full]
-
-    def sums(weight):  # per-shift sums of the term table weight[n] * i^powers[n, y]
-        terms = _UNITS[powers]
-        terms *= weight[:, None]
-        out = np.zeros((8, 8), dtype=complex)
-        out[full] = np.add.reduceat(terms, starts, axis=0)
-        return out
-
-    values = sums(w)  # [x, y] belongs to [_BITS[x]; _BITS[y]], packed index x + 8 y
-    grads = np.stack([sums(p[:, l] * w) for l in range(3)], axis=-1)
-    return values.T.ravel(), 2j * np.pi * grads.transpose(1, 0, 2).reshape(64, 3)
+    terms = np.concatenate((w[None], p.T * w))  # row j: the weights of the value (j = 0) or of d/dz_j
+    idx = (cls + 64 * np.arange(4)[:, None]).ravel()
+    sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
+    out = sums.reshape(4, 64) @ _CLASS_UNITS.T  # row 0: the values; rows 1-3: the gradients' coordinates
+    out[1:] *= 2j * np.pi
+    if not np.isfinite(out).all():  # a peak term below the float limit can still overflow in p w or a sum
+        raise ValueError(f"theta at z = {zz} leaves the float range")
+    return out[0], out[1:].T.copy()
 
 
 def _lookup(table: np.ndarray, m: Characteristic):
@@ -292,6 +304,8 @@ def theta(m: Characteristic, tau: PeriodMatrix, z=None) -> complex:
     Reduces m first and premultiplies by the reduction sign, so callers
     may pass non-reduced sums of characteristics directly.  With z None
     it reads the kept table at z = 0; any other z costs one lattice pass.
+    A z that is not 3 finite numbers, or whose theta values leave the
+    float range, raises ValueError.
     """
     return _lookup(theta_tables(tau).values if z is None else _series(tau, z)[0], m)
 
@@ -422,7 +436,7 @@ class ThetaTables(NamedTuple):
 def theta_tables(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> ThetaTables:
     """The 64 theta constants and gradients at z = 0 and the special-locus scan, once per (tau, policy).
 
-    One lattice pass over the 8 m' shifts, kept on ``tau`` per policy;
+    One lattice pass (:func:`_series`), kept on ``tau`` per policy;
     tau and the policy are immutable, so it never goes stale.  A pass
     that raises keeps nothing.
     """

@@ -69,20 +69,26 @@ def pack_form(form) -> int:
     return sum(b << i for i, b in enumerate(bits))
 
 
-def cube_series(mp, mpp, tau, tail=1e-15):
-    """Theta constant and z-gradient at 0 from the cube-truncated series.
+def cube_series(mp, mpp, tau, tail=1e-15, z=None):
+    """Theta value and z-gradient at z (default 0) from the cube-truncated series.
 
     The summation rule the package used before its ellipsoid engine: all
-    p = n + m'/2 with n in the box of radius
-    ceil(|m'/2|_inf + sqrt(-ln(tail) / (pi lam_min))), lam_min the smallest
-    eigenvalue of Im(tau).
+    p = n + m'/2 with n in a box around the integer point c nearest the
+    Gaussian peak -Y^-1 Im(z), Y = Im(tau), of radius
+    ceil(|m'/2|_inf + |c + Y^-1 Im(z)|_inf + sqrt(-ln(tail) / (pi lam_min))),
+    lam_min the smallest eigenvalue of Y.
     """
     tau = np.asarray(tau)
+    z = np.zeros(3) if z is None else np.asarray(z, dtype=complex)
+    peak = -np.linalg.solve(tau.imag, z.imag)
+    center = np.rint(peak)
     lam_min = np.linalg.eigvalsh(tau.imag).min()
-    radius = math.ceil(max(mp) / 2 + math.sqrt(-math.log(tail) / (math.pi * lam_min)))
+    offset = np.abs(center - peak).max()
+    radius = math.ceil(max(mp) / 2 + offset + math.sqrt(-math.log(tail) / (math.pi * lam_min)))
     r = np.arange(-radius, radius + 1)
-    p = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3) + np.asarray(mp) / 2
-    terms = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + p @ np.asarray(mpp)))
+    box = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3) + center
+    p = box + np.asarray(mp) / 2
+    terms = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + p @ np.asarray(mpp) + 2 * p @ z))
     return terms.sum(), 2j * np.pi * p.T @ terms
 
 

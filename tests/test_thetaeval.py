@@ -94,6 +94,56 @@ def test_reduction_formula_at_z(tau_seed2):
     assert abs(lhs - direct) < 1e-12 * abs(direct)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 8, 12])
+def test_series_at_z_matches_cube_sum(seed):
+    # all 64 values and gradients of one pass at z != 0 against the cube sum centred at the peak;
+    # the third z puts the peak -Y^-1 Im z more than a lattice step from 0
+    tau = random_admissible_tau(seed)
+    y = tau.tau.imag
+    rng = np.random.default_rng(seed)
+    zs = [
+        rng.standard_normal(3) * 0.5 + 0.2j * rng.standard_normal(3),
+        rng.standard_normal(3) * 0.5 + 0.5j * rng.standard_normal(3),
+        rng.standard_normal(3) * 0.5 + 1j * (y @ np.array([1.6, -0.7, 0.4])),
+    ]
+    for z in zs:
+        a = np.linalg.solve(y, z.imag)
+        values, grads = thetaeval._series(tau, z)
+        # the exponents' roundoff grows with the log-modulus pi a.Y.a of the peak term
+        tol = 1e-15 * (10 + np.pi * z.imag @ a)
+        vscale, gscale = np.abs(values).max(), np.abs(grads).max()
+        for q in all_forms():
+            value, grad = cube_series(q.mp, q.mpp, tau.tau, z=z)
+            x = pack(q)
+            assert abs(values[x] - value) <= tol * vscale
+            assert np.abs(grads[x] - grad).max() <= tol * gscale
+    assert np.abs(a).max() > 1
+
+
+@pytest.mark.parametrize(
+    "z",
+    [[np.nan, 0, 0], [np.inf, 0, 0], [0, 0, complex(0, -np.inf)], [0, 0], [[0, 0, 0]], [0, 0, 0, 0]],
+    ids=["nan", "inf", "imag-inf", "shape-2", "shape-1x3", "shape-4"],
+)
+def test_theta_refuses_malformed_z(tau_seed1, z):
+    with pytest.raises(ValueError, match="z must be 3 finite"):
+        theta(Characteristic((1, 0, 1), (1, 0, 1)), tau_seed1, z)
+
+
+@pytest.mark.parametrize(
+    "tau, z, error",
+    [
+        (PeriodMatrix(1j * np.eye(3)), [30j, 0, 0], ValueError),  # |theta| about exp(pi 900): past the float range
+        (PeriodMatrix(1j * np.eye(3)), [1e300j, 0, 0], ValueError),
+        (PeriodMatrix(1j * np.diag([1e-10, 1e10, 1.0])), [0.1, 0, 0], TruncationError),  # over the point cap
+    ],
+    ids=["im-30", "im-1e300", "cap"],
+)
+def test_refusal_at_z_names_z(tau, z, error):
+    with pytest.raises(error, match=r"z = \["):
+        theta(Characteristic((0, 0, 0), (0, 0, 0)), tau, z)
+
+
 def test_constants_invariant_under_integer_lifts(tau_seed2):
     # re-evaluating an even constant from any integer lift (negative
     # entries included) reproduces it after sign correction
@@ -312,15 +362,24 @@ def test_truncation_policy_validation(tau_seed1):
     imag = tau_seed1.tau.imag
     chol = np.linalg.cholesky(imag).T
     r2 = 36.0
-    center = np.array([0.5, 0.0, 0.5])
-    points, _ = _ellipsoid(chol, center[None, :], r2)
-    summed = {tuple(n) for n in points.astype(int)}
-    reach = int(np.ceil(np.sqrt(r2 / np.linalg.eigvalsh(imag).min()))) + 1
+    reach = int(np.ceil(np.sqrt(r2 / np.linalg.eigvalsh(imag).min()))) + 3
     r = np.arange(-reach, reach + 1)
     box = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
-    x = box + center
-    inside = box[np.einsum("ni,ij,nj->n", x, imag, x) <= r2]
-    assert summed == {tuple(n) for n in inside}
+
+    def box_filter(center):
+        x = box + center
+        return {tuple(n) for n in box[np.einsum("ni,ij,nj->n", x, imag, x) <= r2]}
+
+    center = np.array([0.5, 0.0, 0.5])
+    points = _ellipsoid(chol, center, r2)
+    assert {tuple(n) for n in points.astype(int)} == box_filter(center)
+    # a pass's one ellipsoid in k = 2p is the union of the 8 shifted ellipsoids of p = n + m'/2:
+    # no point at a parity boundary is lost or counted twice
+    a = np.array([0.3, -1.25, 0.5])
+    k = _ellipsoid(chol / 2, 2 * a, r2).astype(int)
+    shifted = [2 * np.array(n) + mp for mp in np.ndindex(2, 2, 2) for n in box_filter(np.array(mp) / 2 + a)]
+    assert len(k) == len(shifted) == len({tuple(x) for x in k})
+    assert {tuple(x) for x in k} == {tuple(x) for x in shifted}
 
 
 def test_radius_cap_error():
