@@ -260,11 +260,17 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     """Values (64,) and z-gradients (64, 3) of theta at every reduced characteristic, by packed index.
 
     One lattice pass over k = 2p (see the module docstring); ``z`` None
-    means z = 0, and any other z must be 3 finite numbers.
+    means z = 0, and any other z must be 3 finite numbers.  A z is summed
+    at z - n, n = rint(Re z), and the signs (-1)^(m'.n) are applied after
+    the pass, so a large Re z costs no digits in the phases.
     """
     zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     if zz.shape != (3,) or not np.isfinite(zz).all():
         raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
+    z_sum = zz
+    if z is not None:
+        n = np.rint(zz.real)  # theta[m](z + n) = (-1)^(m'.n) theta[m](z) for integer n
+        z_sum = zz - n
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
     a = np.linalg.solve(imag, zz.imag)
@@ -281,7 +287,7 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
         raise TruncationError(f"{exc}; the pass was at z = {zz}") from None
     cls = (k.astype(np.intp) & 3) @ _CLASS_STRIDES  # k mod 4
     p = np.divide(k, 2, out=k)  # p = k/2, in place
-    w = np.exp(1j * np.pi * (((p @ tau.tau) * p).sum(axis=1) + 2 * p @ zz))  # e(x) convention
+    w = np.exp(1j * np.pi * (((p @ tau.tau) * p).sum(axis=1) + 2 * p @ z_sum))  # e(x) convention
     terms = np.concatenate((w[None], p.T * w))  # row j: the weights of the value (j = 0) or of d/dz_j
     idx = (cls + 64 * np.arange(4)[:, None]).ravel()
     sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
@@ -289,6 +295,9 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     out[1:] *= 2j * np.pi
     if not np.isfinite(out).all():  # a peak term below the float limit can still overflow in p w or a sum
         raise ValueError(f"theta at z = {zz} leaves the float range")
+    if z is not None:
+        # packed index x + 8 y has m' = _BITS[x]; fmod gives n mod 2 exactly, 0 for |n| >= 2^53
+        out *= np.tile(1 - 2 * ((_BITS @ np.fmod(n, 2).astype(np.int8)) & 1), 8)
     return out[0], out[1:].T.copy()
 
 

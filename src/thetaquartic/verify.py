@@ -19,8 +19,16 @@ all 15 monomials into every sample and certified fewer digits (mean
 is then moved to one of six charts of P^1, centred on the octahedron
 points 0, oo, +-1, +-i, chosen so that the chart's point at infinity is
 far from every root; a double root anywhere, [1 : 0] included, is then
-an ordinary pair of close affine roots.  One batched eigenvalue call on
-the 28 companion matrices gives the roots.  Pairing, residuals and
+an ordinary pair of close affine roots.  The roots come from one
+quadratic factorization of all the monic restrictions at once: two
+Newton steps from the polynomial square root, since the restriction to
+a bitangent is a square up to scale.  A row whose factors do not
+multiply back to its restriction within a few ulps, such as a fourfold
+root, a near-flex or a line far from bitangent, takes the eigenvalues of
+its companion matrix instead.  Either path only proposes roots: the
+verdict is the residual of the restriction itself against the fitted
+squared pair form, so poor roots can fail a true bitangent but never
+pass another line.  Pairing, residuals and
 canonical contact points are array operations, and the result stays
 arrays: :func:`bitangency_summary` returns them with their pass count,
 and only :func:`bitangency_check` builds a :class:`BitangencyReport`.
@@ -49,6 +57,11 @@ RESTRICTION_ZERO_TOL = 1e-12
 
 #: draws :func:`random_admissible_tau` makes before it gives up
 MAX_TRIES = 100
+
+#: the certificate's root finder keeps a row's quadratic factorization when the
+#: factors' product matches the monic restriction to this many ulps of its
+#: largest coefficient, and otherwise solves that row's companion matrix
+FACTOR_GATE_ULPS = 32
 
 
 def random_admissible_tau(seed: int) -> PeriodMatrix:
@@ -157,6 +170,53 @@ def _chart_transforms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CHART_M, _CHART_INF, _CHART_CENTRE = _chart_transforms()
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(x, axis=-1, keepdims=True) by numpy's own expression, bit for bit, without its dispatch
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1, keepdims=True))
+
+
+def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the roots of x^2 + b x + c: the larger-modulus one without cancellation, the other as c over it
+    d = np.sqrt(b * b - 4 * c)
+    big = -(b + np.where((b.conj() * d).real >= 0, d, -d)) / 2
+    return big, c / big
+
+
+def _factor_roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots (L, 4) of the monic quartics h (L, 5) from a quadratic factorization, and the rows it vouches for.
+
+    h = (x^2 + u x + v)(x^2 + U x + W) with U = h_1 - u and W = h_2 - v - u U
+    leaves two equations in (u, v): u W + v U = h_3 and v W = h_4.  Newton
+    starts from (x - x_1)^2, x_1 a root of the polynomial square root
+    x^2 + (h_1/2) x + (h_2 - h_1^2/4)/2, and takes two steps, each a 2x2
+    Cramer solve over all rows.  Near a bitangent h is nearly a square:
+    the start is off by about the squared spread of each pair of roots,
+    and the Jacobian, the resultant of the two factors, stays away from 0
+    unless the two pairs meet.  A row is vouched for when the product of
+    its factors matches h to :data:`FACTOR_GATE_ULPS` ulps of max|h| and
+    its roots are finite: they are then the roots of a quartic that close
+    to h.  Call under ``np.errstate``, since a far-off or degenerate row
+    divides by 0.
+    """
+    h1, h2, h3, h4 = h[:, 1], h[:, 2], h[:, 3], h[:, 4]
+    x1 = (np.sqrt(0.75 * h1 * h1 - 2 * h2) - h1 / 2) / 2
+    u, v = -2 * x1, x1 * x1
+    for _ in range(2):
+        U = h1 - u
+        W = h2 - v - u * U
+        f1, f2 = u * W + v * U - h3, v * W - h4
+        j11, j12, j21, j22 = W + u * (u - U) - v, U - u, v * (u - U), W - v
+        det = j11 * j22 - j12 * j21
+        u = u - (f1 * j22 - f2 * j12) / det
+        v = v - (j11 * f2 - j21 * f1) / det
+    U = h1 - u
+    W = h2 - v - u * U
+    backward = np.abs(u * W + v * U - h3) + np.abs(v * W - h4) + np.abs(v + u * U + W - h2)
+    x = np.stack(_quadratic_roots(u, v) + _quadratic_roots(U, W), axis=1)
+    ok = (backward <= FACTOR_GATE_ULPS * np.finfo(float).eps * np.abs(h).max(axis=1)) & np.isfinite(x).all(axis=1)
+    return x, ok
+
+
 def _sphere_roots(g: np.ndarray) -> np.ndarray:
     """Roots of each binary quartic as unit vectors [s : t], shape (L, 4, 2).
 
@@ -165,25 +225,33 @@ def _sphere_roots(g: np.ndarray) -> np.ndarray:
     is the value there.  Four roots cannot crowd all six chart
     infinities, so h_0 is never small and every root's affine coordinate
     x = s'/t' stays bounded.  The roots of the monic h(x, 1) / h_0 come
-    from one batched eigenvalue call on the companion matrices, a
-    backward-stable root finder while the leading coefficient is not
-    small, and map back to x a_c + b_c.  Since no root lies near the
-    chart's infinity, a double root at or near [1 : 0] comes out as two
-    close roots, like any other double root, not as one finite root and
-    one that overflows a fixed affine chart.
+    from one Newton-refined quadratic factorization over all rows
+    (:func:`_factor_roots`).  The rows it does not vouch for, such as a
+    fourfold root, a near-flex or a line far from bitangent, go to the
+    eigenvalues of their companion matrices, a backward-stable root
+    finder while the leading coefficient is not small.  The roots map
+    back to x a_c + b_c.  Since no root lies near the chart's infinity, a
+    double root at or near [1 : 0] comes out as two close roots, like any
+    other double root, not as one finite root and one that overflows a
+    fixed affine chart.
     """
     h = np.einsum("cjk,lk->lcj", _CHART_M, g)
     chart = np.argmax(np.abs(h[:, :, 0]) / np.abs(h).max(axis=2), axis=1)
     h = h[np.arange(len(g)), chart]
-    companion = np.zeros((len(g), 4, 4), dtype=complex)
-    companion[:, 0] = -h[:, 1:] / h[:, :1]
-    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1
-    try:
-        x = eigvals(companion)
-    except LinAlgError as exc:
-        raise ThetaQuarticError(f"bitangency certificate: the root solve of a line restriction failed ({exc})") from exc
+    h = h / h[:, :1]
+    with np.errstate(all="ignore"):
+        x, ok = _factor_roots(h)
+    bad = ~ok
+    if bad.any():
+        companion = np.zeros((bad.sum(), 4, 4), dtype=complex)
+        companion[:, 0] = -h[bad, 1:]
+        companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1
+        try:
+            x[bad] = eigvals(companion)
+        except LinAlgError as exc:
+            raise ThetaQuarticError(f"bitangency certificate: the root solve of a line restriction failed ({exc})") from exc
     roots = x[..., None] * _CHART_INF[chart, None] + _CHART_CENTRE[chart, None]
-    return roots / np.linalg.norm(roots, axis=2, keepdims=True)
+    return roots / _norm(roots)
 
 
 def _chord(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -199,12 +267,13 @@ def _canonical(x: np.ndarray) -> np.ndarray:
     coordinates equal up to rounding noise (zeros on a coordinate line)
     do not decide the order.
     """
-    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    pivot = np.take_along_axis(x, np.argmax(np.abs(x), axis=-1)[..., None], -1)
+    x = x / _norm(x)
+    rows = np.arange(len(x))
+    pivot = x[rows[:, None], [0, 1], np.argmax(np.abs(x), axis=-1)][..., None]
     x = x * (pivot.conj() / np.abs(pivot))
     keys = np.round(x.view(float), 9)
     diff = keys[:, 0] - keys[:, 1]
-    first = np.take_along_axis(diff, np.argmax(diff != 0, axis=1)[:, None], 1)[:, 0]
+    first = diff[rows, np.argmax(diff != 0, axis=1)]
     return np.where((first > 0)[:, None, None], x[:, ::-1], x)
 
 
@@ -222,22 +291,23 @@ def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np
     u, v = pts[:, _PAIRS[:, 0]], pts[:, _PAIRS[:, 1]]
     chords = _chord(u, v)
     best = np.argmin(chords, axis=1)
+    rows = np.arange(len(g))[:, None]
     pick = np.stack([best, 5 - best], axis=1)
-    radii = np.take_along_axis(chords, pick, 1)
-    u, v = (np.take_along_axis(w, pick[..., None], 1) for w in (u, v))
+    radii = chords[rows, pick]
+    u, v = u[rows, pick], v[rows, pick]
 
     # cluster centres: phase-align each pair, then average
     ip = np.sum(u.conj() * v, axis=-1, keepdims=True)
     aligned = np.abs(ip) > 1e-14
     v = v * np.where(aligned, ip.conj() / np.where(aligned, np.abs(ip), 1), 1)
-    centers = (u + v) / np.linalg.norm(u + v, axis=-1, keepdims=True)
+    centers = (u + v) / _norm(u + v)
 
     # squared pair form: (s1*t - t1*s)^2 (s2*t - t2*s)^2, coefficients in t
     s0, t0 = centers[..., 0], centers[..., 1]
     square = np.stack([t0 * t0, -2 * s0 * t0, s0 * s0, 0 * s0, 0 * s0], axis=-1)
     model = _poly_mul(square[:, 0], square[:, 1])
     amp = np.sum(model.conj() * g, axis=1, keepdims=True) / np.sum(model.conj() * model, axis=1, keepdims=True)
-    residual = np.linalg.norm(g - amp * model, axis=1) / np.linalg.norm(g, axis=1)
+    residual = (_norm(g - amp * model) / _norm(g))[:, 0]
 
     separation = _chord(centers[:, 0], centers[:, 1])
     is_bitangent = residual < BITANGENCY_TOL

@@ -3,8 +3,10 @@
 These deliberately avoid the library's code paths: the raw gradient sum
 never reduces characteristics, the cube sum keeps the box truncation
 the ellipsoid engine replaced, the genus-1 series is one-dimensional,
-and the Aronhold recount scans all C(28,7) subsets with a lookup table
-instead of backtracking.
+the restriction is expanded in mpmath, the roots of a binary quartic
+come from one companion matrix in a fixed chart, and the Aronhold
+recount scans all C(28,7) subsets with a lookup table instead of
+backtracking.
 """
 
 import itertools
@@ -114,3 +116,21 @@ def mp_restriction(coeffs, exponents, p, q, dps=40):
             for k, x in enumerate(poly):
                 out[k] += x
         return np.array([complex(x) for x in out])
+
+
+def companion_roots(g):
+    """Roots of one binary quartic g (coefficient k of s^(4-k) t^k) as four unit vectors [s : t].
+
+    One ``np.linalg.eigvals`` call on one companion matrix, in the affine
+    chart t = 1 when |g_0| >= |g_4| and s = 1 otherwise: no chart search
+    and no factorization.
+    """
+    g = np.asarray(g, dtype=complex)
+    flip = abs(g[0]) < abs(g[4])
+    c = g[::-1] if flip else g
+    companion = np.diag(np.ones(3, dtype=complex), -1)
+    companion[0] = -c[1:] / c[0]
+    x = np.linalg.eigvals(companion)
+    one = np.ones(4, dtype=complex)
+    pts = np.stack([one, x] if flip else [x, one], axis=1)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)

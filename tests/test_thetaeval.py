@@ -144,6 +144,17 @@ def test_refusal_at_z_names_z(tau, z, error):
         theta(Characteristic((0, 0, 0), (0, 0, 0)), tau, z)
 
 
+@pytest.mark.parametrize("m, x, sign", [
+    *((Characteristic((0, 0, 0), (0, 0, 0)), x, 1) for x in (2, 1e8, 1e12, 1e16, 1e300)),
+    (Characteristic((1, 0, 0), (0, 0, 0)), 1e8 + 1, -1),
+], ids=["2", "1e8", "1e12", "1e16", "1e300", "odd-1e8+1"])
+def test_theta_at_integer_real_shift(tau_seed1, m, x, sign):
+    # theta[m](z + n) = (-1)^(m'.n) theta[m](z) for integer n, however large; e(2 p.z) at
+    # Re z = 1e12 loses 5 digits unless Re z is reduced before the pass
+    want = sign * theta(m, tau_seed1)
+    assert abs(theta(m, tau_seed1, [x, 0, 0]) - want) <= 1e-14 * abs(want)
+
+
 def test_constants_invariant_under_integer_lifts(tau_seed2):
     # re-evaluating an even constant from any integer lift (negative
     # entries included) reproduces it after sign correction

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import mp_restriction
+from oracles import companion_roots, mp_restriction
 from thetaquartic import verify
 from thetaquartic.charalgebra import Characteristic
 from thetaquartic.errors import (
@@ -33,7 +34,7 @@ from thetaquartic.weber import (
     riemann_quartic,
     weber_coefficients,
 )
-from thetaquartic.charalgebra import REFERENCE_SYSTEM
+from thetaquartic.charalgebra import REFERENCE_SYSTEM, enumerate_aronhold
 
 
 def _curve(monomial_coeffs: dict) -> QuarticCurve:
@@ -339,6 +340,100 @@ def test_roots_on_chart_centres_to_roundoff(g, centres):
     roots = verify._sphere_roots(np.array([g], dtype=complex))[0]
     for w in np.array(centres) / np.linalg.norm(centres, axis=1, keepdims=True):
         assert np.abs(roots[:, 0] * w[1] - roots[:, 1] * w[0]).min() < 1e-15
+
+
+@pytest.fixture
+def eigvals_rows(monkeypatch):
+    """The number of rows of each companion stack the certificate hands to ``eigvals``."""
+    calls = []
+
+    def counting_eigvals(a):
+        calls.append(len(a))
+        return np.linalg.eigvals(a)
+
+    monkeypatch.setattr(verify, "eigvals", counting_eigvals)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_bitangents_need_no_eigenvalue_solve(seed, eigvals_rows):
+    quartic, lines = _pipeline(seed)
+    assert bitangency_summary(quartic, lines)[1]["pass"] == 28
+    assert eigvals_rows == []
+
+
+def test_fourfold_root_falls_back_to_eigenvalues(eigvals_rows):
+    # the restriction of X1^4 to X2 = 0 is a fourth power: the two quadratic factors coincide
+    report = bitangency_check(X1_FOURTH, ProjLine((0, 1, 0)))
+    assert eigvals_rows == [1]
+    assert report.is_bitangent and report.near_flex
+
+
+def test_only_unvouched_rows_fall_back(eigvals_rows):
+    # a canonical system at seed 6 whose frame leaves lines uncertified: the rows the
+    # factorization cannot vouch for go to one eigenvalue call, the others do not
+    tau = random_admissible_tau(6)
+    system = enumerate_aronhold()[4]
+    quartic = riemann_quartic(weber_coefficients(system, tau).xi)
+    assert bitangency_summary(quartic, all_bitangents(system, tau))[1]["fail"] > 0
+    assert len(eigvals_rows) == 1 and 0 < eigvals_rows[0] < 28
+
+
+_PARTITIONS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+def _chord(u, v):
+    return np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+
+
+def _match_distance(want, got):
+    """Largest chordal distance between two equal-sized sets of points of P^1, under the best matching."""
+    orders = np.array(list(itertools.permutations(range(len(want)))))
+    return _chord(want[None], got[orders]).max(axis=1).min()
+
+
+def _pair_centres(roots):
+    """The two double-root centres: the tightest partition into pairs, each pair phase-aligned and averaged."""
+    pairs = min(_PARTITIONS, key=lambda part: max(_chord(roots[i], roots[j]) for i, j in part))
+    centres = []
+    for i, j in pairs:
+        u, v = roots[i], roots[j]
+        ip = np.vdot(u, v)
+        centres.append(u + v * ip.conj() / abs(ip))
+    return np.array(centres) / np.linalg.norm(centres, axis=1, keepdims=True)
+
+
+def _check_roots_against_companion(curve, covectors, root_tol, centre_tol=None):
+    g = verify._restrictions(curve, covectors)[0]
+    for want, got in zip((companion_roots(row) for row in g), verify._sphere_roots(g)):
+        assert _match_distance(want, got) <= root_tol
+        if centre_tol is not None:
+            assert _match_distance(_pair_centres(want), _pair_centres(got)) <= centre_tol
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_bitangent_roots_match_companion_oracle(seed):
+    # a double root is only sqrt(eps)-conditioned, each pair's centre is well conditioned
+    quartic, (_, covectors) = _pipeline(seed)
+    _check_roots_against_companion(quartic, covectors, root_tol=1e-7, centre_tol=1e-12)
+
+
+def test_random_line_roots_match_companion_oracle():
+    lines = np.array([line.c for line in _random_lines(12, 10)])
+    _check_roots_against_companion(_pipeline(1)[0], lines, root_tol=1e-12)
+    _check_roots_against_companion(DOUBLE_CONIC, lines, root_tol=1e-7, centre_tol=1e-12)
+
+
+def test_residuals_of_the_reference_system():
+    # README "Numerical behavior" quotes these figures: median 2.3e-14 and one run above 1e-10
+    worst = []
+    for seed in range(1, 101):
+        quartic, lines = _pipeline(seed)
+        summary = bitangency_summary(quartic, lines)[1]
+        assert summary["pass"] == 28, seed
+        worst.append(summary["max_residual"])
+    assert np.median(worst) < 1e-12
+    assert sum(r > 1e-10 for r in worst) <= 2
 
 
 def test_import_loads_no_scipy():
