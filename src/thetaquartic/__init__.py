@@ -9,21 +9,17 @@ from .charalgebra import (
     REFERENCE_SYSTEM,
     AronholdSystem,
     Characteristic,
-    F2Vector,
-    QuadForm,
     arf,
     char_sum,
     complete_4tuple,
     derived_forms,
     enumerate_aronhold,
-    eval_form,
     even_forms,
     form_sum,
     is_aronhold,
     is_azygetic_triple,
     odd_forms,
     reduce_characteristic,
-    symplectic_form,
 )
 from .errors import (
     DegenerateCurveError,

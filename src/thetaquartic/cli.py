@@ -224,7 +224,7 @@ def cmd_classify(args) -> int:
     for q in ca.all_forms():
         arf_q = ca.arf(q)
         rows.append({
-            "char": q.characteristic,
+            "char": q,
             "bracket": q.bracket(),
             "arf": arf_q,
             "parity": "odd" if arf_q else "even",
@@ -243,17 +243,17 @@ def cmd_aronhold(args) -> int:
     if args.system_index is None:
         _emit({
             "count": len(systems),
-            "systems": [[q.characteristic for q in s] for s in systems],
+            "systems": [list(s) for s in systems],
         }, args)
         _note(f"{len(systems)} Aronhold systems")
         return EXIT_OK
     system = _system(args)
     der = ca.derived_forms(system)
     _emit({
-        "system": [q.characteristic for q in system],
-        "q_s": der.q_s.characteristic,
-        "pair_forms": {f"{i}{j}": q.characteristic for (i, j), q in sorted(der.pair.items())},
-        "triple_forms": {f"{i}{j}{k}": q.characteristic for (i, j, k), q in sorted(der.triple.items())},
+        "system": list(system),
+        "q_s": der.q_s,
+        "pair_forms": {f"{i}{j}": q for (i, j), q in sorted(der.pair.items())},
+        "triple_forms": {f"{i}{j}{k}": q for (i, j, k), q in sorted(der.triple.items())},
     }, args)
     _note("system: " + " ".join(q.bracket() for q in system))
     return EXIT_OK
@@ -285,10 +285,9 @@ def _report(keys, frame, quartic, lines, certs, summary) -> dict:
     are scaled by :func:`~thetaquartic.weber.unit_pivot`.
     """
     ok, residual, contacts, _ = certs
-    forms, covectors = lines
-    labels = [q.characteristic for q in forms]
+    labels, covectors = lines
     fields = {
-        "aronhold": lambda: [q.characteristic for q in frame.system],
+        "aronhold": lambda: list(frame.system),
         "a": lambda: frame.a,
         "bitangents": lambda: [{"q": q, "line": row} for q, row in zip(labels, wb.unit_pivot(covectors))],
         "quartic": lambda: np.array(quartic.coeffs),

@@ -150,8 +150,8 @@ def parity_vanishing(tau, rng):
     """Odd constants over the largest even one, and even gradients over the largest odd one."""
     scale = max(abs(v) for v in te.even_constant_table(tau).values())
     gscale = max(np.linalg.norm(g) for g in te.odd_gradient_table(tau).values())
-    odd = max(abs(te.theta_const(q.characteristic, tau)) for q in ca.odd_forms())
-    even = max(np.linalg.norm(te.grad_theta0(q.characteristic, tau)) for q in ca.even_forms())
+    odd = max(abs(te.theta_const(q, tau)) for q in ca.odd_forms())
+    even = max(np.linalg.norm(te.grad_theta0(q, tau)) for q in ca.even_forms())
     return max(odd / scale, even / gscale)
 
 
@@ -160,7 +160,7 @@ def gradient_finite_difference(tau, rng):
     """Series gradients of 3 random odd forms against central differences, relative."""
     worst = 0.0
     for idx in rng.integers(0, 28, 3):
-        m = ca.odd_forms()[int(idx)].characteristic
+        m = ca.odd_forms()[int(idx)]
         g = te.grad_theta0(m, tau)
         fd = fd_gradient(lambda dz: te.theta(m, tau, dz))
         worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(g))
@@ -172,7 +172,7 @@ def addition_formula(tau, rng):
     """Four-term addition formula for (q5+q6+q7, q5, q6, q7) at u = 0 and a random v."""
     q5, q6, q7 = ca.REFERENCE_SYSTEM.forms[4:]
     return te.addition_formula_residual(
-        ca.char_sum(q5, q6, q7), q5.characteristic, q6.characteristic, q7.characteristic,
+        ca.char_sum(q5, q6, q7), q5, q6, q7,
         None, _random_z(rng), tau,
     )
 
@@ -180,7 +180,7 @@ def addition_formula(tau, rng):
 @_check("quasi-periodicity", 1e-9)
 def quasi_periodicity(tau, rng):
     """Half-period law for a random form, half period and z."""
-    q = ca.all_forms()[int(rng.integers(0, 64))].characteristic
+    q = ca.all_forms()[int(rng.integers(0, 64))]
     k, h = rng.integers(0, 2, 3), rng.integers(0, 2, 3)
     return te.quasi_periodicity_residual(q, k, h, tau, _random_z(rng))
 

@@ -79,6 +79,7 @@ import numpy as np
 
 from .charalgebra import (
     Characteristic,
+    arf,
     char_sum,
     even_forms,
     odd_forms,
@@ -124,8 +125,8 @@ _CLASS_UNITS = (
     * ((_CLASSES & 1) == _BITS[:, None]).all(axis=-1)  # [x, c]: k mod 2 is m'
 ).reshape(64, 64)
 
-_EVEN = tuple(q.characteristic for q in even_forms())
-_ODD = tuple(q.characteristic for q in odd_forms())
+_EVEN = tuple(even_forms())
+_ODD = tuple(odd_forms())
 _EVEN_IDX = np.array([pack(m) for m in _EVEN])
 _ODD_IDX = np.array([pack(m) for m in _ODD])
 
@@ -332,7 +333,7 @@ def grad_theta0(m: Characteristic, tau: PeriodMatrix) -> np.ndarray:
 def jacobian_det(q1: Characteristic, q2: Characteristic, q3: Characteristic, tau: PeriodMatrix) -> complex:
     """D[q1,q2,q3]: determinant of the three stacked theta gradients at 0, from the kept table."""
     for q in (q1, q2, q3):
-        if not q.parity():
+        if not arf(q):
             raise ValueError(f"jacobian_det needs odd characteristics, got {q.bracket()}")
     grads = theta_tables(tau).grads
     return complex(np.linalg.det([_lookup(grads, q) for q in (q1, q2, q3)]))
@@ -381,8 +382,7 @@ def addition_formula_residual(
     total = 0.0 + 0.0j
     peak = 0.0
     factor_peak = 0.0
-    for a_form in even_forms() + odd_forms():
-        a = a_form.characteristic
+    for a in even_forms() + odd_forms():
         sign = -1 if sum(m1.mp[i] * a.mpp[i] for i in range(3)) % 2 else 1
         factors = (
             _lookup(at_u, char_sum(ns[0], a)),

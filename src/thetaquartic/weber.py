@@ -55,7 +55,6 @@ import numpy as np
 from .charalgebra import (
     AronholdSystem,
     Characteristic,
-    QuadForm,
     arf,
     char_sum,
     derived_forms,
@@ -215,7 +214,7 @@ class _GatherPlan:
 
     chars: np.ndarray
     phase: np.ndarray
-    labels: tuple[QuadForm, ...]
+    labels: tuple[Characteristic, ...]
     lines: np.ndarray
 
 
@@ -244,8 +243,8 @@ def require_generic(tau: PeriodMatrix) -> ThetaTables:
 # determinant ratios
 
 def jacobi_ratio(
-    quad: tuple[QuadForm, QuadForm, QuadForm, QuadForm],
-    completion: tuple[QuadForm, QuadForm, QuadForm],
+    quad: tuple[Characteristic, Characteristic, Characteristic, Characteristic],
+    completion: tuple[Characteristic, Characteristic, Characteristic],
     tau: PeriodMatrix,
 ):
     """Both sides of the determinant-ratio identity for an azygetic 4-tuple.
@@ -262,9 +261,7 @@ def jacobi_ratio(
         raise ValueError("the 4-tuple and its completion are not an Aronhold system")
 
     require_generic(tau)
-    lhs = jacobian_det(q4.characteristic, q2.characteristic, q3.characteristic, tau) / jacobian_det(
-        q1.characteristic, q2.characteristic, q3.characteristic, tau
-    )
+    lhs = jacobian_det(q4, q2, q3, tau) / jacobian_det(q1, q2, q3, tau)
 
     s567 = char_sum(q5, q6, q7)
     s14 = char_sum(q1, q4)
@@ -497,7 +494,7 @@ def weber_coefficients(system: AronholdSystem, tau: PeriodMatrix) -> AronholdFra
     return AronholdFrame(system=system, a=a, k=k, lam=lam, xi=xi)
 
 
-def all_bitangents(system: AronholdSystem, tau: PeriodMatrix) -> tuple[tuple[QuadForm, ...], np.ndarray]:
+def all_bitangents(system: AronholdSystem, tau: PeriodMatrix) -> tuple[tuple[Characteristic, ...], np.ndarray]:
     """All 28 bitangents in the Weber frame: (labels, covectors).
 
     ``labels`` are the 28 odd forms, the seven system forms b_1..b_7
@@ -513,7 +510,7 @@ def all_bitangents(system: AronholdSystem, tau: PeriodMatrix) -> tuple[tuple[Qua
     return plan.labels, line_covectors(require_generic(tau).grads[plan.lines] @ t)
 
 
-def _bitangent_labels(system: AronholdSystem) -> tuple[QuadForm, ...]:
+def _bitangent_labels(system: AronholdSystem) -> tuple[Characteristic, ...]:
     # the seven system forms, then the 21 pair forms in (i, j) order
     pairs = derived_forms(system).pair
     return tuple(system.forms) + tuple(pairs[key] for key in sorted(pairs))

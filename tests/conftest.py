@@ -6,19 +6,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from thetaquartic import AronholdSystem, Characteristic, PeriodMatrix, QuadForm, random_admissible_tau, theta
+from thetaquartic import AronholdSystem, Characteristic, PeriodMatrix, random_admissible_tau, theta
 
 from oracles import theta_genus1
 
 #: the alternative Aronhold system whose seven forms sum to the origin form
 ORIGIN_SUM_SYSTEM = AronholdSystem((
-    QuadForm.from_bits((1, 1, 1), (1, 1, 1)),
-    QuadForm.from_bits((1, 1, 0), (1, 0, 0)),
-    QuadForm.from_bits((1, 0, 1), (0, 0, 1)),
-    QuadForm.from_bits((1, 0, 0), (1, 1, 0)),
-    QuadForm.from_bits((0, 1, 0), (0, 1, 1)),
-    QuadForm.from_bits((0, 0, 1), (1, 0, 1)),
-    QuadForm.from_bits((0, 1, 1), (0, 1, 0)),
+    Characteristic((1, 1, 1), (1, 1, 1)),
+    Characteristic((1, 1, 0), (1, 0, 0)),
+    Characteristic((1, 0, 1), (0, 0, 1)),
+    Characteristic((1, 0, 0), (1, 1, 0)),
+    Characteristic((0, 1, 0), (0, 1, 1)),
+    Characteristic((0, 0, 1), (1, 0, 1)),
+    Characteristic((0, 1, 1), (0, 1, 0)),
 ))
 
 
@@ -35,8 +35,7 @@ def genus1_factorization_residual(forms) -> float:
     tau = PeriodMatrix(np.diag([0.1 + 0.9j, -0.2 + 1.1j, 0.05 + 1.3j]))
     z = np.array([0.1 + 0.05j, -0.2 + 0.02j, 0.3 - 0.1j])
     worst = 0.0
-    for q in forms:
-        m = q.characteristic
+    for m in forms:
         full = theta(m, tau, z)
         product = np.prod([theta_genus1(m.mp[j], m.mpp[j], tau.tau[j, j], z[j]) for j in range(3)])
         worst = max(worst, abs(full - product) / max(abs(full), abs(product), 1e-6))

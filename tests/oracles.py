@@ -6,13 +6,45 @@ the ellipsoid engine replaced, the genus-1 series is one-dimensional,
 the restriction is expanded in mpmath, the roots of a binary quartic
 come from one companion matrix in a fixed chart, and the Aronhold
 recount scans all C(28,7) subsets with a lookup table instead of
-backtracking.
+backtracking.  The F2 helpers evaluate a quadratic form from its
+definition on the symplectic space (F2^6, omega), not from the Arf
+formula the package uses.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class F2Vector:
+    """A vector (lam, mu) in F2^3 x F2^3, as two bit tuples."""
+
+    lam: tuple
+    mu: tuple
+
+    def __add__(self, other: "F2Vector") -> "F2Vector":
+        return F2Vector(
+            tuple((a + b) % 2 for a, b in zip(self.lam, other.lam)),
+            tuple((a + b) % 2 for a, b in zip(self.mu, other.mu)),
+        )
+
+
+def all_vectors() -> list:
+    """The 64 vectors of F2^6 in lexicographic (lam, mu) order."""
+    return [F2Vector(b[:3], b[3:]) for b in itertools.product((0, 1), repeat=6)]
+
+
+def symplectic_form(v: F2Vector, w: F2Vector) -> int:
+    """omega(v, w) = lam_v.mu_w + mu_v.lam_w mod 2."""
+    return sum(v.lam[i] * w.mu[i] + v.mu[i] * w.lam[i] for i in range(3)) % 2
+
+
+def eval_form(q, w: F2Vector) -> int:
+    """q(w) = lam.mu + lam.m' + m''.mu mod 2, for the form labelled by the reduced characteristic q."""
+    return sum(w.lam[i] * w.mu[i] + w.lam[i] * q.mp[i] + q.mpp[i] * w.mu[i] for i in range(3)) % 2
 
 
 def raw_grad(mp, mpp, tau, radius=8):

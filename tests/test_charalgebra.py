@@ -7,40 +7,69 @@ from thetaquartic.charalgebra import (
     REFERENCE_SYSTEM,
     AronholdSystem,
     Characteristic,
-    F2Vector,
-    QuadForm,
     all_forms,
-    all_vectors,
     arf,
     char_sum,
     complete_4tuple,
     derived_forms,
     enumerate_aronhold,
-    eval_form,
     even_forms,
     form_sum,
     is_aronhold,
     is_azygetic_triple,
     odd_forms,
+    pack,
     reduce_characteristic,
-    symplectic_form,
 )
+from thetaquartic.thetaeval import jacobian_det
 
 from conftest import ORIGIN_SUM_SYSTEM
-from oracles import brute_force_aronhold_sets, pack_form
+from oracles import F2Vector, all_vectors, brute_force_aronhold_sets, eval_form, pack_form, symplectic_form
 
-Q0 = QuadForm.from_bits((0, 0, 0), (0, 0, 0))
+Q0 = Characteristic((0, 0, 0), (0, 0, 0))
 
 # the reference Aronhold system in its classical printed order
 N = REFERENCE_SYSTEM.forms
 
 
-def test_cached_characteristic_keeps_form_identity():
-    q = QuadForm.from_bits((1, 0, 1), (1, 1, 0))
-    fresh = QuadForm.from_bits((1, 0, 1), (1, 1, 0))
-    assert q.characteristic is q.characteristic
-    assert q.characteristic == Characteristic((1, 0, 1), (1, 1, 0))
-    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+def test_forms_are_characteristics(tau_seed1):
+    forms = odd_forms()
+    fresh = [Characteristic(q.mp, q.mpp) for q in forms]
+    assert forms == fresh
+    assert [hash(q) for q in forms] == [hash(m) for m in fresh]
+    # (m', m'') order: forms and fresh characteristics sort together, as their bit tuples do
+    assert sorted(fresh[::-1] + forms) == [m for q in forms for m in (q, q)]
+    assert sorted(fresh[::-1]) == sorted(fresh, key=lambda m: m.mp + m.mpp) == forms
+    assert isinstance(jacobian_det(*forms[:3], tau_seed1), complex)
+
+
+@pytest.mark.parametrize("mp, mpp", [
+    ((2, 0, 0), (0, 0, 0)), ((-1, 0, 0), (0, 0, 0)), ((1, 0, 1), (0, 3, 0)),
+    ((3, 1, 1), (1, 1, 1)),  # odd, and equal to the first form of the reference system mod 2
+])
+def test_pack_refuses_non_reduced(mp, mpp):
+    m = Characteristic(mp, mpp)
+    with pytest.raises(ValueError, match="reduced"):
+        pack(m)
+    assert not is_aronhold(N[:6] + (m,))
+    with pytest.raises(ValueError, match="not an Aronhold system"):
+        AronholdSystem(N[:6] + (m,))
+    with pytest.raises(ValueError):
+        complete_4tuple(m, *N[1:4])
+    with pytest.raises(ValueError):
+        is_azygetic_triple(m, N[1], N[2])
+
+
+@pytest.mark.parametrize("mp, mpp", [((1.9, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 1.0, 0)), (("1", 0, 0), (0, 0, 0))])
+def test_characteristic_refuses_non_integral_entries(mp, mpp):
+    with pytest.raises(TypeError):
+        Characteristic(mp, mpp)
+
+
+def test_characteristic_takes_numpy_integers():
+    m = Characteristic(np.array([1, 0, 1]), (np.int64(0), np.int8(1), np.uint8(1)))
+    assert m == Characteristic((1, 0, 1), (0, 1, 1))
+    assert all(type(x) is int for x in m.mp + m.mpp)
 
 
 def test_symplectic_basis_pairing():
@@ -84,7 +113,7 @@ def test_polarization_identity_every_form():
 
 def test_eval_form_examples():
     assert eval_form(Q0, F2Vector((1, 0, 0), (0, 1, 0))) == 0
-    q = QuadForm.from_bits((1, 1, 1), (1, 1, 1))
+    q = Characteristic((1, 1, 1), (1, 1, 1))
     assert eval_form(q, F2Vector((1, 0, 0), (0, 0, 0))) == 1
 
 
@@ -193,7 +222,7 @@ def test_enumerate_systems_valid_and_even_sum():
 
 def test_enumerate_canonical_order():
     systems = enumerate_aronhold()
-    keys = [tuple(q.key for q in s) for s in systems]
+    keys = [tuple(q.mp + q.mpp for q in s) for s in systems]
     assert all(list(k) == sorted(k) for k in keys)
     assert keys == sorted(keys)
 
@@ -301,7 +330,7 @@ def test_characteristic_json_roundtrip():
 
 def test_bracket_rendering():
     assert N[0].bracket() == "[111|111]"
-    assert N[3].characteristic.bracket() == "[101|100]"
+    assert N[3].bracket() == "[101|100]"
 
 
 def test_aronhold_system_validates():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -200,6 +201,23 @@ def test_aronhold_single_system(capsys):
     assert len(obj["triple_forms"]) == 35
 
 
+#: the command whose stdout each file named in data/label_outputs.sha256 holds; CI checks the same digests
+LABEL_COMMANDS = {
+    "classify.json": ("classify",),
+    "aronhold.json": ("aronhold",),
+    "aronhold-5.json": ("aronhold", "--system-index", "5"),
+}
+LABEL_DIGESTS = dict(line.split()[::-1] for line in (DATA / "label_outputs.sha256").read_text().splitlines())
+
+
+@pytest.mark.parametrize("name", LABEL_DIGESTS)
+def test_label_outputs_are_pinned(name, capsys):
+    # the labels, their order and the numbering of the 288 systems (--system-index) are public
+    code, out, _ = run_cli(capsys, *LABEL_COMMANDS[name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LABEL_DIGESTS[name]
+
+
 def test_aronhold_bad_index(capsys):
     assert run_cli(capsys, "aronhold", "--system-index", "288")[0] == 1
 
@@ -299,7 +317,7 @@ def test_report_json_structure(capsys):
         report = bitangency_check(quartic, ProjLine(covector))
         assert list(row) == ["q", "is_bitangent", "residual", "contacts"]
         assert row == {
-            "q": q.characteristic.to_json(),
+            "q": q.to_json(),
             "is_bitangent": report.is_bitangent,
             "residual": report.residual,
             "contacts": complex_to_json(report.contact_points),
@@ -382,7 +400,7 @@ def test_writer_templates_match_their_wire_form(pad):
     for z in (NON_FINITE, CONTACTS[0], CONTACTS[1] * 1e-5, np.array([0j])):
         assert dumped(z, pad) == indented(complex_to_json(z), pad)
     for q in all_forms():
-        assert dumped(q.characteristic, pad) == indented(q.characteristic.to_json(), pad)
+        assert dumped(q, pad) == indented(q.to_json(), pad)
 
 
 @pytest.mark.parametrize("node", [object(), {1, 2}, 1 + 2j, np.int64(1), np.bool_(True),

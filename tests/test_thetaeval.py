@@ -13,6 +13,7 @@ from thetaquartic.charalgebra import (
     REFERENCE_SYSTEM,
     Characteristic,
     all_forms,
+    arf,
     char_sum,
     even_forms,
     odd_forms,
@@ -63,11 +64,10 @@ def _rand_z(scale=0.2):
 
 def test_theta_parity_all_64(tau_seed1):
     z = _rand_z()
-    for q in all_forms():
-        m = q.characteristic
+    for m in all_forms():
         plus = theta(m, tau_seed1, z)
         minus = theta(m, tau_seed1, -z)
-        expected = (-1) ** m.parity() * plus
+        expected = (-1) ** arf(m) * plus
         assert abs(minus - expected) <= 1e-10 * max(abs(plus), 1e-3)
 
 
@@ -161,7 +161,7 @@ def test_constants_invariant_under_integer_lifts(tau_seed2):
     rng = np.random.default_rng(123)
     worst = 0.0
     for _ in range(6):
-        base = even_forms()[int(rng.integers(0, 36))].characteristic
+        base = even_forms()[int(rng.integers(0, 36))]
         shift = Characteristic(
             tuple(2 * int(x) for x in rng.integers(-2, 3, 3)),
             tuple(2 * int(x) for x in rng.integers(-2, 3, 3)),
@@ -193,7 +193,7 @@ def test_identity_tau_decomposable_sentinel(tau_identity):
     m = Characteristic((1, 1, 0), (1, 1, 0))
     table = even_constant_table(tau_identity)
     scale = max(abs(v) for v in table.values())
-    assert m.parity() == 0
+    assert arf(m) == 0
     assert abs(theta_const(m, tau_identity)) < 1e-10 * scale
     assert m in vanishing_even_characteristics(tau_identity)
 
@@ -201,19 +201,18 @@ def test_identity_tau_decomposable_sentinel(tau_identity):
 def test_even_gradients_vanish(tau_seed1):
     gscale = max(np.linalg.norm(g) for g in odd_gradient_table(tau_seed1).values())
     for q in even_forms():
-        assert np.linalg.norm(grad_theta0(q.characteristic, tau_seed1)) < 1e-9 * gscale
+        assert np.linalg.norm(grad_theta0(q, tau_seed1)) < 1e-9 * gscale
 
 
 def test_gradient_matches_finite_differences(tau_seed1):
-    for q in odd_forms():
-        m = q.characteristic
+    for m in odd_forms():
         g = grad_theta0(m, tau_seed1)
         fd = invariants.fd_gradient(lambda dz: theta(m, tau_seed1, dz), step=1e-5)
         assert np.linalg.norm(g - fd) < 1e-7 * np.linalg.norm(g)
 
 
 def test_gradient_matches_raw_series(tau_seed2, tau_skewed):
-    m = odd_forms()[11].characteristic
+    m = odd_forms()[11]
     for tau, radius in ((tau_seed2, 8), (tau_skewed, 10)):
         g = grad_theta0(m, tau)
         raw = raw_grad(m.mp, m.mpp, tau.tau, radius=radius)
@@ -250,7 +249,7 @@ def test_skewed_basis_same_curve(k):
 
 
 def test_gradient_reduction_scaling(tau_seed1):
-    m = odd_forms()[4].characteristic
+    m = odd_forms()[4]
     n = Characteristic((2, 0, 0), (0, 2, 2))
     shifted = m + n
     sign = -1 if sum(m.mp[i] * (n.mpp[i] // 2) for i in range(3)) % 2 else 1
@@ -261,15 +260,15 @@ def test_gradient_reduction_scaling(tau_seed1):
 
 def test_jacobian_repeated_row_zero(tau_seed1):
     odd = odd_forms()
-    q, qp = odd[0].characteristic, odd[1].characteristic
+    q, qp = odd[:2]
     d = jacobian_det(q, q, qp, tau_seed1)
-    scale = abs(jacobian_det(q, qp, odd[2].characteristic, tau_seed1))
+    scale = abs(jacobian_det(q, qp, odd[2], tau_seed1))
     assert abs(d) < 1e-12 * max(scale, 1e-6)
 
 
 def test_jacobian_alternating(tau_seed1):
     odd = odd_forms()
-    q1, q2, q3 = (odd[i].characteristic for i in (0, 5, 9))
+    q1, q2, q3 = odd[0], odd[5], odd[9]
     d123 = jacobian_det(q1, q2, q3, tau_seed1)
     d213 = jacobian_det(q2, q1, q3, tau_seed1)
     d231 = jacobian_det(q2, q3, q1, tau_seed1)
@@ -280,8 +279,7 @@ def test_jacobian_alternating(tau_seed1):
 def test_jacobian_rejects_even_characteristic(tau_seed1):
     odd = odd_forms()
     with pytest.raises(ValueError):
-        jacobian_det(even_forms()[0].characteristic, odd[0].characteristic,
-                     odd[1].characteristic, tau_seed1)
+        jacobian_det(even_forms()[0], odd[0], odd[1], tau_seed1)
 
 
 def test_addition_formula_proof_instantiation(tau_seed1, tau_seed2):
@@ -292,11 +290,11 @@ def test_addition_formula_proof_instantiation(tau_seed1, tau_seed2):
 def test_addition_formula_thetanullwerte(tau_seed1):
     # u = v = 0 with an all-even quadruple: identity among constants
     # with a nonzero left side
-    e = [q.characteristic for q in even_forms()]
+    e = even_forms()
     quad = None
     for i in range(1, 12):
         m4 = xor_char(e[0], e[i], e[i + 5])
-        if m4.parity() == 0:
+        if arf(m4) == 0:
             quad = (e[0], e[i], e[i + 5], m4)
             break
     assert quad is not None
@@ -307,9 +305,9 @@ def test_addition_formula_thetanullwerte(tau_seed1):
 
 def test_addition_formula_structurally_zero(tau_seed1):
     # quadruple whose products all vanish by parity: residual is 0, not 0/0
-    e = [q.characteristic for q in even_forms()]
+    e = even_forms()
     m4 = xor_char(e[1], e[4], e[9])
-    assert m4.parity() == 1
+    assert arf(m4) == 1
     assert addition_formula_residual(e[1], e[4], e[9], m4, None, None, tau_seed1) < 1e-12
 
 
@@ -321,7 +319,7 @@ def test_addition_formula_nonintegral_rejected(tau_seed1):
 
 
 def test_quasi_periodicity_identity_shift(tau_seed1):
-    q = odd_forms()[7].characteristic
+    q = odd_forms()[7]
     z = _rand_z()
     assert quasi_periodicity_residual(q, (0, 0, 0), (0, 0, 0), tau_seed1, z) == 0.0
 
@@ -336,7 +334,7 @@ def test_quasi_periodicity_random(tau_seed1, tau_seed2):
 def test_quasi_periodicity_composed(tau_seed1):
     # shifting twice by (k, h) reproduces theta[q] up to the composed factor
     tau = tau_seed1.tau
-    q = odd_forms()[3].characteristic
+    q = odd_forms()[3]
     k = np.array([1, 0, 1])
     h = np.array([0, 1, 1])
     z = _rand_z()
@@ -428,14 +426,14 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
     all_bitangents(REFERENCE_SYSTEM, tau)
     aronhold_coeffs_dets(REFERENCE_SYSTEM, tau)
     require_generic(tau)
-    jacobian_det(*(q.characteristic for q in REFERENCE_SYSTEM.forms[:3]), tau)
+    jacobian_det(*REFERENCE_SYSTEM.forms[:3], tau)
     jacobi_ratio(REFERENCE_SYSTEM.forms[:4], REFERENCE_SYSTEM.forms[4:], tau)
     even_constant_table(tau, TruncationPolicy())  # equal to the default policy
     # every value and gradient at z = 0 is a lookup in the kept tables, at any integer lift
     lift = Characteristic((2, 0, -2), (0, 2, 4))
     for q in all_forms():
-        theta_const(q.characteristic + lift, tau)
-        grad_theta0(q.characteristic + lift, tau)
+        theta_const(q + lift, tau)
+        grad_theta0(q + lift, tau)
     invariants.parity_vanishing(tau)
     assert len(series_calls) == 1
     # u = 0 reads the kept table; v, u + v and u - v cost one pass each
@@ -460,8 +458,7 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
 def test_theta_at_zero_is_the_kept_constant(tau_seed1):
     # a fresh pass at z = 0 and the kept table agree bit for bit, all 64 characteristics
     zero = np.zeros(3)
-    for q in all_forms():
-        m = q.characteristic
+    for m in all_forms():
         fresh, kept = theta(m, tau_seed1, zero), theta_const(m, tau_seed1)
         assert np.complex128(fresh).tobytes() == np.complex128(kept).tobytes()
 

@@ -237,7 +237,7 @@ def test_frame_matrix_puts_system_gradients_on_normal_form(tau_seed1, tau_seed2)
         for system in (REFERENCE_SYSTEM, ORIGIN_SUM_SYSTEM):
             t = frame_matrix(system, tau)
             for q, want in zip(system.forms[:4], np.vstack([np.eye(3), np.ones(3)])):
-                covector = grad_theta0(q.characteristic, tau) @ t
+                covector = grad_theta0(q, tau) @ t
                 assert ProjLine(tuple(covector)).residual_to(want) < 1e-12
 
 
@@ -275,10 +275,10 @@ def test_det_rows_match_explicit_jacobian_determinants(tau_seed1, tau_seed2):
     # the one frame solve against D[q_{4+i},q2,q3]/D[q4,q2,q3], ... entrywise
     from thetaquartic.thetaeval import jacobian_det
 
-    q1, q2, q3, q4 = (q.characteristic for q in N[:4])
+    q1, q2, q3, q4 = N[:4]
     for tau in (tau_seed1, tau_seed2):
         rows = aronhold_coeffs_dets(REFERENCE_SYSTEM, tau)
-        for row, qe in zip(rows, (q.characteristic for q in N[4:])):
+        for row, qe in zip(rows, N[4:]):
             want = np.array([
                 jacobian_det(qe, q2, q3, tau) / jacobian_det(q4, q2, q3, tau),
                 jacobian_det(q1, qe, q3, tau) / jacobian_det(q1, q4, q3, tau),
