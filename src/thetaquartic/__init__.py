@@ -43,28 +43,15 @@ from .thetaeval import (
     theta,
     theta_const,
 )
-from .verify import (
-    BitangencyReport,
-    bitangency_check,
-    bitangency_summary,
-    random_admissible_tau,
-    restrict_to_line,
-)
+from .verify import Reconstruction, random_admissible_tau, reconstruct
 from .weber import (
     AronholdFrame,
     ProjLine,
     QuarticCurve,
     WeberEntry,
-    all_bitangents,
     aronhold_coeffs_dets,
-    frame_matrix,
     jacobi_ratio,
-    riemann_quartic,
-    solve_k,
-    solve_lambda,
-    weber_coefficients,
     weber_symbolic,
-    xi_forms,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Machine-readable JSON goes to stdout (or to the file named by
 ``--json``); human-readable summaries go to stderr.  The JSON layout is
 ``json.dumps(indent=2)``'s, byte for byte, written by :func:`_dump`.  Exit codes:
 0 success, 1 input error (usage errors included), 2 special-locus
-refusal, 3 invariant or verification failure.
+refusal, 3 invariant or verification failure, or a numerical refusal
+by :func:`~thetaquartic.verify.reconstruct`, which writes no report.
 """
 
 from __future__ import annotations
@@ -274,52 +275,45 @@ REPORT_KEYS = {
 }
 
 
-def _report(keys, frame, quartic, lines, certs, summary) -> dict:
+def _report(keys, run: vf.Reconstruction) -> dict:
     """The report of one pipeline run under the given top-level keys, in their order.
 
     The one place the pipeline's JSON layout is written, and a field is
     built only when its key is asked for.  Complex numbers stay in
     arrays and labels stay :class:`~thetaquartic.charalgebra.Characteristic`
-    objects; :func:`_dump` writes both.  ``lines`` is (labels, covectors)
-    as :func:`~thetaquartic.weber.all_bitangents` returns it; covectors
-    are scaled by :func:`~thetaquartic.weber.unit_pivot`.
+    objects; :func:`_dump` writes both.  Covectors are scaled by
+    :func:`~thetaquartic.weber.unit_pivot`.
     """
-    ok, residual, contacts, _ = certs
-    labels, covectors = lines
+    ok, residual, contacts, _ = run.certs
     fields = {
-        "aronhold": lambda: list(frame.system),
-        "a": lambda: frame.a,
-        "bitangents": lambda: [{"q": q, "line": row} for q, row in zip(labels, wb.unit_pivot(covectors))],
-        "quartic": lambda: np.array(quartic.coeffs),
-        "k": lambda: frame.k,
-        "lambda": lambda: frame.lam,
-        "xi": lambda: wb.unit_pivot(frame.xi),
+        "aronhold": lambda: list(run.frame.system),
+        "a": lambda: run.frame.a,
+        "bitangents": lambda: [{"q": q, "line": row} for q, row in zip(run.labels, wb.unit_pivot(run.covectors))],
+        "quartic": lambda: np.array(run.quartic.coeffs),
+        "k": lambda: run.frame.k,
+        "lambda": lambda: run.frame.lam,
+        "xi": lambda: wb.unit_pivot(run.frame.xi),
         "reports": lambda: [
             {"q": q, "is_bitangent": b, "residual": r, "contacts": x}
-            for q, b, r, x in zip(labels, ok.tolist(), residual.tolist(), contacts)
+            for q, b, r, x in zip(run.labels, ok.tolist(), residual.tolist(), contacts)
         ],
-        "summary": lambda: summary,
-        "verify": lambda: _report(REPORT_KEYS["verify"], frame, quartic, lines, certs, summary),
+        "summary": lambda: run.summary,
+        "verify": lambda: _report(REPORT_KEYS["verify"], run),
     }
     return {key: fields[key]() for key in keys}
 
 
 def cmd_pipeline(args) -> int:
-    """``bitangents``, ``quartic`` and ``verify``: one pipeline run and one certificate.
+    """``bitangents``, ``quartic`` and ``verify``: one :func:`~thetaquartic.verify.reconstruct` run.
 
     Each command prints the report keys :data:`REPORT_KEYS` gives it.  A
     curve counts as reconstructed only if its 28 lines certify; otherwise
     each of the three exits 3 after writing its report.
     """
-    tau = _load_tau(args)
-    system = _system(args)
-    frame = wb.weber_coefficients(system, tau)
-    quartic = wb.riemann_quartic(frame.xi)
-    lines = wb.all_bitangents(system, tau)
-    certs, summary = vf.bitangency_summary(quartic, lines)
-    _note(f"bitangency: {summary['pass']}/28 pass, max residual {summary['max_residual']:.3e}")
-    _emit(_report(REPORT_KEYS[args.command], frame, quartic, lines, certs, summary), args)
-    if summary["pass"] != 28:
+    run = vf.reconstruct(_load_tau(args), _system(args))
+    _note(f"bitangency: {run.summary['pass']}/28 pass, max residual {run.summary['max_residual']:.3e}")
+    _emit(_report(REPORT_KEYS[args.command], run), args)
+    if run.summary["pass"] != 28:
         return EXIT_INVARIANT
     if args.command == "quartic":
         _note("quartic reconstructed; coefficients normalized to unit max modulus")
@@ -374,7 +368,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ThetaQuarticError as exc:
         _note(f"error: {exc}")
-        return EXIT_INPUT
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -218,7 +218,4 @@ def determinant_ratio_rows(tau, rng):
 @_check("bitangency-28", vf.BITANGENCY_TOL)
 def bitangency_28(tau, rng):
     """Certificate residuals of the 28 transported lines on the reconstructed quartic."""
-    frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau)
-    lines = wb.all_bitangents(ca.REFERENCE_SYSTEM, tau)
-    (_, residual, _, _), _ = vf.bitangency_summary(wb.riemann_quartic(frame.xi), lines)
-    return residual
+    return vf.reconstruct(tau).certs[1]

@@ -1,4 +1,4 @@
-"""Independent numerical verification of the reconstruction's claims.
+"""The pipeline's entry point, :func:`reconstruct`, and independent verification of its claims.
 
 The bitangency certificate is deliberately oblivious to how a line was
 produced: restrict the quartic to the line, find the four roots of the
@@ -44,9 +44,11 @@ from itertools import combinations
 import numpy as np
 from numpy.linalg import LinAlgError, eigvals
 
+from . import weber as wb
+from .charalgebra import REFERENCE_SYSTEM, AronholdSystem, Characteristic
 from .errors import DegenerateCurveError, ThetaQuarticError
 from .thetaeval import PeriodMatrix, random_tau, vanishing_even_characteristics
-from .weber import MONOMIALS, ProjLine, QuarticCurve
+from .weber import MONOMIALS, AronholdFrame, ProjLine, QuarticCurve
 
 #: a line is certified bitangent when its root-clustering residual is below this
 BITANGENCY_TOL = 1e-6
@@ -128,17 +130,6 @@ def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarra
     if np.any(np.abs(g).max(axis=1) < RESTRICTION_ZERO_TOL):
         raise DegenerateCurveError("the line lies on the curve; restriction is zero")
     return g, p, q
-
-
-def restrict_to_line(curve: QuarticCurve, line: ProjLine) -> np.ndarray:
-    """Pull the quartic back to the line: a binary quartic in (s, t).
-
-    The curve is first scaled to unit largest coefficient; (s, t) are
-    coordinates on the SVD null-space basis of the line's covector.
-    Raises :class:`DegenerateCurveError` when the restriction vanishes
-    identically, i.e. the line is a component of the curve.
-    """
-    return _restrictions(curve, [line.c])[0][0]
 
 
 def _chart_transforms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,3 +341,31 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
     ok, residual = certs[:2]
     n_pass = int(ok.sum())
     return certs, {"pass": n_pass, "fail": len(ok) - n_pass, "max_residual": float(residual.max(initial=0.0))}
+
+
+@dataclass(frozen=True)
+class Reconstruction:
+    """One run of :func:`reconstruct`; ``certs`` and ``summary`` are :func:`bitangency_summary`'s."""
+
+    frame: AronholdFrame
+    quartic: QuarticCurve
+    labels: tuple[Characteristic, ...]
+    covectors: np.ndarray
+    certs: tuple
+    summary: dict
+
+
+def reconstruct(tau: PeriodMatrix, system: AronholdSystem = REFERENCE_SYSTEM) -> Reconstruction:
+    """Weber's formula end to end: tau to the quartic and its 28 certified bitangents.
+
+    Runs :func:`~thetaquartic.weber.weber_coefficients`, then
+    ``riemann_quartic``, ``all_bitangents`` and :func:`bitangency_summary`,
+    so a refusal is the error of the first stage that refuses.  Fewer
+    than 28 certified lines is a result, not an error.
+    """
+    # each stage is looked up on its module at call time, the binding perfbench/tracing.py swaps
+    frame = wb.weber_coefficients(system, tau)
+    quartic = wb.riemann_quartic(frame.xi)
+    labels, covectors = wb.all_bitangents(system, tau)
+    certs, summary = bitangency_summary(quartic, (labels, covectors))
+    return Reconstruction(frame, quartic, labels, covectors, certs, summary)

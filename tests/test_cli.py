@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from thetaquartic import invariants
-from thetaquartic.charalgebra import REFERENCE_SYSTEM, all_forms
+from thetaquartic.charalgebra import all_forms
 from thetaquartic.cli import _dump, main
 from thetaquartic.errors import SingularSystemError
 from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, tau_from_json, tau_to_json
-from thetaquartic.verify import bitangency_check
-from thetaquartic.weber import ProjLine, all_bitangents, riemann_quartic, weber_coefficients
+from thetaquartic.verify import bitangency_check, reconstruct
+from thetaquartic.weber import ProjLine
 
 DATA = Path(__file__).parent / "data"
 
@@ -281,6 +281,21 @@ def test_inconsistent_three_radical_system_is_not_a_special_locus_refusal(capsys
     assert "three-radical" in err
 
 
+@pytest.mark.parametrize("command", ["bitangents", "quartic", "verify"])
+@pytest.mark.parametrize("tau, index, message", [
+    ("tau_seed3", "5", "three-radical scaling system inconsistent (residual 4.52e-07)"),
+    ("tau_seed3", "287", "reciprocal coefficient matrix is singular"),
+    ("tau_rng201_draw213", "5", "three-radical scaling system inconsistent (residual 1.59e-06)"),
+])
+def test_numerical_refusal_exits_3_without_a_report(command, tau, index, message, tmp_path, capsys):
+    # a solve that refuses is a verification failure, not an input error: exit 3, one line, no report
+    argv = [command, "--tau", str(DATA / f"{tau}.json"), "--system-index", index]
+    assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+    report = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "--json", str(report)) == (3, "", f"error: {message}\n")
+    assert not report.exists()
+
+
 def test_ill_conditioned_frame_is_not_a_special_locus_refusal(capsys):
     # system 32 on this tau: the frame's condition number is about 4e13, while the
     # smallest even constant is 1.7e-4 of the largest, far above the 1e-8 gate
@@ -308,13 +323,11 @@ def test_report_json_structure(capsys):
     tau_path = DATA / "tau_seed3.json"
     code, out, _ = run_cli(capsys, "verify", "--tau", str(tau_path))
     assert code == 0
-    tau = PeriodMatrix(tau_from_json(json.loads(tau_path.read_text())))
-    quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau).xi)
+    run = reconstruct(PeriodMatrix(tau_from_json(json.loads(tau_path.read_text()))))
     rows = json.loads(out)["reports"]
-    labels, covectors = all_bitangents(REFERENCE_SYSTEM, tau)
-    assert len(rows) == len(labels) == len(covectors) == 28
-    for q, covector, row in zip(labels, covectors, rows):
-        report = bitangency_check(quartic, ProjLine(covector))
+    assert len(rows) == len(run.labels) == len(run.covectors) == 28
+    for q, covector, row in zip(run.labels, run.covectors, rows):
+        report = bitangency_check(run.quartic, ProjLine(covector))
         assert list(row) == ["q", "is_bitangent", "residual", "contacts"]
         assert row == {
             "q": q.to_json(),

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from thetaquartic import (
-    all_bitangents,
-    bitangency_summary,
-    random_admissible_tau,
-    riemann_quartic,
-    weber_coefficients,
-)
+from thetaquartic import random_admissible_tau, reconstruct
 from thetaquartic import invariants, thetaeval
 from thetaquartic.charalgebra import (
     REFERENCE_SYSTEM,
@@ -39,7 +33,13 @@ from thetaquartic.thetaeval import (
     theta_tables,
     vanishing_even_characteristics,
 )
-from thetaquartic.weber import aronhold_coeffs_dets, jacobi_ratio, require_generic
+from thetaquartic.weber import (
+    all_bitangents,
+    aronhold_coeffs_dets,
+    jacobi_ratio,
+    require_generic,
+    weber_coefficients,
+)
 
 from conftest import genus1_factorization_residual, xor_char
 from oracles import cube_series, raw_grad
@@ -242,10 +242,7 @@ def test_skewed_basis_same_curve(k):
     ref = np.sort(np.abs(list(even_constant_table(tau).values())))
     got = np.sort(np.abs(list(even_constant_table(skewed).values())))
     assert np.all(np.abs(got - ref) <= 1e-10 * ref)
-    frame = weber_coefficients(REFERENCE_SYSTEM, skewed)
-    lines = all_bitangents(REFERENCE_SYSTEM, skewed)
-    _, summary = bitangency_summary(riemann_quartic(frame.xi), lines)
-    assert summary["pass"] == 28
+    assert reconstruct(skewed).summary["pass"] == 28
 
 
 def test_gradient_reduction_scaling(tau_seed1):

@@ -13,15 +13,17 @@ from thetaquartic.charalgebra import Characteristic, arf
 from thetaquartic.errors import (
     DegenerateCurveError,
     InvalidTauError,
+    SingularSystemError,
     SpecialLocusError,
     ThetaQuarticError,
 )
 from thetaquartic.verify import (
     BitangencyReport,
+    Reconstruction,
     bitangency_check,
     bitangency_summary,
     random_admissible_tau,
-    restrict_to_line,
+    reconstruct,
 )
 from thetaquartic.thetaeval import PeriodMatrix, vanishing_even_characteristics
 from thetaquartic.weber import (
@@ -35,6 +37,12 @@ from thetaquartic.weber import (
     weber_coefficients,
 )
 from thetaquartic.charalgebra import REFERENCE_SYSTEM, enumerate_aronhold
+
+
+def _restrict(curve: QuarticCurve, line: ProjLine) -> np.ndarray:
+    # the binary quartic g(s, t) the certificate makes of one line: the curve scaled to unit
+    # largest coefficient, on the SVD null-space basis of the covector
+    return verify._restrictions(curve, [line.c])[0][0]
 
 
 def _curve(monomial_coeffs: dict) -> QuarticCurve:
@@ -85,7 +93,7 @@ def test_random_admissible_tau_deterministic():
 
 
 def test_restrict_pure_power():
-    coeffs = restrict_to_line(X1_FOURTH, ProjLine((0, 1, 0)))
+    coeffs = _restrict(X1_FOURTH, ProjLine((0, 1, 0)))
     # the restriction of X1^4 to X2 = 0 is a nonzero 4th power of a
     # linear form: (s p1 + t q1)^4
     assert np.abs(coeffs).max() > 0.1
@@ -96,8 +104,8 @@ def test_restrict_pure_power():
 
 def test_restrict_scale_invariance():
     line = ProjLine((0.3 + 0.1j, -1.2, 0.7j))
-    a = restrict_to_line(X1_FOURTH, line)
-    b = restrict_to_line(X1_FOURTH, ProjLine(tuple((2 - 1j) * line.vec)))
+    a = _restrict(X1_FOURTH, line)
+    b = _restrict(X1_FOURTH, ProjLine(tuple((2 - 1j) * line.vec)))
     # same line, so the same restriction up to overall scale
     amp = np.vdot(a, b) / np.vdot(a, a)
     assert np.linalg.norm(b - amp * a) < 1e-12 * np.linalg.norm(b)
@@ -105,7 +113,7 @@ def test_restrict_scale_invariance():
 
 def test_restrict_degenerate_line_on_curve():
     with pytest.raises(DegenerateCurveError):
-        restrict_to_line(X1_FOURTH, ProjLine((1, 0, 0)))
+        _restrict(X1_FOURTH, ProjLine((1, 0, 0)))
 
 
 def test_double_conic_every_line_bitangent():
@@ -118,8 +126,7 @@ def test_double_conic_every_line_bitangent():
 
 
 def test_random_line_not_bitangent(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
+    quartic = reconstruct(tau_seed1).quartic
     rng = np.random.default_rng(9)
     for _ in range(5):
         line = ProjLine(tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
@@ -129,8 +136,7 @@ def test_random_line_not_bitangent(tau_seed1):
 
 
 def test_bitangency_scale_invariance(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
+    quartic = reconstruct(tau_seed1).quartic
     line = ProjLine((1, 0, 0))
     r1 = bitangency_check(quartic, line).residual
     scaled_curve = QuarticCurve(tuple((3 - 4j) * c for c in quartic.coeffs))
@@ -140,9 +146,8 @@ def test_bitangency_scale_invariance(tau_seed1):
 
 
 def test_bitangent_contacts_on_curve_and_line(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
-    _, covectors = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
+    run = reconstruct(tau_seed1)
+    quartic, covectors = run.quartic, run.covectors
     scale = max(abs(c) for c in quartic.coeffs)
     for row in covectors[:9]:
         report = bitangency_check(quartic, ProjLine(row))
@@ -153,10 +158,9 @@ def test_bitangent_contacts_on_curve_and_line(tau_seed1):
 
 
 def test_double_root_separation_or_flag(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
-    for row in all_bitangents(REFERENCE_SYSTEM, tau_seed1)[1]:
-        report = bitangency_check(quartic, ProjLine(row))
+    run = reconstruct(tau_seed1)
+    for row in run.covectors:
+        report = bitangency_check(run.quartic, ProjLine(row))
         assert report.is_bitangent
         # the two contact points are distinct unless flagged near-flex
         if not report.near_flex:
@@ -165,18 +169,15 @@ def test_double_root_separation_or_flag(tau_seed1):
 
 
 def test_bitangency_summary(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
-    lines = all_bitangents(REFERENCE_SYSTEM, tau_seed1)
-    (ok, residual, contacts, flex), summary = bitangency_summary(quartic, lines)
+    run = reconstruct(tau_seed1)
+    (ok, residual, contacts, flex), summary = run.certs, run.summary
     assert summary == {"pass": 28, "fail": 0, "max_residual": float(residual.max())}
     assert ok.shape == residual.shape == flex.shape == (28,) and contacts.shape == (28, 2, 3)
     assert ok.dtype == flex.dtype == bool and residual.dtype == float
 
 
 def test_bitangency_summary_of_no_lines(tau_seed1):
-    quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau_seed1).xi)
-    certs, summary = bitangency_summary(quartic, ((), np.empty((0, 3), dtype=complex)))
+    certs, summary = bitangency_summary(reconstruct(tau_seed1).quartic, ((), np.empty((0, 3), dtype=complex)))
     assert summary == {"pass": 0, "fail": 0, "max_residual": 0.0}
     assert [c.shape for c in certs] == [(0,), (0,), (0, 2, 3), (0,)]
 
@@ -187,10 +188,52 @@ def test_random_admissible_tau_exhaustion(monkeypatch):
         random_admissible_tau(3)
 
 
-def _pipeline(seed):
+def _chain(tau, system):
+    # the four stage calls reconstruct makes, written out
+    frame = weber_coefficients(system, tau)
+    quartic = riemann_quartic(frame.xi)
+    labels, covectors = all_bitangents(system, tau)
+    return frame, quartic, labels, covectors, bitangency_summary(quartic, (labels, covectors))
+
+
+@pytest.mark.parametrize("seed, index", [*((seed, None) for seed in range(1, 6)), (7, 5), (7, 287)])
+def test_reconstruct_matches_the_chain(seed, index):
     tau = random_admissible_tau(seed)
-    quartic = riemann_quartic(weber_coefficients(REFERENCE_SYSTEM, tau).xi)
-    return quartic, all_bitangents(REFERENCE_SYSTEM, tau)
+    system = REFERENCE_SYSTEM if index is None else enumerate_aronhold()[index]
+    run = reconstruct(tau, system)
+    frame, quartic, labels, covectors, (certs, summary) = _chain(tau, system)
+    assert run.frame.system == frame.system
+    for field in ("a", "k", "lam", "xi"):
+        assert getattr(run.frame, field).tobytes() == getattr(frame, field).tobytes(), field
+    assert np.array(run.quartic.coeffs).tobytes() == np.array(quartic.coeffs).tobytes()
+    assert run.labels == labels
+    assert run.covectors.tobytes() == covectors.tobytes()
+    assert [c.tobytes() for c in run.certs] == [c.tobytes() for c in certs]
+    assert run.summary == summary
+
+
+@pytest.mark.parametrize("index", [5, 287])
+def test_reconstruct_refuses_as_the_chain(index):
+    # at seed 3, system 5's xi solve and system 287's lambda solve refuse
+    tau, system = random_admissible_tau(3), enumerate_aronhold()[index]
+    with pytest.raises(SingularSystemError) as chained:
+        _chain(tau, system)
+    with pytest.raises(SingularSystemError) as refused:
+        reconstruct(tau, system)
+    assert type(refused.value) is type(chained.value) and str(refused.value) == str(chained.value)
+
+
+def test_reconstruction_is_frozen(tau_seed1):
+    run = reconstruct(tau_seed1)
+    assert isinstance(run, Reconstruction) and run.covectors.shape == (28, 3)
+    with pytest.raises(AttributeError):
+        run.summary = {}
+    with pytest.raises(ValueError, match="read-only"):
+        run.covectors[0, 0] = 1
+
+
+def _pipeline(seed):
+    return reconstruct(random_admissible_tau(seed))
 
 
 def _random_lines(seed, count):
@@ -200,8 +243,8 @@ def _random_lines(seed, count):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_restriction_matches_mpmath_on_bitangents(seed):
-    quartic, (_, covectors) = _pipeline(seed)
-    _check_restrictions_against_mpmath(quartic, [ProjLine(row) for row in covectors])
+    run = _pipeline(seed)
+    _check_restrictions_against_mpmath(run.quartic, [ProjLine(row) for row in run.covectors])
 
 
 @pytest.mark.parametrize("curve", [X1_FOURTH, DOUBLE_CONIC], ids=["x1_fourth", "double_conic"])
@@ -216,16 +259,16 @@ def _check_restrictions_against_mpmath(curve, lines):
     for line in lines:
         _, _, vh = np.linalg.svd(line.vec.reshape(1, 3))
         want = mp_restriction(coeffs, MONOMIALS, vh[1].conj(), vh[2].conj())
-        got = restrict_to_line(curve, line)
+        got = _restrict(curve, line)
         assert np.abs(got - want).max() < 1e-12 * np.abs(coeffs).sum()
 
 
 def test_check_equals_summary_row():
     # row l of the batched certificate is the single-line certificate of line l, field by field
-    quartic, lines = _pipeline(1)
-    (ok, residual, contacts, flex), _ = bitangency_summary(quartic, lines)
-    for l, row in enumerate(lines[1]):
-        report = bitangency_check(quartic, ProjLine(row))
+    run = _pipeline(1)
+    ok, residual, contacts, flex = run.certs
+    for l, row in enumerate(run.covectors):
+        report = bitangency_check(run.quartic, ProjLine(row))
         assert (ok[l], residual[l], flex[l]) == (report.is_bitangent, report.residual, report.near_flex)
         assert np.array_equal(contacts[l], report.contact_points)
 
@@ -240,9 +283,10 @@ def test_line_on_curve_anywhere_in_batch(position):
 
 
 def test_contacts_canonical_under_rescaling():
-    quartic, (_, covectors) = _pipeline(1)
+    run = _pipeline(1)
+    quartic = run.quartic
     scaled_curve = QuarticCurve(tuple((3 - 4j) * c for c in quartic.coeffs))
-    for row in covectors:
+    for row in run.covectors:
         line = ProjLine(row)
         scaled_line = ProjLine(tuple((0.01j - 2) * x for x in line.vec))
         a = bitangency_check(quartic, line).contact_points
@@ -281,10 +325,10 @@ def test_covector_stack_checks_every_row(row, bad, message):
 
 
 def test_huge_coefficients_certified():
-    quartic, lines = _pipeline(1)
-    huge = QuarticCurve(tuple(1e308 * c for c in quartic.coeffs))
-    _, want = bitangency_summary(quartic, lines)
-    _, got = bitangency_summary(huge, lines)
+    run = _pipeline(1)
+    huge = QuarticCurve(tuple(1e308 * c for c in run.quartic.coeffs))
+    want = run.summary
+    _, got = bitangency_summary(huge, (run.labels, run.covectors))
     assert got["pass"] == 28
     assert abs(got["max_residual"] - want["max_residual"]) < 1e-12
 
@@ -323,7 +367,7 @@ def test_double_root_near_infinity_stays_double(eps):
     curve = _product_curve(l1, l1, l2, l2)
     # g = (t - eps s)^2 (s - c t)^2 up to scale
     want = np.convolve(np.convolve([-eps, 1], [-eps, 1]), np.convolve([1, -c], [1, -c]))
-    got = restrict_to_line(curve, line)
+    got = _restrict(curve, line)
     assert np.abs(got / got[2] - want / want[2]).max() < 1e-14
     report = bitangency_check(curve, line)
     assert report.is_bitangent and not report.near_flex
@@ -357,8 +401,7 @@ def eigvals_rows(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_bitangents_need_no_eigenvalue_solve(seed, eigvals_rows):
-    quartic, lines = _pipeline(seed)
-    assert bitangency_summary(quartic, lines)[1]["pass"] == 28
+    assert _pipeline(seed).summary["pass"] == 28
     assert eigvals_rows == []
 
 
@@ -372,10 +415,7 @@ def test_fourfold_root_falls_back_to_eigenvalues(eigvals_rows):
 def test_only_unvouched_rows_fall_back(eigvals_rows):
     # a canonical system at seed 6 whose frame leaves lines uncertified: the rows the
     # factorization cannot vouch for go to one eigenvalue call, the others do not
-    tau = random_admissible_tau(6)
-    system = enumerate_aronhold()[4]
-    quartic = riemann_quartic(weber_coefficients(system, tau).xi)
-    assert bitangency_summary(quartic, all_bitangents(system, tau))[1]["fail"] > 0
+    assert reconstruct(random_admissible_tau(6), enumerate_aronhold()[4]).summary["fail"] > 0
     assert len(eigvals_rows) == 1 and 0 < eigvals_rows[0] < 28
 
 
@@ -414,13 +454,13 @@ def _check_roots_against_companion(curve, covectors, root_tol, centre_tol=None):
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_bitangent_roots_match_companion_oracle(seed):
     # a double root is only sqrt(eps)-conditioned, each pair's centre is well conditioned
-    quartic, (_, covectors) = _pipeline(seed)
-    _check_roots_against_companion(quartic, covectors, root_tol=1e-7, centre_tol=1e-12)
+    run = _pipeline(seed)
+    _check_roots_against_companion(run.quartic, run.covectors, root_tol=1e-7, centre_tol=1e-12)
 
 
 def test_random_line_roots_match_companion_oracle():
     lines = np.array([line.c for line in _random_lines(12, 10)])
-    _check_roots_against_companion(_pipeline(1)[0], lines, root_tol=1e-12)
+    _check_roots_against_companion(_pipeline(1).quartic, lines, root_tol=1e-12)
     _check_roots_against_companion(DOUBLE_CONIC, lines, root_tol=1e-7, centre_tol=1e-12)
 
 
@@ -428,8 +468,7 @@ def test_residuals_of_the_reference_system():
     # README "Numerical behavior" quotes these figures: median 2.3e-14 and one run above 1e-10
     worst = []
     for seed in range(1, 101):
-        quartic, lines = _pipeline(seed)
-        summary = bitangency_summary(quartic, lines)[1]
+        summary = _pipeline(seed).summary
         assert summary["pass"] == 28, seed
         worst.append(summary["max_residual"])
     assert np.median(worst) < 1e-12

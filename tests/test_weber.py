@@ -7,7 +7,7 @@ from thetaquartic import invariants, weber
 from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, enumerate_aronhold, odd_forms, pack
 from thetaquartic.errors import SingularSystemError, SpecialLocusError
 from thetaquartic.thetaeval import even_constant_table, theta_tables
-from thetaquartic.verify import bitangency_check
+from thetaquartic.verify import bitangency_check, reconstruct
 from thetaquartic.weber import (
     MONOMIALS,
     AronholdSystem,
@@ -164,10 +164,9 @@ def test_xi_forms_deterministic_under_equation_permutation(tau_seed1):
 
 
 def test_xi_lines_are_bitangent(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
-    for row in frame.xi:
-        assert bitangency_check(quartic, ProjLine(row)).is_bitangent
+    run = reconstruct(tau_seed1)
+    for row in run.frame.xi:
+        assert bitangency_check(run.quartic, ProjLine(row)).is_bitangent
 
 
 def test_xi_lines_match_transported_pair_forms(tau_seed1):
@@ -179,9 +178,7 @@ def test_xi_lines_match_transported_pair_forms(tau_seed1):
 
 
 def test_riemann_quartic_beta1_bitangent(tau_seed1):
-    frame = weber_coefficients(REFERENCE_SYSTEM, tau_seed1)
-    quartic = riemann_quartic(frame.xi)
-    report = bitangency_check(quartic, ProjLine((1, 0, 0)))
+    report = bitangency_check(reconstruct(tau_seed1).quartic, ProjLine((1, 0, 0)))
     assert report.is_bitangent and report.residual < 1e-8
 
 
