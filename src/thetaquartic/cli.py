@@ -262,7 +262,7 @@ def cmd_aronhold(args) -> int:
 
 def cmd_random_tau(args) -> int:
     tau = vf.random_admissible_tau(args.seed)
-    _emit(te.tau_to_json(tau), args)
+    _emit(te.tau_to_json(tau.tau), args)
     _note(f"admissible period matrix for seed {args.seed} (lam_min={tau.lam_min:.4f})")
     return EXIT_OK
 
@@ -289,7 +289,7 @@ def _report(keys, run: vf.Reconstruction) -> dict:
         "aronhold": lambda: list(run.frame.system),
         "a": lambda: run.frame.a,
         "bitangents": lambda: [{"q": q, "line": row} for q, row in zip(run.labels, wb.unit_pivot(run.covectors))],
-        "quartic": lambda: np.array(run.quartic.coeffs),
+        "quartic": lambda: run.quartic.coeffs,
         "k": lambda: run.frame.k,
         "lambda": lambda: run.frame.lam,
         "xi": lambda: wb.unit_pivot(run.frame.xi),

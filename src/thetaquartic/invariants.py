@@ -212,7 +212,7 @@ def determinant_ratio_rows(tau, rng):
     """Projective residual of the coefficient rows against their determinant ratios."""
     frame = wb.weber_coefficients(ca.REFERENCE_SYSTEM, tau)
     rows = wb.aronhold_coeffs_dets(ca.REFERENCE_SYSTEM, tau)
-    return max(wb.ProjLine(tuple(rows[i])).residual_to(frame.a[i]) for i in range(3))
+    return max(wb.ProjLine(rows[i]).residual_to(frame.a[i]) for i in range(3))
 
 
 @_check("bitangency-28", vf.BITANGENCY_TOL)

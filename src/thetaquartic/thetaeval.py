@@ -5,10 +5,14 @@ Evaluates the lattice series
     theta_m(tau, z) = sum_{n in Z^3} e[ (n+m'/2).tau.(n+m'/2) + 2(n+m'/2).(z+m''/2) ]
 
 with the half-integral phase convention e(x) := exp(pi*i*x).  That
-convention is the single most bug-prone piece of the whole pipeline, so
-it lives in exactly one helper (:func:`ephase`) and every phase in the
-package goes through it or through ``numpy.exp(1j*pi*...)`` on a value
-assembled right next to a comment saying so.
+convention is the single most bug-prone piece of the whole pipeline.  A
+phase of a real argument is ``numpy.exp(1j*pi*...)`` on a value
+assembled right next to a comment saying so: in the lattice pass, and
+in :func:`ephase`, whose one caller is :func:`quasi_periodicity_residual`.
+Integer phases are tabulated powers of i instead: ``weber._I_POW``,
+``_CLASS_UNITS``, the unit vector of a reduced Re tau and Re z
+(:func:`_series`), and the signs +-1 of the addition formula and of
+:func:`~thetaquartic.charalgebra.reduce_characteristic`.
 
 Every series goes through one private kernel (:func:`_series`): one
 lattice pass at one z returns the values (64,) and z-gradients (64, 3) of
@@ -66,7 +70,8 @@ tau -> U tau U^T for U in GL_3(Z).  R itself grows only logarithmically
 with 1/lam_min (through the gradient weight and the packing radius).
 An ellipsoid thinner than the lattice spacing in some direction holds
 far more points than its volume, which is why the cap is on the exact
-count.  No modular transformation is applied to tau.
+count.  Of the modular transformations, only Re tau mod 2 is applied
+to tau (:func:`_series`), not Re tau mod 1 or a GL_3(Z) reduction.
 """
 
 from __future__ import annotations
@@ -173,10 +178,11 @@ class PeriodMatrix:
             raise InvalidTauError(f"expected a 3x3 matrix, got shape {tau.shape}")
         if not np.all(np.isfinite(tau)):
             raise InvalidTauError("matrix contains non-finite entries")
-        asym = np.abs(tau - tau.T).max()
+        # halves first, so that entries near the float limit neither overflow nor lose bits
+        asym = 2 * float(np.abs(tau / 2 - tau.T / 2).max())
         if asym > ASYMMETRY_TOL:
             raise InvalidTauError(f"matrix is asymmetric: max |tau - tau^T| = {asym:.3e}")
-        tau = (tau + tau.T) / 2
+        tau = tau / 2 + tau.T / 2
         imag = tau.imag
         eigs = np.linalg.eigvalsh(imag)
         if eigs.min() <= 0:
@@ -261,17 +267,18 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     """Values (64,) and z-gradients (64, 3) of theta at every reduced characteristic, by packed index.
 
     One lattice pass over k = 2p (see the module docstring); ``z`` None
-    means z = 0, and any other z must be 3 finite numbers.  A z is summed
-    at z - n, n = rint(Re z), and the signs (-1)^(m'.n) are applied after
-    the pass, so a large Re z costs no digits in the phases.
+    means z = 0, and any other z must be 3 finite numbers.  The pass sums
+    at tau - 2B and z - n, B = rint(Re tau / 2) and n = rint(Re z), and the
+    units i^(m'.B.m' + 2 m'.n) are applied after it, so a large Re tau or
+    Re z costs no digits in the phases.
     """
     zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     if zz.shape != (3,) or not np.isfinite(zz).all():
         raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
-    z_sum = zz
-    if z is not None:
-        n = np.rint(zz.real)  # theta[m](z + n) = (-1)^(m'.n) theta[m](z) for integer n
-        z_sum = zz - n
+    # theta[m](tau + 2B, z + n) = i^(m'.B.m' + 2 m'.n) theta[m](tau, z) for integer symmetric B and integer n
+    b, n = np.rint(tau.tau.real / 2), np.rint(zz.real)
+    shifted = b.any() or n.any()
+    tau_sum, z_sum = (tau.tau - 2 * b, zz - n) if shifted else (tau.tau, zz)
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
     a = np.linalg.solve(imag, zz.imag)
@@ -288,7 +295,7 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
         raise TruncationError(f"{exc}; the pass was at z = {zz}") from None
     cls = (k.astype(np.intp) & 3) @ _CLASS_STRIDES  # k mod 4
     p = np.divide(k, 2, out=k)  # p = k/2, in place
-    w = np.exp(1j * np.pi * (((p @ tau.tau) * p).sum(axis=1) + 2 * p @ z_sum))  # e(x) convention
+    w = np.exp(1j * np.pi * (((p @ tau_sum) * p).sum(axis=1) + 2 * p @ z_sum))  # e(x) convention
     terms = np.concatenate((w[None], p.T * w))  # row j: the weights of the value (j = 0) or of d/dz_j
     idx = (cls + 64 * np.arange(4)[:, None]).ravel()
     sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
@@ -296,9 +303,12 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     out[1:] *= 2j * np.pi
     if not np.isfinite(out).all():  # a peak term below the float limit can still overflow in p w or a sum
         raise ValueError(f"theta at z = {zz} leaves the float range")
-    if z is not None:
-        # packed index x + 8 y has m' = _BITS[x]; fmod gives n mod 2 exactly, 0 for |n| >= 2^53
-        out *= np.tile(1 - 2 * ((_BITS @ np.fmod(n, 2).astype(np.int8)) & 1), 8)
+    if shifted:
+        # fmod takes B mod 4 and n mod 2 exactly, 0 from 2^54 and 2^53 on; units[x] belongs to m' = _BITS[x]
+        b4, n2 = np.fmod(b, 4).astype(np.int8), np.fmod(n, 2).astype(np.int8)
+        units = _UNITS[(((_BITS @ b4) * _BITS).sum(axis=1) + 2 * (_BITS @ n2)) & 3]
+        if (units != 1).any():  # skipped when all are 1, so that every bit is kept
+            out *= np.tile(units, 8)  # packed index x + 8 y has m' = _BITS[x]
     return out[0], out[1:].T.copy()
 
 
@@ -512,8 +522,8 @@ def complex_to_json(z):
 
 
 def tau_to_json(tau) -> dict:
-    """Serialize a period matrix as {"tau": complex_to_json of its 3x3 matrix}."""
-    return {"tau": complex_to_json(tau.tau if isinstance(tau, PeriodMatrix) else tau)}
+    """Serialize a 3x3 complex matrix as {"tau": complex_to_json(tau)}."""
+    return {"tau": complex_to_json(tau)}
 
 
 def _real(x) -> float:

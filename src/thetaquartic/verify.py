@@ -76,13 +76,13 @@ def random_admissible_tau(seed: int) -> PeriodMatrix:
     raise ThetaQuarticError(f"no admissible period matrix found in {MAX_TRIES} draws (seed {seed})")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BitangencyReport:
-    """Certificate that a line is (or is not) bitangent to a quartic."""
+    """Certificate that a line is (or is not) bitangent to a quartic, with read-only (2, 3) ``contact_points``."""
 
     line: ProjLine
     is_bitangent: bool
-    contact_points: tuple
+    contact_points: np.ndarray
     residual: float
     near_flex: bool = False
 
@@ -120,7 +120,7 @@ def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarra
     covectors = np.asarray(covectors, dtype=complex).reshape(-1, 3)
     _, _, vh = np.linalg.svd(covectors[:, None, :])
     p, q = vh[:, 1].conj(), vh[:, 2].conj()
-    coeffs = curve.vec / np.abs(curve.vec).max()
+    coeffs = curve.coeffs / np.abs(curve.coeffs).max()
 
     # term[l, i, e, k] = C(e, k) p_i^(e-k) q_i^k: the binomial expansion of (s p_i + t q_i)^e
     powers = np.arange(5)
@@ -271,9 +271,9 @@ def _canonical(x: np.ndarray) -> np.ndarray:
 def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Root-clustering certificates for a stack of L line covectors (L may be 0), in one array pass.
 
-    Returns (is_bitangent, residual, contacts, near_flex): boolean and
-    float arrays of length L, and contacts of shape (L, 2, 3), the two
-    canonical contact points of each line (see :func:`bitangency_check`).
+    Returns read-only arrays (is_bitangent, residual, contacts, near_flex):
+    boolean and float of length L, and contacts of shape (L, 2, 3), the
+    two canonical contact points of each line (see :func:`bitangency_check`).
     """
     g, p, q = _restrictions(curve, covectors)
     pts = _sphere_roots(g)
@@ -304,6 +304,8 @@ def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np
     is_bitangent = residual < BITANGENCY_TOL
     near_flex = is_bitangent & (separation <= 10 * np.maximum(radii.max(axis=1), 1e-300))
     contacts = _canonical(s0[..., None] * p[:, None, :] + t0[..., None] * q[:, None, :])
+    for arr in (is_bitangent, residual, contacts, near_flex):
+        arr.setflags(write=False)
     return is_bitangent, residual, contacts, near_flex
 
 
@@ -318,8 +320,8 @@ def bitangency_check(curve: QuarticCurve, line: ProjLine) -> BitangencyReport:
     ``near_flex`` flags the degenerate case where the two double roots
     themselves (nearly) collide, i.e. a hyperflex-like contact.
     """
-    ok, residual, contacts, flex = _certify(curve, [line.c])
-    return BitangencyReport(line, bool(ok[0]), tuple(contacts[0]), float(residual[0]), bool(flex[0]))
+    ok, residual, contacts, flex = _certify(curve, line.c)
+    return BitangencyReport(line, bool(ok[0]), contacts[0], float(residual[0]), bool(flex[0]))
 
 
 def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict]:
@@ -343,9 +345,9 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
     return certs, {"pass": n_pass, "fail": len(ok) - n_pass, "max_residual": float(residual.max(initial=0.0))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reconstruction:
-    """One run of :func:`reconstruct`; ``certs`` and ``summary`` are :func:`bitangency_summary`'s."""
+    """One run of :func:`reconstruct` in read-only arrays; ``certs`` and ``summary`` are :func:`bitangency_summary`'s."""
 
     frame: AronholdFrame
     quartic: QuarticCurve

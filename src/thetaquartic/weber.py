@@ -45,7 +45,6 @@ line's job.  Covectors and quartic coefficients are scaled for output by
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -117,23 +116,18 @@ def line_covectors(rows) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjLine:
-    """A line in P^2 given by a covector, defined up to complex scale."""
+    """A line in P^2 given by a covector, defined up to complex scale; ``c`` is a read-only (3,) array."""
 
-    c: tuple[complex, complex, complex]
+    c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(line_covectors([self.c])[0].tolist()))
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array(self.c, dtype=complex)
+        object.__setattr__(self, "c", line_covectors([self.c])[0])
 
     def residual_to(self, other) -> float:
-        """Normalized cross-product residual; 0 iff projectively equal."""
-        u = self.vec
-        w = other.vec if isinstance(other, ProjLine) else np.asarray(other, dtype=complex)
+        """Normalized cross-product residual against the covector ``other``; 0 iff projectively equal."""
+        u, w = self.c, np.asarray(other, dtype=complex)
         return float(np.linalg.norm(np.cross(u, w)) / (np.linalg.norm(u) * np.linalg.norm(w)))
 
 
@@ -146,29 +140,20 @@ def unit_pivot(rows) -> np.ndarray:
     return rows / np.take_along_axis(rows, np.argmax(np.abs(rows), axis=-1)[..., None], -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuarticCurve:
-    """A ternary quartic: 15 coefficients in MONOMIALS order, up to scale."""
+    """A ternary quartic up to scale; ``coeffs`` is a read-only (15,) complex array in MONOMIALS order."""
 
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        c = tuple(complex(x) for x in self.coeffs)
-        if len(c) != 15 or not all(map(cmath.isfinite, c)):
+        c = np.array(self.coeffs, dtype=complex)
+        if c.shape != (15,) or not np.isfinite(c).all():
             raise ValueError("a ternary quartic has 15 finite coefficients")
-        if max(abs(x) for x in c) == 0:
+        if not c.any():
             raise DegenerateCurveError("zero polynomial is not a quartic curve")
+        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=complex)
-
-    def __call__(self, point) -> complex:
-        x = np.asarray(point, dtype=complex)
-        return complex(
-            sum(c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] for c, e in zip(self.coeffs, MONOMIALS))
-        )
 
 
 @dataclass(frozen=True)
@@ -186,13 +171,13 @@ class WeberEntry:
     rho: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AronholdFrame:
-    """Everything Weber's normalization attaches to (system, tau).
+    """Everything Weber's normalization attaches to (system, tau), in read-only arrays.
 
     ``a`` is the 3x3 coefficient matrix, ``k`` and ``lam`` the scaling
-    solutions, and ``xi`` the read-only 3x3 array whose rows are the
-    covectors of xi_23, xi_13 and xi_12 (:func:`xi_forms`).
+    solutions, and ``xi`` the 3x3 array whose rows are the covectors of
+    xi_23, xi_13 and xi_12 (:func:`xi_forms`).
     """
 
     system: AronholdSystem
@@ -433,7 +418,7 @@ def riemann_quartic(xi: np.ndarray) -> QuarticCurve:
     coeffs = 4 * ab - ss
     if np.abs(coeffs).max() == 0:
         raise DegenerateCurveError("reconstruction produced the zero polynomial")
-    return QuarticCurve(tuple(unit_pivot(coeffs)))
+    return QuarticCurve(unit_pivot(coeffs))
 
 
 def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
@@ -491,6 +476,8 @@ def weber_coefficients(system: AronholdSystem, tau: PeriodMatrix) -> AronholdFra
     lam = solve_lambda(a)
     k = solve_k(a, lam)
     xi = xi_forms(a, k)
+    for arr in (a, lam, k):
+        arr.setflags(write=False)
     return AronholdFrame(system=system, a=a, k=k, lam=lam, xi=xi)
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from thetaquartic.weber import MONOMIALS
+
 
 @dataclass(frozen=True)
 class F2Vector:
@@ -124,6 +126,11 @@ def cube_series(mp, mpp, tau, tail=1e-15, z=None):
     p = box + np.asarray(mp) / 2
     terms = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + p @ np.asarray(mpp) + 2 * p @ z))
     return terms.sum(), 2j * np.pi * p.T @ terms
+
+
+def eval_quartic(coeffs, x) -> complex:
+    """F(x) for the quartic with ``coeffs`` in MONOMIALS order: a direct sum of monomials."""
+    return complex(sum(c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] for c, e in zip(coeffs, MONOMIALS)))
 
 
 def mp_restriction(coeffs, exponents, p, q, dps=40):

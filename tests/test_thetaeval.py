@@ -245,6 +245,51 @@ def test_skewed_basis_same_curve(k):
     assert reconstruct(skewed).summary["pass"] == 28
 
 
+#: two integer symmetric B whose units i^(m'.B.m') are not all 1
+_EVEN_SHIFTS = (
+    np.diag([1, 0, 0]),
+    np.array([[1, -1, 0], [-1, 2, 3], [0, 3, -1]]),
+)
+
+
+@pytest.mark.parametrize("b", _EVEN_SHIFTS, ids=["diag", "full"])
+def test_series_at_re_tau_plus_2b_matches_cube_sum(b):
+    # the pass sums at tau and applies the units; the cube sum sums at tau + 2B directly
+    tau = random_admissible_tau(7).tau + 2 * b
+    values, grads = thetaeval._series(PeriodMatrix(tau), None)
+    vscale, gscale = np.abs(values).max(), np.abs(grads).max()
+    for q in all_forms():
+        value, grad = cube_series(q.mp, q.mpp, tau)
+        x = pack(q)
+        assert abs(values[x] - value) <= 1e-14 * vscale
+        assert np.abs(grads[x] - grad).max() <= 1e-14 * gscale
+
+
+@pytest.fixture(scope="module")
+def seed7_unshifted():
+    # the seed-7 run with Re tau_11 = 0, and with Re tau_12 = Re tau_21 = 0
+    runs = {}
+    for entries in ([(0, 0)], [(0, 1), (1, 0)]):
+        tau = random_admissible_tau(7).tau.copy()
+        for e in entries:
+            tau[e] = 1j * tau[e].imag
+        runs[entries[0]] = reconstruct(PeriodMatrix(tau))
+    return runs
+
+
+@pytest.mark.parametrize("re", [2, 1e6, 1e9, 1e12, 1e16, 1e100, 1e307, 1e308])
+@pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1), (1, 0)]], ids=["re11", "re12"])
+def test_even_real_shift_same_curve(entries, re, seed7_unshifted):
+    # tau and tau - 2B are the same curve; summed unreduced, e(p.tau.p) keeps no digits at Re tau_11 = 1e12
+    # (4/28 certified) and overflows at 1e307
+    tau = random_admissible_tau(7).tau.copy()
+    for e in entries:
+        tau[e] = re + 1j * tau[e].imag
+    run, ref = reconstruct(PeriodMatrix(tau)), seed7_unshifted[entries[0]]
+    assert run.summary["pass"] == 28 and run.summary["max_residual"] < 1e-12
+    assert np.abs(run.quartic.coeffs - ref.quartic.coeffs).max() < 1e-12
+
+
 def test_gradient_reduction_scaling(tau_seed1):
     m = odd_forms()[4]
     n = Characteristic((2, 0, 0), (0, 2, 2))
@@ -505,6 +550,11 @@ def test_period_matrix_validation():
         bad = bad + 0j
         bad[0, 1] = 1e-6
         PeriodMatrix(bad)
+    # an antisymmetric pair near the float limit is measured without overflow
+    huge = 1j * np.eye(3) + 0j
+    huge[0, 1], huge[1, 0] = 1e308, -1e308
+    with pytest.raises(InvalidTauError, match="asymmetric"):
+        PeriodMatrix(huge)
     for entry in (10**400, "a"):
         rows = (1j * np.eye(3)).tolist()
         rows[0][1] = rows[1][0] = entry
@@ -518,7 +568,7 @@ def test_period_matrix_validation():
 
 
 def test_tau_json_roundtrip(tau_seed1):
-    obj = tau_to_json(tau_seed1)
+    obj = tau_to_json(tau_seed1.tau)
     back = tau_from_json(obj)
     assert np.abs(back - tau_seed1.tau).max() == 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import companion_roots, mp_restriction
+from oracles import companion_roots, eval_quartic, mp_restriction
 from thetaquartic import verify
 from thetaquartic.charalgebra import Characteristic, arf
 from thetaquartic.errors import (
@@ -105,7 +106,7 @@ def test_restrict_pure_power():
 def test_restrict_scale_invariance():
     line = ProjLine((0.3 + 0.1j, -1.2, 0.7j))
     a = _restrict(X1_FOURTH, line)
-    b = _restrict(X1_FOURTH, ProjLine(tuple((2 - 1j) * line.vec)))
+    b = _restrict(X1_FOURTH, ProjLine(tuple((2 - 1j) * line.c)))
     # same line, so the same restriction up to overall scale
     amp = np.vdot(a, b) / np.vdot(a, a)
     assert np.linalg.norm(b - amp * a) < 1e-12 * np.linalg.norm(b)
@@ -140,7 +141,7 @@ def test_bitangency_scale_invariance(tau_seed1):
     line = ProjLine((1, 0, 0))
     r1 = bitangency_check(quartic, line).residual
     scaled_curve = QuarticCurve(tuple((3 - 4j) * c for c in quartic.coeffs))
-    scaled_line = ProjLine(tuple((0.01j - 2) * x for x in line.vec))
+    scaled_line = ProjLine(tuple((0.01j - 2) * x for x in line.c))
     r2 = bitangency_check(scaled_curve, scaled_line).residual
     assert abs(r1 - r2) < 1e-12
 
@@ -153,7 +154,7 @@ def test_bitangent_contacts_on_curve_and_line(tau_seed1):
         report = bitangency_check(quartic, ProjLine(row))
         assert report.is_bitangent
         for x in report.contact_points:
-            assert abs(quartic(x)) < 1e-7 * scale
+            assert abs(eval_quartic(quartic.coeffs, x)) < 1e-7 * scale
             assert abs(row @ x) < 1e-7 * np.linalg.norm(row)
 
 
@@ -232,6 +233,57 @@ def test_reconstruction_is_frozen(tau_seed1):
         run.covectors[0, 0] = 1
 
 
+def _arrays(obj):
+    """Every ndarray reachable from obj through dataclass fields, tuples and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _arrays(x)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _arrays(x)
+
+
+def test_reconstruction_holds_read_only_arrays_and_compares_by_identity():
+    tau = random_admissible_tau(1)
+    run = reconstruct(tau)
+    named = [run.frame.a, run.frame.k, run.frame.lam, run.frame.xi, run.quartic.coeffs, run.covectors, *run.certs]
+    reachable = list(_arrays(run))
+    assert len(reachable) == len(named) == 10
+    assert {id(x) for x in reachable} == {id(x) for x in named}
+    for arr in reachable:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.frame.k = np.ones(3)
+    assert (run == reconstruct(tau)) is False
+    assert run == run
+
+
+def test_bitangency_report_is_frozen():
+    run = _pipeline(1)
+    report = bitangency_check(run.quartic, ProjLine(run.covectors[3]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.residual = 0.0
+    contacts = report.contact_points
+    assert contacts.shape == (2, 3) and not contacts.flags.writeable
+    assert contacts.tobytes() == run.certs[2][3].tobytes()
+
+
+def test_curve_and_line_keep_read_only_copies():
+    coeffs, covector = np.arange(1, 16, dtype=complex), np.array([1, 2j, 3])
+    curve, line = QuarticCurve(coeffs), ProjLine(covector)
+    coeffs[0] = covector[0] = 0
+    assert curve.coeffs[0] == line.c[0] == 1
+    assert curve.coeffs.shape == (15,) and line.c.shape == (3,)
+    assert not curve.coeffs.flags.writeable and not line.c.flags.writeable
+
+
 def _pipeline(seed):
     return reconstruct(random_admissible_tau(seed))
 
@@ -255,9 +307,9 @@ def test_restriction_matches_mpmath_on_special_curves(curve):
 def _check_restrictions_against_mpmath(curve, lines):
     # the kernel restricts the curve scaled to unit largest coefficient, in the
     # null-space basis of the covector's SVD
-    coeffs = curve.vec / np.abs(curve.vec).max()
+    coeffs = curve.coeffs / np.abs(curve.coeffs).max()
     for line in lines:
-        _, _, vh = np.linalg.svd(line.vec.reshape(1, 3))
+        _, _, vh = np.linalg.svd(line.c.reshape(1, 3))
         want = mp_restriction(coeffs, MONOMIALS, vh[1].conj(), vh[2].conj())
         got = _restrict(curve, line)
         assert np.abs(got - want).max() < 1e-12 * np.abs(coeffs).sum()
@@ -288,7 +340,7 @@ def test_contacts_canonical_under_rescaling():
     scaled_curve = QuarticCurve(tuple((3 - 4j) * c for c in quartic.coeffs))
     for row in run.covectors:
         line = ProjLine(row)
-        scaled_line = ProjLine(tuple((0.01j - 2) * x for x in line.vec))
+        scaled_line = ProjLine(tuple((0.01j - 2) * x for x in line.c))
         a = bitangency_check(quartic, line).contact_points
         b = bitangency_check(scaled_curve, scaled_line).contact_points
         assert np.abs(np.array(a) - np.array(b)).max() < 1e-12
@@ -360,7 +412,7 @@ def test_double_root_near_infinity_stays_double(eps):
     # on the line's SVD basis p, q, the factor L1 = -eps p* + q* vanishes at
     # [s : t] = [1 : eps] and L2 = p* - c q* at [c : 1]
     line = ProjLine((0.3 + 0.1j, -1.2, 0.7j))
-    _, _, vh = np.linalg.svd(line.vec.reshape(1, 3))
+    _, _, vh = np.linalg.svd(line.c.reshape(1, 3))
     p, q = vh[1].conj(), vh[2].conj()
     c = 0.3 + 0.7j
     l1, l2 = -eps * p.conj() + q.conj(), p.conj() - c * q.conj()
