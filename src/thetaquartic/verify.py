@@ -1,12 +1,12 @@
 """The pipeline's entry point, :func:`reconstruct`, and independent verification of its claims.
 
 The bitangency certificate is deliberately oblivious to how a line was
-produced: restrict the quartic to the line, find the four roots of the
-resulting binary quartic on the Riemann sphere, pair them greedily by
-chordal distance, and test whether the squared pair form reproduces the
-restriction.  Root clustering (rather than resultant conditions) is
-used because it also yields the two contact points for the report and
-degrades gracefully near degenerate tangencies.
+produced.  A line is bitangent exactly when the quartic restricted to
+it is a square, and the two roots of the square root are the contact
+points.  So the certificate restricts the quartic to the line, fits a
+square to the restriction by least squares, and tests whether the
+fitted square reproduces the restriction.  The fit also yields the
+contact points for the report.
 
 All entry points run one batched pass over a stack of line covectors, an
 (L, 3) array such as :func:`thetaquartic.weber.all_bitangents` returns.
@@ -19,19 +19,16 @@ all 15 monomials into every sample and certified fewer digits (mean
 is then moved to one of six charts of P^1, centred on the octahedron
 points 0, oo, +-1, +-i, chosen so that the chart's point at infinity is
 far from every root; a double root anywhere, [1 : 0] included, is then
-an ordinary pair of close affine roots.  The roots come from one
-quadratic factorization of all the monic restrictions at once: two
-Newton steps from the polynomial square root, since the restriction to
-a bitangent is a square up to scale.  A row whose factors do not
-multiply back to its restriction within a few ulps, such as a fourfold
-root, a near-flex or a line far from bitangent, takes the eigenvalues of
-its companion matrix instead.  Either path only proposes roots: the
-verdict is the residual of the restriction itself against the fitted
-squared pair form, so poor roots can fail a true bitangent but never
-pass another line.  Pairing, residuals and
-canonical contact points are array operations, and the result stays
-arrays: :func:`bitangency_summary` returns them with their pass count,
-and only :func:`bitangency_check` builds a :class:`BitangencyReport`.
+an ordinary affine root.  The monic restriction x^4 + h_1 x^3 + ...
+gets one least-squares square root x^2 + a x + b: the square root of
+its top three coefficients, then one Gauss-Newton step on all four.
+The fit only proposes the two contact points: the verdict is the
+residual of the restriction itself against the squared form on those
+points, so a poor fit can fail a true bitangent but never pass another
+line.  The fit, the residuals and the canonical contact points are
+array operations, and the result stays arrays:
+:func:`bitangency_summary` returns them with their pass count, and
+only :func:`bitangency_check` builds a :class:`BitangencyReport`.
 Laying the certificates out as a report is the command line's job.
 """
 
@@ -39,10 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from numpy.linalg import LinAlgError, eigvals
 
 from . import weber as wb
 from .charalgebra import REFERENCE_SYSTEM, AronholdSystem, Characteristic
@@ -50,7 +45,7 @@ from .errors import DegenerateCurveError, ThetaQuarticError
 from .thetaeval import PeriodMatrix, random_tau, vanishing_even_characteristics
 from .weber import MONOMIALS, AronholdFrame, ProjLine, QuarticCurve
 
-#: a line is certified bitangent when its root-clustering residual is below this
+#: a line is certified bitangent when the residual of its fitted square is below this
 BITANGENCY_TOL = 1e-6
 
 #: restriction coefficients below this (relative to the curve's scale)
@@ -59,11 +54,6 @@ RESTRICTION_ZERO_TOL = 1e-12
 
 #: draws :func:`random_admissible_tau` makes before it gives up
 MAX_TRIES = 100
-
-#: the certificate's root finder keeps a row's quadratic factorization when the
-#: factors' product matches the monic restriction to this many ulps of its
-#: largest coefficient, and otherwise solves that row's companion matrix
-FACTOR_GATE_ULPS = 32
 
 
 def random_admissible_tau(seed: int) -> PeriodMatrix:
@@ -104,8 +94,6 @@ _EXPONENTS = np.array(MONOMIALS)
 #: _BINOM[e, k] = C(e, k), zero for k > e
 _BINOM = np.array([[math.comb(e, k) for k in range(5)] for e in range(5)], dtype=float)
 _E_MINUS_K = np.clip(np.arange(5)[:, None] - np.arange(5), 0, None)
-#: the six root pairs in combinations order; pair 5 - b is the complement of pair b
-_PAIRS = np.array(list(combinations(range(4), 2)))
 
 
 def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,82 +155,46 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the roots of x^2 + b x + c: the larger-modulus one without cancellation, the other as c over it
+    # the roots of x^2 + b x + c: the larger-modulus one without cancellation, the
+    # other as c over it, and 0 where both are 0 (x^2 itself)
     d = np.sqrt(b * b - 4 * c)
     big = -(b + np.where((b.conj() * d).real >= 0, d, -d)) / 2
-    return big, c / big
+    return big, np.divide(c, big, out=np.zeros_like(big), where=big != 0)
 
 
-def _factor_roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots (L, 4) of the monic quartics h (L, 5) from a quadratic factorization, and the rows it vouches for.
-
-    h = (x^2 + u x + v)(x^2 + U x + W) with U = h_1 - u and W = h_2 - v - u U
-    leaves two equations in (u, v): u W + v U = h_3 and v W = h_4.  Newton
-    starts from (x - x_1)^2, x_1 a root of the polynomial square root
-    x^2 + (h_1/2) x + (h_2 - h_1^2/4)/2, and takes two steps, each a 2x2
-    Cramer solve over all rows.  Near a bitangent h is nearly a square:
-    the start is off by about the squared spread of each pair of roots,
-    and the Jacobian, the resultant of the two factors, stays away from 0
-    unless the two pairs meet.  A row is vouched for when the product of
-    its factors matches h to :data:`FACTOR_GATE_ULPS` ulps of max|h| and
-    its roots are finite: they are then the roots of a quartic that close
-    to h.  Call under ``np.errstate``, since a far-off or degenerate row
-    divides by 0.
-    """
-    h1, h2, h3, h4 = h[:, 1], h[:, 2], h[:, 3], h[:, 4]
-    x1 = (np.sqrt(0.75 * h1 * h1 - 2 * h2) - h1 / 2) / 2
-    u, v = -2 * x1, x1 * x1
-    for _ in range(2):
-        U = h1 - u
-        W = h2 - v - u * U
-        f1, f2 = u * W + v * U - h3, v * W - h4
-        j11, j12, j21, j22 = W + u * (u - U) - v, U - u, v * (u - U), W - v
-        det = j11 * j22 - j12 * j21
-        u = u - (f1 * j22 - f2 * j12) / det
-        v = v - (j11 * f2 - j21 * f1) / det
-    U = h1 - u
-    W = h2 - v - u * U
-    backward = np.abs(u * W + v * U - h3) + np.abs(v * W - h4) + np.abs(v + u * U + W - h2)
-    x = np.stack(_quadratic_roots(u, v) + _quadratic_roots(U, W), axis=1)
-    ok = (backward <= FACTOR_GATE_ULPS * np.finfo(float).eps * np.abs(h).max(axis=1)) & np.isfinite(x).all(axis=1)
-    return x, ok
-
-
-def _sphere_roots(g: np.ndarray) -> np.ndarray:
-    """Roots of each binary quartic as unit vectors [s : t], shape (L, 4, 2).
+def _sphere_centres(g: np.ndarray) -> np.ndarray:
+    """The two roots of a least-squares square root of each binary quartic, as unit vectors [s : t] (L, 2, 2).
 
     Each g is moved to the octahedral chart whose point at infinity
     carries the largest |h_0| / max|h|, where h = M_c g and h_0 = g(a_c)
     is the value there.  Four roots cannot crowd all six chart
-    infinities, so h_0 is never small and every root's affine coordinate
-    x = s'/t' stays bounded.  The roots of the monic h(x, 1) / h_0 come
-    from one Newton-refined quadratic factorization over all rows
-    (:func:`_factor_roots`).  The rows it does not vouch for, such as a
-    fourfold root, a near-flex or a line far from bitangent, go to the
-    eigenvalues of their companion matrices, a backward-stable root
-    finder while the leading coefficient is not small.  The roots map
-    back to x a_c + b_c.  Since no root lies near the chart's infinity, a
-    double root at or near [1 : 0] comes out as two close roots, like any
-    other double root, not as one finite root and one that overflows a
-    fixed affine chart.
+    infinities, so h_0 is never small and the monic h(x, 1) / h_0 has
+    bounded roots.  Its square root s = x^2 + a x + b is fitted to it:
+    the start matches the top three coefficients, a = h_1/2 and
+    b = (h_2 - a^2)/2, and one Gauss-Newton step on all four equations
+    (2a - h_1, a^2 + 2b - h_2, 2ab - h_3, b^2 - h_4) follows.  Their
+    Jacobian has the columns (2, 2a, 2b, 0) and (0, 2, 2a, 2b), which
+    are never parallel, so the 2x2 normal equations are never singular.
+    The roots of s map back to x a_c + b_c.  Since neither lies near the
+    chart's infinity, a double root at or near [1 : 0] is an ordinary
+    root of s, like any other.
     """
     h = np.einsum("cjk,lk->lcj", _CHART_M, g)
     chart = np.argmax(np.abs(h[:, :, 0]) / np.abs(h).max(axis=2), axis=1)
     h = h[np.arange(len(g)), chart]
-    h = h / h[:, :1]
-    with np.errstate(all="ignore"):
-        x, ok = _factor_roots(h)
-    bad = ~ok
-    if bad.any():
-        companion = np.zeros((bad.sum(), 4, 4), dtype=complex)
-        companion[:, 0] = -h[bad, 1:]
-        companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1
-        try:
-            x[bad] = eigvals(companion)
-        except LinAlgError as exc:
-            raise ThetaQuarticError(f"bitangency certificate: the root solve of a line restriction failed ({exc})") from exc
-    roots = x[..., None] * _CHART_INF[chart, None] + _CHART_CENTRE[chart, None]
-    return roots / _norm(roots)
+    h1, h2, h3, h4 = (h[:, 1:] / h[:, :1]).T
+    a = h1 / 2
+    b = (h2 - a * a) / 2
+    e0, e1, e2, e3 = 2 * a - h1, a * a + 2 * b - h2, 2 * a * b - h3, b * b - h4
+    # with J the Jacobian and e the residuals: J^H e = 2 (u, v) and J^H J = 4 [[n, m], [m*, n]]
+    ac, bc = a.conj(), b.conj()
+    u, v = e0 + ac * e1 + bc * e2, e1 + ac * e2 + bc * e3
+    n, m = 1 + (ac * a).real + (bc * b).real, ac + bc * a
+    det = 2 * (n * n - (m.conj() * m).real)
+    a, b = a - (n * u - m * v) / det, b - (n * v - m.conj() * u) / det
+    x = np.stack(_quadratic_roots(a, b), axis=1)
+    centres = x[..., None] * _CHART_INF[chart, None] + _CHART_CENTRE[chart, None]
+    return centres / _norm(centres)
 
 
 def _chord(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -252,15 +204,18 @@ def _chord(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _canonical(x: np.ndarray) -> np.ndarray:
     """Unit plane points (L, 2, 3) with a fixed phase and order.
 
-    The largest-modulus entry (first such index) is made real positive;
-    the two points of a line are put in ascending lexicographic order of
-    the (Re, Im) pairs of their coordinates rounded to 1e-9, so that
-    coordinates equal up to rounding noise (zeros on a coordinate line)
-    do not decide the order.
+    The first entry whose modulus is within 1e-9 (relative) of the
+    largest is made real positive, and the two points of a line are put
+    in ascending lexicographic order of the (Re, Im) pairs of their
+    coordinates rounded to 1e-9: entries equal up to rounding noise (two
+    of equal modulus, zeros on a coordinate line) decide neither the
+    phase nor the order.
     """
     x = x / _norm(x)
     rows = np.arange(len(x))
-    pivot = x[rows[:, None], [0, 1], np.argmax(np.abs(x), axis=-1)][..., None]
+    size = np.abs(x)
+    lead = np.argmax(size >= (1 - 1e-9) * size.max(axis=-1, keepdims=True), axis=-1)
+    pivot = x[rows[:, None], [0, 1], lead][..., None]
     x = x * (pivot.conj() / np.abs(pivot))
     keys = np.round(x.view(float), 9)
     diff = keys[:, 0] - keys[:, 1]
@@ -269,29 +224,14 @@ def _canonical(x: np.ndarray) -> np.ndarray:
 
 
 def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Root-clustering certificates for a stack of L line covectors (L may be 0), in one array pass.
+    """Square-fit certificates for a stack of L line covectors (L may be 0), in one array pass.
 
     Returns read-only arrays (is_bitangent, residual, contacts, near_flex):
     boolean and float of length L, and contacts of shape (L, 2, 3), the
     two canonical contact points of each line (see :func:`bitangency_check`).
     """
     g, p, q = _restrictions(curve, covectors)
-    pts = _sphere_roots(g)
-
-    # closest pair first (chordal metric, first minimum), the remaining two are forced
-    u, v = pts[:, _PAIRS[:, 0]], pts[:, _PAIRS[:, 1]]
-    chords = _chord(u, v)
-    best = np.argmin(chords, axis=1)
-    rows = np.arange(len(g))[:, None]
-    pick = np.stack([best, 5 - best], axis=1)
-    radii = chords[rows, pick]
-    u, v = u[rows, pick], v[rows, pick]
-
-    # cluster centres: phase-align each pair, then average
-    ip = np.sum(u.conj() * v, axis=-1, keepdims=True)
-    aligned = np.abs(ip) > 1e-14
-    v = v * np.where(aligned, ip.conj() / np.where(aligned, np.abs(ip), 1), 1)
-    centers = (u + v) / _norm(u + v)
+    centers = _sphere_centres(g)
 
     # squared pair form: (s1*t - t1*s)^2 (s2*t - t2*s)^2, coefficients in t
     s0, t0 = centers[..., 0], centers[..., 1]
@@ -300,9 +240,12 @@ def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np
     amp = np.sum(model.conj() * g, axis=1, keepdims=True) / np.sum(model.conj() * model, axis=1, keepdims=True)
     residual = (_norm(g - amp * model) / _norm(g))[:, 0]
 
+    # if g = amp (square + e) with |e| about residual, e splits each double root of the
+    # square by about sqrt(residual) / separation; near-flex is a split of at least a
+    # tenth of the separation, i.e. separation^2 <= 10 sqrt(residual)
     separation = _chord(centers[:, 0], centers[:, 1])
     is_bitangent = residual < BITANGENCY_TOL
-    near_flex = is_bitangent & (separation <= 10 * np.maximum(radii.max(axis=1), 1e-300))
+    near_flex = is_bitangent & (separation * separation <= 10 * np.sqrt(residual))
     contacts = _canonical(s0[..., None] * p[:, None, :] + t0[..., None] * q[:, None, :])
     for arr in (is_bitangent, residual, contacts, near_flex):
         arr.setflags(write=False)
@@ -310,15 +253,19 @@ def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np
 
 
 def bitangency_check(curve: QuarticCurve, line: ProjLine) -> BitangencyReport:
-    """Root-clustering bitangency certificate.
+    """Square-fit bitangency certificate.
 
-    The line is bitangent iff the four restriction roots pair into two
-    double roots: the squared pair form must reproduce the restriction
-    with relative residual below :data:`BITANGENCY_TOL`, the one threshold
-    every caller certifies against.  Contact points are the pair
-    centers mapped back to the plane, in canonical phase and order.
-    ``near_flex`` flags the degenerate case where the two double roots
-    themselves (nearly) collide, i.e. a hyperflex-like contact.
+    The line is bitangent iff the restriction of the curve to it is a
+    square up to scale.  A least-squares square root of the restriction
+    proposes the two contact points; the squared form on them, scaled to
+    the restriction, must reproduce it with relative residual below
+    :data:`BITANGENCY_TOL`, the one threshold every caller certifies
+    against.  Contact points are the roots of the square root mapped
+    back to the plane, in canonical phase and order.  ``near_flex``
+    flags the degenerate case where the two contact points themselves
+    (nearly) collide, i.e. a hyperflex-like contact: their chordal
+    separation squared is at most 10 sqrt(residual), so the contacts
+    carry few digits.
     """
     ok, residual, contacts, flex = _certify(curve, line.c)
     return BitangencyReport(line, bool(ok[0]), contacts[0], float(residual[0]), bool(flex[0]))
