@@ -11,7 +11,6 @@ from .charalgebra import (
     Characteristic,
     arf,
     char_sum,
-    complete_4tuple,
     derived_forms,
     enumerate_aronhold,
     even_forms,
@@ -33,10 +32,7 @@ from .thetaeval import (
     DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
-    addition_formula_residual,
     grad_theta0,
-    jacobian_det,
-    quasi_periodicity_residual,
     random_tau,
     tau_from_json,
     tau_to_json,
@@ -50,7 +46,6 @@ from .weber import (
     QuarticCurve,
     WeberEntry,
     aronhold_coeffs_dets,
-    jacobi_ratio,
     weber_symbolic,
 )
 

@@ -263,21 +263,3 @@ def derived_forms(system: AronholdSystem) -> DerivedForms:
         raise ValueError("derived forms do not exhaust the 64 quadratic forms")
     return DerivedForms(q_s=q_s, pair=pair, triple=triple)
 
-
-def complete_4tuple(q1: Characteristic, q2: Characteristic, q3: Characteristic, q4: Characteristic):
-    """The two odd triples completing an azygetic 4-tuple to Aronhold systems.
-
-    Each is one of the 288 systems of :func:`enumerate_aronhold` that
-    contains the 4-tuple, less the 4-tuple, in that order and with forms
-    in (m', m'') order.
-    """
-    base = (q1, q2, q3, q4)
-    if len(set(base)) != 4 or any(arf(q) != 1 for q in base):
-        raise ValueError("need four distinct odd forms")
-    if not all(is_azygetic_triple(*t) for t in combinations(base, 3)):
-        raise ValueError("the 4-tuple is not azygetic")
-    return tuple(
-        tuple(q for q in system if q not in base)
-        for system in enumerate_aronhold()
-        if system.as_set().issuperset(base)
-    )

@@ -7,11 +7,10 @@ Evaluates the lattice series
 with the half-integral phase convention e(x) := exp(pi*i*x).  That
 convention is the single most bug-prone piece of the whole pipeline.  A
 phase of a real argument is ``numpy.exp(1j*pi*...)`` on a value
-assembled right next to a comment saying so: in the lattice pass, and
-in :func:`ephase`, whose one caller is :func:`quasi_periodicity_residual`.
+assembled right next to a comment saying so, as in the lattice pass.
 Integer phases are tabulated powers of i instead: ``weber._I_POW``,
 ``_CLASS_UNITS``, the unit vector of a reduced Re tau and Re z
-(:func:`_series`), and the signs +-1 of the addition formula and of
+(:func:`_series`), and the signs +-1 of
 :func:`~thetaquartic.charalgebra.reduce_characteristic`.
 
 Every series goes through one private kernel (:func:`_series`): one
@@ -24,9 +23,9 @@ z = 0 the table is the one kept on the PeriodMatrix per truncation
 policy, with the special-locus verdict beside it (:func:`theta_tables`).
 The policy is a setting of the tables only: :func:`theta_tables` and
 :func:`even_constant_table` take one, and every other entry point reads
-the default-tail table, so the constants, the gradients, the Jacobian
-determinants and every pipeline stage read the same pass; a value at
-any other z costs one fresh default-tail pass.
+the default-tail table, so the constants, the gradients and every
+pipeline stage read the same pass; a value at any other z costs one
+fresh default-tail pass.
 
 With Y = Im(tau), p = n + m'/2 and a = Y^-1 Im(z), a term has modulus
 exp(pi a.Y.a) exp(-pi (n+c).Y.(n+c)) with center c = m'/2 + a, the
@@ -82,9 +81,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# char_sum is not called here: perfbench/tracing.py wraps this module's binding of it
 from .charalgebra import (
     Characteristic,
-    arf,
     char_sum,
     even_forms,
     odd_forms,
@@ -136,11 +135,6 @@ _EVEN_IDX = np.array([pack(m) for m in _EVEN])
 _ODD_IDX = np.array([pack(m) for m in _ODD])
 
 ASYMMETRY_TOL = 1e-9
-
-
-def ephase(x) -> complex:
-    """e(x) = exp(pi*i*x), the half-integral phase unit."""
-    return np.exp(1j * np.pi * np.asarray(x))
 
 
 @dataclass(frozen=True)
@@ -338,103 +332,6 @@ def theta_const(m: Characteristic, tau: PeriodMatrix) -> complex:
 def grad_theta0(m: Characteristic, tau: PeriodMatrix) -> np.ndarray:
     """The z-gradient of theta_m at z = 0, by the termwise differentiated series, from the kept table."""
     return _lookup(theta_tables(tau).grads, m)
-
-
-def jacobian_det(q1: Characteristic, q2: Characteristic, q3: Characteristic, tau: PeriodMatrix) -> complex:
-    """D[q1,q2,q3]: determinant of the three stacked theta gradients at 0, from the kept table."""
-    for q in (q1, q2, q3):
-        if not arf(q):
-            raise ValueError(f"jacobian_det needs odd characteristics, got {q.bracket()}")
-    grads = theta_tables(tau).grads
-    return complex(np.linalg.det([_lookup(grads, q) for q in (q1, q2, q3)]))
-
-
-_ADDITION_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
-
-
-def _half_combination(ms, signs) -> Characteristic:
-    mp = tuple(sum(s * m.mp[i] for s, m in zip(signs, ms)) for i in range(3))
-    mpp = tuple(sum(s * m.mpp[i] for s, m in zip(signs, ms)) for i in range(3))
-    if any(x % 2 for x in mp + mpp):
-        raise ValueError("half-sum characteristics are not integral for this quadruple")
-    return Characteristic(tuple(x // 2 for x in mp), tuple(x // 2 for x in mpp))
-
-
-def addition_formula_residual(
-    m1: Characteristic,
-    m2: Characteristic,
-    m3: Characteristic,
-    m4: Characteristic,
-    u,
-    v,
-    tau: PeriodMatrix,
-) -> float:
-    """Normalized residual of the classical four-term addition formula.
-
-    The left side is theta_{m1}(u+v) theta_{m2}(u-v) theta_{m3} theta_{m4};
-    the right side averages, over the 64 representatives a of Z^6/2Z^6,
-    the products theta_{n_i+a} with (n_i) the half-sum transform of
-    (m_i), weighted by e(m1'.a'').  Raises if the (n_i) are not
-    integral.
-    """
-    ms = (m1, m2, m3, m4)
-    ns = [_half_combination(ms, s) for s in _ADDITION_SIGNS]
-    zero = np.zeros(3, dtype=complex)
-    uu, vv = (zero if x is None else np.asarray(x, dtype=complex) for x in (u, v))
-    consts = theta_tables(tau).values
-    lhs = (
-        _lookup(_series(tau, uu + vv)[0], m1)
-        * _lookup(_series(tau, uu - vv)[0], m2)
-        * _lookup(consts, m3)
-        * _lookup(consts, m4)
-    )
-    at_u, at_v = (consts if x is None else _series(tau, x)[0] for x in (u, v))
-    total = 0.0 + 0.0j
-    peak = 0.0
-    factor_peak = 0.0
-    for a in even_forms() + odd_forms():
-        sign = -1 if sum(m1.mp[i] * a.mpp[i] for i in range(3)) % 2 else 1
-        factors = (
-            _lookup(at_u, char_sum(ns[0], a)),
-            _lookup(at_u, char_sum(ns[1], a)),
-            _lookup(at_v, char_sum(ns[2], a)),
-            _lookup(at_v, char_sum(ns[3], a)),
-        )
-        factor_peak = max(factor_peak, *(abs(f) for f in factors))
-        term = sign * factors[0] * factors[1] * factors[2] * factors[3]
-        peak = max(peak, abs(term))
-        total += term
-    rhs = total / 8  # 2^{-g}, g = 3
-    scale = max(abs(lhs), peak / 8)
-    # when parity kills every product, both sides vanish structurally;
-    # measure against the factor scale instead of 0/0 noise
-    if scale < 1e-8 * factor_peak**4:
-        scale = factor_peak**4
-    if scale == 0:
-        return 0.0
-    return abs(lhs - rhs) / scale
-
-
-def quasi_periodicity_residual(q: Characteristic, k, h, tau: PeriodMatrix, z) -> float:
-    """Residual of the half-period transformation law.
-
-    Shifting z by h/2 + tau.k/2 multiplies theta[q] by
-    e(-k.(m''+h)/2 - k.z - k.tau.k/4) and replaces the characteristic
-    by the integer sum (m'+k, m''+h); the reduction sign of that sum is
-    part of the law, which is why the right side goes through
-    :func:`theta` rather than a plain reduced constant.
-    """
-    k = np.array([int(x) for x in k])
-    h = np.array([int(x) for x in h])
-    z = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    lhs = theta(q, tau, z + h / 2 + tau.tau @ k / 2)
-    mpp = np.array(q.mpp)
-    exponent = -0.5 * k @ (mpp + h) - k @ z - 0.25 * k @ tau.tau @ k
-    rhs = ephase(exponent) * theta(char_sum(q, Characteristic(tuple(k), tuple(h))), tau, z)
-    scale = max(abs(lhs), abs(rhs))
-    if scale == 0:
-        return 0.0
-    return float(abs(lhs - rhs) / scale)
 
 
 class ThetaTables(NamedTuple):

@@ -240,12 +240,13 @@ def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np
     amp = np.sum(model.conj() * g, axis=1, keepdims=True) / np.sum(model.conj() * model, axis=1, keepdims=True)
     residual = (_norm(g - amp * model) / _norm(g))[:, 0]
 
-    # if g = amp (square + e) with |e| about residual, e splits each double root of the
-    # square by about sqrt(residual) / separation; near-flex is a split of at least a
-    # tenth of the separation, i.e. separation^2 <= 10 sqrt(residual)
+    # if g = amp (square + e), e splits each double root of the square by about
+    # sqrt(|e|) / separation, and |e| is at least the rounding level eps of g however
+    # small the residual reads; near-flex is a split of at least a tenth of the
+    # separation, i.e. separation^2 <= 10 sqrt(max(residual, eps))
     separation = _chord(centers[:, 0], centers[:, 1])
     is_bitangent = residual < BITANGENCY_TOL
-    near_flex = is_bitangent & (separation * separation <= 10 * np.sqrt(residual))
+    near_flex = is_bitangent & (separation * separation <= 10 * np.sqrt(np.maximum(residual, np.finfo(float).eps)))
     contacts = _canonical(s0[..., None] * p[:, None, :] + t0[..., None] * q[:, None, :])
     for arr in (is_bitangent, residual, contacts, near_flex):
         arr.setflags(write=False)
@@ -264,8 +265,8 @@ def bitangency_check(curve: QuarticCurve, line: ProjLine) -> BitangencyReport:
     back to the plane, in canonical phase and order.  ``near_flex``
     flags the degenerate case where the two contact points themselves
     (nearly) collide, i.e. a hyperflex-like contact: their chordal
-    separation squared is at most 10 sqrt(residual), so the contacts
-    carry few digits.
+    separation squared is at most 10 sqrt(max(residual, eps)), eps the
+    machine epsilon, so the contacts carry few digits.
     """
     ok, residual, contacts, flex = _certify(curve, line.c)
     return BitangencyReport(line, bool(ok[0]), contacts[0], float(residual[0]), bool(flex[0]))

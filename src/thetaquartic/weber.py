@@ -32,9 +32,8 @@ gathered gradients times one 3x3 matrix.
 
 Phase bookkeeping: all theta arguments here are non-reduced integer
 characteristic sums such as (q_4 + q_r + q_j); the reduction signs they
-pick up are part of the formula and are either tracked explicitly
-(:func:`weber_symbolic`) or absorbed by reading the constants through
-:func:`thetaquartic.thetaeval.theta_const`, which reduces internally.
+pick up are part of the formula, and :func:`weber_symbolic` folds them
+into each coefficient's phase, so the gather reads reduced constants.
 
 Results stay arrays: a stack of line covectors is an (L, 3) complex
 array, checked as :class:`ProjLine` checks one line
@@ -63,15 +62,13 @@ from .charalgebra import (
     reduce_characteristic,
 )
 from .errors import DegenerateCurveError, SingularSystemError, SpecialLocusError
-# even_constant_table, odd_gradient_table, arf and is_azygetic_triple are not called here:
-# perfbench/tracing.py wraps this module's bindings of them
+# even_constant_table, odd_gradient_table, arf, is_aronhold and is_azygetic_triple are not
+# called here: perfbench/tracing.py wraps this module's bindings of them
 from .thetaeval import (
     PeriodMatrix,
     ThetaTables,
     even_constant_table,
-    jacobian_det,
     odd_gradient_table,
-    theta_const,
     theta_tables,
     vanishing_even_characteristics,
 )
@@ -227,42 +224,6 @@ def require_generic(tau: PeriodMatrix) -> ThetaTables:
 # ---------------------------------------------------------------------------
 # determinant ratios
 
-def jacobi_ratio(
-    quad: tuple[Characteristic, Characteristic, Characteristic, Characteristic],
-    completion: tuple[Characteristic, Characteristic, Characteristic],
-    tau: PeriodMatrix,
-):
-    """Both sides of the determinant-ratio identity for an azygetic 4-tuple.
-
-    lhs = D[q4,q2,q3] / D[q1,q2,q3]; rhs is the closed form
-    -e((q5+q6+q7)'.(q1+q4)'') times a ratio of six theta constants at
-    non-reduced characteristic sums.  The identity is completion
-    independent; callers may verify by passing either completing triple.
-    """
-    q1, q2, q3, q4 = quad
-    q5, q6, q7 = completion
-    # seven distinct odd forms, every triple azygetic: so the 4-tuple is an azygetic one
-    if not is_aronhold(quad + tuple(completion)):
-        raise ValueError("the 4-tuple and its completion are not an Aronhold system")
-
-    require_generic(tau)
-    lhs = jacobian_det(q4, q2, q3, tau) / jacobian_det(q1, q2, q3, tau)
-
-    s567 = char_sum(q5, q6, q7)
-    s14 = char_sum(q1, q4)
-    pref = -_int_sign(sum(s567.mp[i] * s14.mpp[i] for i in range(3)))
-    num = den = 1.0 + 0.0j
-    for x, y in ((q5, q6), (q5, q7), (q6, q7)):
-        num *= theta_const(char_sum(x, y, q1), tau)
-        den *= theta_const(char_sum(x, y, q4), tau)
-    rhs = pref * num / den
-    return lhs, rhs
-
-
-def _int_sign(n: int) -> int:
-    return -1 if n % 2 else 1
-
-
 def aronhold_coeffs_dets(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     """The rows (a_i1 : a_i2 : a_i3) as Jacobian determinant ratios.
 
@@ -311,7 +272,7 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
         rc, sign = reduce_characteristic(c)
         rho *= sign
         reduced.append(rc)
-    phase = _I_POW[t % 4] * _int_sign(d) * rho
+    phase = _I_POW[t % 4] * (-1 if d % 2 else 1) * rho
     return WeberEntry(phase=phase, chars=tuple(reduced), rho=rho)
 
 

@@ -10,7 +10,6 @@ from thetaquartic.charalgebra import (
     all_forms,
     arf,
     char_sum,
-    complete_4tuple,
     derived_forms,
     enumerate_aronhold,
     even_forms,
@@ -21,7 +20,7 @@ from thetaquartic.charalgebra import (
     pack,
     reduce_characteristic,
 )
-from thetaquartic.thetaeval import jacobian_det
+from thetaquartic.invariants import complete_4tuple, jacobian_det
 
 from conftest import ORIGIN_SUM_SYSTEM
 from oracles import F2Vector, all_vectors, brute_force_aronhold_sets, eval_form, pack_form, symplectic_form

@@ -1,12 +1,17 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thetaquartic
 from thetaquartic import invariants
 from thetaquartic.charalgebra import all_forms
 from thetaquartic.cli import _dump, main
@@ -423,3 +428,84 @@ def test_writer_refuses_what_json_refuses(node):
         json.dumps(node)
     with pytest.raises(TypeError):
         dumped(node)
+
+
+#: functions of the pipeline modules that the traced commands do not call, and why each stays there
+NOT_TRACED = {
+    "thetaeval.TruncationPolicy.__post_init__": "validation: refuses a bad target_tail when a policy is made",
+    "thetaeval.PeriodMatrix.__repr__": "display: what a PeriodMatrix prints as",
+    "thetaeval._lookup": "the one table lookup behind theta and grad_theta0; invariants reads tables through it",
+    "thetaeval.theta": "README entry point; perfbench/tracing.py wraps it",
+    "thetaeval.theta_const": "README entry point; perfbench/tracing.py wraps it",
+    "thetaeval.grad_theta0": "README entry point; perfbench/tracing.py wraps it",
+    "thetaeval.even_constant_table": "README entry point; perfbench/workloads.py screens draws with it",
+    "thetaeval.odd_gradient_table": "README entry point; perfbench/tracing.py wraps it",
+    "weber.ProjLine.__post_init__": "validation of one covector; perfbench/workloads.py builds ProjLines",
+    "weber.ProjLine.residual_to": "perfbench/workloads.py compares the determinant-ratio rows with it",
+    "weber.aronhold_coeffs_dets": "perfbench/workloads.py reads the determinant-ratio rows",
+    "charalgebra.even_forms": "runs at import, for thetaeval's table of even forms",
+    "charalgebra.is_azygetic_triple": "perfbench/tracing.py wraps weber's binding of it",
+    "charalgebra.Characteristic.to_json": "the wire form of a label, which cli._char_text writes from a template",
+    "charalgebra.AronholdSystem.as_set": "a system as an unordered set, which the aronhold-count check compares",
+    "verify._chart_transforms": "runs at import, for the six chart tables",
+    "verify.bitangency_check": "the one-line certificate; perfbench/tracing.py wraps it",
+}
+
+
+def _functions(module) -> dict:
+    """Code object -> 'module.qualname' of each function and method defined in ``module``'s file."""
+    out = {}
+    for name, obj in vars(module).items():
+        members = [(f"{name}.{k}", v) for k, v in vars(obj).items()] if isinstance(obj, type) else [(name, obj)]
+        for qualname, fn in members:
+            code = getattr(inspect.unwrap(fn) if callable(fn) else fn, "__code__", None)
+            if code is not None and code.co_filename == module.__file__:
+                out[code] = f"{module.__name__.rsplit('.', 1)[-1]}.{qualname}"
+    return out
+
+
+def test_pipeline_modules_hold_what_the_commands_run(tmp_path):
+    # every function of the four pipeline modules runs under some command, or NOT_TRACED says why not
+    from thetaquartic import charalgebra, cli, thetaeval, verify, weber
+
+    for cached in (weber._plan, charalgebra.enumerate_aronhold, cli.build_parser, cli._char_text):
+        cached.cache_clear()
+    tau = str(DATA / "tau_seed3.json")
+    commands = [
+        ["bitangents", "--tau", tau], ["quartic", "--tau", tau], ["verify", "--tau", tau],
+        ["bitangents", "--tau", tau, "--system-index", "5"],
+        ["classify"], ["aronhold"], ["aronhold", "--system-index", "5"], ["random-tau"],
+    ]
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        codes = [main(argv + ["--json", str(tmp_path / "out.json")]) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    assert set(codes) <= {0, 3}  # system 5 at seed 3 is refused by a numerical gate
+    defined = {}
+    for module in (thetaeval, weber, charalgebra, verify):
+        defined.update(_functions(module))
+    not_run = sorted(name for code, name in defined.items() if code not in ran)
+    assert not_run == sorted(NOT_TRACED)
+    assert [(c.name, c.tol) for c in invariants.CHECKS] == [
+        ("parity-counts", 0), ("aronhold-count", 0), ("weber-symbolic-table", 0),
+        ("reduction-formula", 1e-10), ("parity-vanishing", 1e-10), ("gradient-finite-difference", 1e-7),
+        ("addition-formula", 1e-9), ("quasi-periodicity", 1e-9), ("jacobi-ratio", 1e-8),
+        ("weber-normalization-k", 1e-8), ("determinant-ratio-rows", 1e-8), ("bitangency-28", 1e-6),
+    ]
+
+
+def test_only_selftest_imports_invariants():
+    code = (
+        "import sys, thetaquartic; print('thetaquartic.invariants' in sys.modules); "
+        "import thetaquartic.cli; print('thetaquartic.invariants' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(thetaquartic.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]

@@ -15,16 +15,14 @@ from thetaquartic.charalgebra import (
     reduce_characteristic,
 )
 from thetaquartic.errors import InvalidTauError, TruncationError
+from thetaquartic.invariants import addition_formula_residual, jacobi_ratio, jacobian_det, quasi_periodicity_residual
 from thetaquartic.thetaeval import (
     PeriodMatrix,
     _ellipsoid,
     TruncationPolicy,
-    addition_formula_residual,
     even_constant_table,
     grad_theta0,
-    jacobian_det,
     odd_gradient_table,
-    quasi_periodicity_residual,
     random_tau,
     tau_from_json,
     tau_to_json,
@@ -36,7 +34,6 @@ from thetaquartic.thetaeval import (
 from thetaquartic.weber import (
     all_bitangents,
     aronhold_coeffs_dets,
-    jacobi_ratio,
     require_generic,
     weber_coefficients,
 )

@@ -444,6 +444,18 @@ def test_near_flex_flag_compares_separation_with_the_split(eps, flagged):
     assert report.near_flex == flagged
 
 
+@pytest.mark.parametrize("eps, flagged", [(1e-2, False), (1e-4, True), (1e-6, True), (1e-8, True)])
+def test_near_flex_flag_is_monotone_in_the_separation(eps, flagged):
+    # X3 = 0 meets (l1 l2)^2 at [1 : eps : 0] and [1 : -eps : 0], each twice, and the
+    # restriction is a square to roundoff or below (1.2e-27 at eps = 1e-6): the residual
+    # is floored at machine epsilon, so contacts closer than about 3.9e-4 are flagged
+    line = ProjLine((0, 0, 1))
+    l1, l2 = (eps, -1, 0), (eps, 1, 0)
+    report = bitangency_check(_product_curve(l1, l1, l2, l2), line)
+    assert report.is_bitangent and report.residual < 1e-12
+    assert report.near_flex == flagged
+
+
 @pytest.mark.parametrize("g, centres", [
     ([0, 0, 1, 0, 0], [[0, 1], [1, 0]]),  # (s t)^2: 0, oo
     ([1, 0, -2, 0, 1], [[1, 1], [-1, 1]]),  # (s^2 - t^2)^2: 1, -1
