@@ -61,9 +61,6 @@ class Characteristic:
         """Render in the classical bracket style, e.g. ``[101|100]``."""
         return "[" + "".join(map(str, self.mp)) + "|" + "".join(map(str, self.mpp)) + "]"
 
-    def to_json(self) -> dict:
-        return {"mp": list(self.mp), "mpp": list(self.mpp)}
-
 
 def arf(m: Characteristic) -> int:
     """m'.m'' mod 2: the Arf invariant of a form, 0 for the 36 even and 1 for the 28 odd.
@@ -186,9 +183,6 @@ class AronholdSystem:
     def sum_form(self) -> Characteristic:
         """q_S, the (even) sum of the seven forms."""
         return form_sum(*self.forms)
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.forms)
 
 
 #: The classical ordered reference system of Weber's worked example.

@@ -147,7 +147,7 @@ def _dump_complex(node, pad, out) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _char_text(char: ca.Characteristic, pad: str) -> str:
-    """The text of ``char``'s wire form (``Characteristic.to_json``) at indent ``pad``."""
+    """The text of ``char``'s wire form ``{"mp": [...], "mpp": [...]}`` at indent ``pad``."""
     inner, entry = pad + "  ", ",\n" + pad + "    "
     mp, mpp = (entry[1:] + entry.join(map(str, half)) for half in (char.mp, char.mpp))
     return f'{{\n{inner}"mp": [{mp}\n{inner}],\n{inner}"mpp": [{mpp}\n{inner}]\n{pad}}}'
@@ -177,8 +177,8 @@ def _dump(node, pad: str, out: list) -> None:
     None are written as ``json`` writes them.  Two leaves are written from
     templates: a complex ndarray in the form of
     :func:`~thetaquartic.thetaeval.complex_to_json`, and a
-    :class:`~thetaquartic.charalgebra.Characteristic` in the form of its
-    ``to_json``.  Any other type raises TypeError, as ``json`` does.
+    :class:`~thetaquartic.charalgebra.Characteristic` as ``{"mp": list(mp), "mpp": list(mpp)}``.
+    Any other type raises TypeError, as ``json`` does.
     """
     writer = _WRITERS.get(type(node))
     if writer is None:

@@ -111,7 +111,7 @@ def complete_4tuple(q1: ca.Characteristic, q2: ca.Characteristic, q3: ca.Charact
     return tuple(
         tuple(q for q in system if q not in base)
         for system in ca.enumerate_aronhold()
-        if system.as_set().issuperset(base)
+        if frozenset(system).issuperset(base)
     )
 
 
@@ -271,8 +271,8 @@ def aronhold_count(*_):
     it was constructed, so the check does not run it again.
     """
     systems = ca.enumerate_aronhold()
-    sets = {s.as_set() for s in systems}
-    missing = ca.REFERENCE_SYSTEM.as_set() not in sets
+    sets = {frozenset(s) for s in systems}
+    missing = frozenset(ca.REFERENCE_SYSTEM) not in sets
     return float((len(systems) != 288) + (len(sets) != len(systems)) + missing)
 
 

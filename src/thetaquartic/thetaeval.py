@@ -188,9 +188,6 @@ class PeriodMatrix:
         self.lam_min = float(eigs.min())
         self._tables: dict = {}  # policy -> ThetaTables, see theta_tables
 
-    def __repr__(self):
-        return f"PeriodMatrix(lam_min={self.lam_min:.4g})"
-
 
 def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
     """The integer points k with |chol.(k + center)|^2 <= r2, as float rows.

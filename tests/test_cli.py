@@ -119,8 +119,11 @@ def test_bitangents_special_locus_exit_2(tmp_path, capsys):
     tau_path.write_text(json.dumps(tau_to_json(1j * np.eye(3))))
     code, out, err = run_cli(capsys, "bitangents", "--tau", str(tau_path))
     assert code == 2
-    assert "[110|110]" in err
-    # a refused run leaves an existing --json file as it was
+    assert err.startswith("special locus: ") and "[110|110]" in err
+    # a refused run creates no --json file, and leaves an existing one as it was
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(capsys, "bitangents", "--tau", str(tau_path), "--json", str(fresh))[0] == 2
+    assert not fresh.exists()
     report = tmp_path / "report.json"
     report.write_text("earlier report\n")
     assert run_cli(capsys, "bitangents", "--tau", str(tau_path), "--json", str(report))[0] == 2
@@ -167,6 +170,53 @@ def test_non_pd_tau_exit_1(tmp_path, capsys):
     assert run_cli(capsys, "bitangents", "--tau", str(tau_path))[0] == 1
 
 
+def test_lattice_past_the_cap_exit_1_without_a_report(tmp_path, capsys):
+    # tau = i*diag(1e-10, 1e10, 1) needs more lattice points than the cap allows: an input error
+    tau_path = tmp_path / "tau.json"
+    tau_path.write_text(json.dumps(tau_to_json(1j * np.diag([1e-10, 1e10, 1.0]))))
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "bitangents", "--tau", str(tau_path), "--json", str(report))
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.fixture
+def seed7_tau(tmp_path, capsys):
+    path = tmp_path / "tau.json"
+    assert run_cli(capsys, "random-tau", "--seed", "7", "--json", str(path))[0] == 0
+    return path
+
+
+def test_large_re_tau_prints_the_reduced_report(seed7_tau, tmp_path, capsys):
+    # Re tau is reduced mod 2 before the lattice pass: adding 1e12 (a multiple of 4, so every unit
+    # factor is 1) to Re tau_11 and Re tau_12 = Re tau_21 must print the bytes of the reduced matrix
+    outs = []
+    for move in (lambda x: x + 1e12, lambda x: (x + 1e12) - 1e12):
+        obj = json.loads(seed7_tau.read_text())
+        for i, j in ((0, 0), (0, 1), (1, 0)):
+            obj["tau"][i][j]["re"] = move(obj["tau"][i][j]["re"])
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "bitangents", "--tau", str(moved))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("system", [[], ["--system-index", "5"], ["--system-index", "287"]],
+                         ids=["reference", "5", "287"])
+def test_seed7_certifies_under_each_system(system, seed7_tau, capsys):
+    # systems other than the reference read other gather plans; a certificate that costs
+    # digits shows here first: the three max residuals read 7.8e-15, 7.1e-14 and 2.1e-14
+    for command in ("bitangents", "quartic"):
+        assert run_cli(capsys, command, "--tau", str(seed7_tau), *system)[0] == 0, command
+    code, out, _ = run_cli(capsys, "verify", "--tau", str(seed7_tau), *system)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["pass"] == 28 and summary["max_residual"] < 1e-11, summary
+
+
 def test_quartic_command(tmp_path, capsys):
     tau_path = tmp_path / "tau.json"
     run_cli(capsys, "random-tau", "--seed", "2", "--json", str(tau_path))
@@ -206,7 +256,7 @@ def test_aronhold_single_system(capsys):
     assert len(obj["triple_forms"]) == 35
 
 
-#: the command whose stdout each file named in data/label_outputs.sha256 holds; CI checks the same digests
+#: the command whose stdout each file named in data/label_outputs.sha256 holds
 LABEL_COMMANDS = {
     "classify.json": ("classify",),
     "aronhold.json": ("aronhold",),
@@ -335,7 +385,7 @@ def test_report_json_structure(capsys):
         report = bitangency_check(run.quartic, ProjLine(covector))
         assert list(row) == ["q", "is_bitangent", "residual", "contacts"]
         assert row == {
-            "q": q.to_json(),
+            "q": {"mp": list(q.mp), "mpp": list(q.mpp)},
             "is_bitangent": report.is_bitangent,
             "residual": report.residual,
             "contacts": complex_to_json(report.contact_points),
@@ -364,6 +414,7 @@ LAYOUT_RUNS = [
     (["classify"], 0),
     (["aronhold"], 0),
     (["aronhold", "--system-index", "3"], 0),
+    (["bitangents", "--tau", str(DATA / "tau_seed6.json"), "--system-index", "5"], 3),  # 20 of 28 certify
     (["random-tau", "--seed", "4"], 0),
     (["selftest", "--trials", "1"], 0),
 ]
@@ -414,11 +465,11 @@ def test_writer_matches_json_dumps(node, wire):
 
 @pytest.mark.parametrize("pad", ["", "  ", "    ", "          "])
 def test_writer_templates_match_their_wire_form(pad):
-    # the complex template is complex_to_json's form, the label template Characteristic.to_json's
+    # the complex template is complex_to_json's form, the label template {"mp": [...], "mpp": [...]}
     for z in (NON_FINITE, CONTACTS[0], CONTACTS[1] * 1e-5, np.array([0j])):
         assert dumped(z, pad) == indented(complex_to_json(z), pad)
     for q in all_forms():
-        assert dumped(q, pad) == indented(q.to_json(), pad)
+        assert dumped(q, pad) == indented({"mp": list(q.mp), "mpp": list(q.mpp)}, pad)
 
 
 @pytest.mark.parametrize("node", [object(), {1, 2}, 1 + 2j, np.int64(1), np.bool_(True),
@@ -433,7 +484,6 @@ def test_writer_refuses_what_json_refuses(node):
 #: functions of the pipeline modules that the traced commands do not call, and why each stays there
 NOT_TRACED = {
     "thetaeval.TruncationPolicy.__post_init__": "validation: refuses a bad target_tail when a policy is made",
-    "thetaeval.PeriodMatrix.__repr__": "display: what a PeriodMatrix prints as",
     "thetaeval._lookup": "the one table lookup behind theta and grad_theta0; invariants reads tables through it",
     "thetaeval.theta": "README entry point; perfbench/tracing.py wraps it",
     "thetaeval.theta_const": "README entry point; perfbench/tracing.py wraps it",
@@ -445,8 +495,6 @@ NOT_TRACED = {
     "weber.aronhold_coeffs_dets": "perfbench/workloads.py reads the determinant-ratio rows",
     "charalgebra.even_forms": "runs at import, for thetaeval's table of even forms",
     "charalgebra.is_azygetic_triple": "perfbench/tracing.py wraps weber's binding of it",
-    "charalgebra.Characteristic.to_json": "the wire form of a label, which cli._char_text writes from a template",
-    "charalgebra.AronholdSystem.as_set": "a system as an unordered set, which the aronhold-count check compares",
     "verify._chart_transforms": "runs at import, for the six chart tables",
     "verify.bitangency_check": "the one-line certificate; perfbench/tracing.py wraps it",
 }
