@@ -272,14 +272,11 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     tau_sum, z_sum = (tau.tau - 2 * b, zz - n) if shifted else (tau.tau, zz)
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
-    if z is None:
-        a = np.zeros(3)  # Y^-1 Im(z): the terms peak at p = -a = 0, where |w| = 1
-    else:
-        a = np.linalg.solve(imag, zz.imag)
-        # log of the peak |w|, in Python floats, which overflow to inf without a warning
-        growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
-        if growth > _LOG_FLOAT_MAX:
-            raise ValueError(f"theta at z = {zz} leaves the float range: pi Im(z).Y^-1.Im(z) = {growth:.4g}")
+    a = np.linalg.solve(imag, zz.imag)
+    # log of the peak |w|, in Python floats, which overflow to inf without a warning
+    growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
+    if growth > _LOG_FLOAT_MAX:
+        raise ValueError(f"theta at z = {zz} leaves the float range: pi Im(z).Y^-1.Im(z) = {growth:.4g}")
     r2 = _radius2(tau, chol, a, pol)
     try:
         k = _ellipsoid(chol / 2, 2 * a, r2)  # (k/2 + a).Y.(k/2 + a) <= r2
@@ -289,10 +286,7 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
         raise TruncationError(f"{exc}; the pass was at z = {zz}") from None
     cls = (k.astype(np.intp) & 3) @ _CLASS_STRIDES  # k mod 4
     p = np.divide(k, 2, out=k)  # p = k/2, in place
-    phase = ((p @ tau_sum) * p).sum(axis=1)
-    if z is not None:
-        phase += 2 * p @ z_sum
-    w = np.exp(1j * np.pi * phase)  # e(x) convention
+    w = np.exp(1j * np.pi * (((p @ tau_sum) * p).sum(axis=1) + 2 * p @ z_sum))  # e(x) convention
     terms = np.concatenate((w[None], p.T * w))  # row j: the weights of the value (j = 0) or of d/dz_j
     idx = (cls + 64 * np.arange(4)[:, None]).ravel()
     sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)

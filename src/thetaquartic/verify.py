@@ -84,7 +84,8 @@ class BitangencyReport:
 
 #: the six quadratic monomials X_i X_j, i <= j: 00, 01, 02, 11, 12, 22; _PAIRS[i, j] is the index of X_i X_j
 _PAIR_I, _PAIR_J = np.triu_indices(3)
-_PAIRS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_PAIRS = np.zeros((3, 3), dtype=int)
+_PAIRS[_PAIR_I, _PAIR_J] = _PAIRS[_PAIR_J, _PAIR_I] = np.arange(6)
 #: monomial m = X_i X_j X_k X_l, i <= j <= k <= l, is entry (_ROW[m], _COL[m]) = ((i, j), (k, l)) of C
 _VARS = np.array([np.repeat([0, 1, 2], e) for e in MONOMIALS])  # row m: i, j, k, l
 _ROW, _COL = _PAIRS[_VARS[:, ::2], _VARS[:, 1::2]].T

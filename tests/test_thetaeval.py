@@ -497,8 +497,7 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
 @pytest.mark.parametrize("shift", [0, 1, -3], ids=["re0", "re+1", "re-3"])
 @pytest.mark.parametrize("seed", [1, 4, 7])
 def test_theta_at_zero_is_the_kept_constant(seed, shift):
-    # a fresh pass at z = 0 and the kept table, whose pass skips the z-only work (the Gaussian
-    # peak, the growth check and the 2 p.z phase), agree bit for bit in all 64 values and
+    # a fresh pass at z = 0 and the kept table agree bit for bit in all 64 values and
     # gradients, with Re tau shifted by integers or not
     tau = PeriodMatrix(random_admissible_tau(seed).tau + shift * np.array([[2, 1, 0], [1, 0, -1], [0, -1, 4]]))
     kept, (values, grads) = theta_tables(tau), thetaeval._series(tau, np.zeros(3))
