@@ -15,17 +15,17 @@ Integer phases are tabulated powers of i instead: ``weber._I_POW``,
 
 Every series goes through one private kernel (:func:`_series`): one
 lattice pass at one z returns the values (64,) and z-gradients (64, 3) of
-all 64 reduced characteristics, indexed by packed index
-(:func:`thetaquartic.charalgebra.pack`).  Every theta quantity is read
-from such a table by one helper (:func:`_lookup`), which reduces an
-integer characteristic m = r + 2n and applies the reduction sign.  At
-z = 0 the table is the one kept on the PeriodMatrix per truncation
-policy, with the special-locus verdict beside it (:func:`theta_tables`).
-The policy is a setting of the tables only: :func:`theta_tables` and
-:func:`even_constant_table` take one, and every other entry point reads
-the default-tail table, so the constants, the gradients and every
-pipeline stage read the same pass; a value at any other z costs one
-fresh default-tail pass.
+all 64 reduced characteristics, in rows by packed index
+(:func:`thetaquartic.charalgebra.pack`, the layout's one owner).  Every
+theta quantity is read from such a table by one helper (:func:`_lookup`),
+which reduces an integer characteristic m = r + 2n and applies the
+reduction sign.  At z = 0 the table is the one kept on the PeriodMatrix
+per truncation policy, with the special-locus verdict beside it
+(:func:`theta_tables`).  The policy is a setting of the tables only:
+:func:`theta_tables` and :func:`even_constant_table` take one, and every
+other entry point reads the default-tail table, so the constants, the
+gradients and every pipeline stage read the same pass; a value at any
+other z costs one fresh default-tail pass.
 
 With Y = Im(tau), p = n + m'/2 and a = Y^-1 Im(z), a term has modulus
 exp(pi a.Y.a) exp(-pi (n+c).Y.(n+c)) with center c = m'/2 + a, the
@@ -84,6 +84,7 @@ import numpy as np
 # char_sum is not called here: perfbench/tracing.py wraps this module's binding of it
 from .charalgebra import (
     Characteristic,
+    all_forms,
     char_sum,
     even_forms,
     odd_forms,
@@ -116,18 +117,14 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 _UNITS = np.array([1, 1j, -1, -1j])
 
-#: _BITS[x] holds the bits of x: the characteristic of packed index x + 8 y is [_BITS[x]; _BITS[y]]
-_BITS = np.array([[(x >> i) & 1 for i in range(3)] for x in range(8)], dtype=np.int8)
+#: m' and m'' of the form in each table row: row x holds the form that charalgebra.pack sends to x
+_MP, _MPP = np.array([[q.mp, q.mpp] for q in sorted(all_forms(), key=pack)], dtype=np.int8).transpose(1, 0, 2)
 
 #: Class c of k mod 4 holds k = _CLASSES[c] mod 4, c = k_1 + 4 k_2 + 16 k_3
 _CLASS_STRIDES = np.array([1, 4, 16])
 _CLASSES = (np.arange(64)[:, None] // _CLASS_STRIDES) & 3
-#: [x + 8 y, c]: the factor of the class-c sums in theta at [m'; m''] = [_BITS[x]; _BITS[y]],
-#: i^(k.m'') where k mod 2 is m', else 0
-_CLASS_UNITS = (
-    _UNITS[(_BITS @ _CLASSES.T) & 3][:, None, :]  # [y, 1, c]: i^(k.m'')
-    * ((_CLASSES & 1) == _BITS[:, None]).all(axis=-1)  # [x, c]: k mod 2 is m'
-).reshape(64, 64)
+#: [x, c]: the factor of the class-c sums in theta at row x's form, i^(k.m'') where k mod 2 is m', else 0
+_CLASS_UNITS = _UNITS[(_MPP @ _CLASSES.T) & 3] * ((_CLASSES & 1) == _MP[:, None]).all(axis=-1)
 
 _EVEN = tuple(even_forms())
 _ODD = tuple(odd_forms())
@@ -259,17 +256,16 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
 
     One lattice pass over k = 2p (see the module docstring); ``z`` None
     means z = 0, and any other z must be 3 finite numbers.  The pass sums
-    at tau - 2B and z - n, B = rint(Re tau / 2) and n = rint(Re z), and the
-    units i^(m'.B.m' + 2 m'.n) are applied after it, so a large Re tau or
-    Re z costs no digits in the phases.
+    at tau - 2B and z - n, B = rint(Re tau / 2) and n = rint(Re z), so a
+    large Re tau or Re z costs no digits in the phases.  The units
+    i^(m'.B.m' + 2 m'.n) follow only if B or n is non-zero, as in no
+    benchmark pass (|Re tau| <= 1/2, z = 0): a step on every pass cost 1-2%.
     """
     zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     if zz.shape != (3,) or not np.isfinite(zz).all():
         raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
     # theta[m](tau + 2B, z + n) = i^(m'.B.m' + 2 m'.n) theta[m](tau, z) for integer symmetric B and integer n
     b, n = np.rint(tau.tau.real / 2), np.rint(zz.real)
-    shifted = b.any() or n.any()
-    tau_sum, z_sum = (tau.tau - 2 * b, zz - n) if shifted else (tau.tau, zz)
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
     a = np.linalg.solve(imag, zz.imag)
@@ -286,7 +282,7 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
         raise TruncationError(f"{exc}; the pass was at z = {zz}") from None
     cls = (k.astype(np.intp) & 3) @ _CLASS_STRIDES  # k mod 4
     p = np.divide(k, 2, out=k)  # p = k/2, in place
-    w = np.exp(1j * np.pi * (((p @ tau_sum) * p).sum(axis=1) + 2 * p @ z_sum))  # e(x) convention
+    w = np.exp(1j * np.pi * (((p @ (tau.tau - 2 * b)) * p).sum(axis=1) + 2 * p @ (zz - n)))  # e(x) convention
     terms = np.concatenate((w[None], p.T * w))  # row j: the weights of the value (j = 0) or of d/dz_j
     idx = (cls + 64 * np.arange(4)[:, None]).ravel()
     sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
@@ -294,12 +290,10 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     out[1:] *= 2j * np.pi
     if not np.isfinite(out).all():  # a peak term below the float limit can still overflow in p w or a sum
         raise ValueError(f"theta at z = {zz} leaves the float range")
-    if shifted:
-        # fmod takes B mod 4 and n mod 2 exactly, 0 from 2^54 and 2^53 on; units[x] belongs to m' = _BITS[x]
+    if b.any() or n.any():
+        # fmod takes B mod 4 and n mod 2 exactly, 0 from 2^54 and 2^53 on
         b4, n2 = np.fmod(b, 4).astype(np.int8), np.fmod(n, 2).astype(np.int8)
-        units = _UNITS[(((_BITS @ b4) * _BITS).sum(axis=1) + 2 * (_BITS @ n2)) & 3]
-        if (units != 1).any():  # skipped when all are 1, so that every bit is kept
-            out *= np.tile(units, 8)  # packed index x + 8 y has m' = _BITS[x]
+        out *= _UNITS[(((_MP @ b4) * _MP).sum(axis=1) + 2 * (_MP @ n2)) & 3]
     return out[0], out[1:].T.copy()
 
 
@@ -422,22 +416,20 @@ def tau_to_json(tau) -> dict:
 
 def _real(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InvalidTauError(f"malformed tau JSON: entry {x!r} is not a number")
-    try:
-        return float(x)
-    except OverflowError as exc:
-        raise InvalidTauError("malformed tau JSON: an integer entry is too large for a float") from exc
+        raise TypeError(f"entry {x!r} is not a number")
+    return float(x)  # OverflowError for an integer too large for a float
 
 
 def tau_from_json(obj) -> np.ndarray:
     """Parse the {"tau": ...} wire format into a raw complex matrix.
 
     Each "re" and "im" must be a JSON number (not a boolean) that a float can hold.
+    Anything else, ragged rows included, raises :class:`InvalidTauError`.
     """
     try:
         rows = obj["tau"]
         arr = np.array([[complex(_real(c["re"]), _real(c["im"])) for c in row] for row in rows], dtype=complex)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError, ValueError) as exc:  # ValueError: ragged rows
         raise InvalidTauError(f"malformed tau JSON: {exc}") from exc
     if arr.shape != (3, 3):
         raise InvalidTauError(f"expected a 3x3 matrix, got shape {arr.shape}")

@@ -275,7 +275,9 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
 
     ``labelled_lines`` is (labels, covectors) as
     :func:`thetaquartic.weber.all_bitangents` returns it: L labels and an
-    (L, 3) array of covectors, taken as it is.  Returns (certs, summary).
+    (L, 3) stack of covectors, checked as a :class:`ProjLine` is
+    (:func:`~thetaquartic.weber.line_covectors`): a row without 3 finite
+    entries, not all zero, raises ValueError.  Returns (certs, summary).
     certs is the tuple of arrays (is_bitangent, residual, contacts,
     near_flex) of the batched certificate, aligned with the covectors:
     row l holds the verdict of
@@ -285,7 +287,7 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
     for no lines).
     """
     _, covectors = labelled_lines
-    certs = _certify(curve, covectors)
+    certs = _certify(curve, wb.line_covectors(covectors))
     ok, residual = certs[:2]
     n_pass = int(ok.sum())
     return certs, {"pass": n_pass, "fail": len(ok) - n_pass, "max_residual": float(residual.max(initial=0.0))}

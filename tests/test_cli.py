@@ -148,6 +148,12 @@ def test_malformed_tau_exit_1(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"tau": [[1, 2], [3, 4]]}))
     assert run_cli(capsys, "bitangents", "--tau", str(wrong))[0] == 1
+    # rows of 3, 2 and 3 valid entries
+    obj = json.loads((DATA / "tau_seed3.json").read_text())
+    del obj["tau"][1][2]
+    wrong.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "bitangents", "--tau", str(wrong))
+    assert code == 1 and out == "" and err.startswith("input error: malformed tau JSON")
     # an entry that is no number, or too large for a float, is an input error, not a traceback
     for entry in (10**400, True, "a", None):
         obj = json.loads((DATA / "tau_seed3.json").read_text())

@@ -251,15 +251,19 @@ _EVEN_SHIFTS = (
 
 @pytest.mark.parametrize("b", _EVEN_SHIFTS, ids=["diag", "full"])
 def test_series_at_re_tau_plus_2b_matches_cube_sum(b):
-    # the pass sums at tau and applies the units; the cube sum sums at tau + 2B directly
+    # the pass sums at tau and applies the units; the cube sum sums at tau + 2B directly.
+    # At the second z, rint(Re z) = (3, -1, 5) makes both parts of the units i^(m'.B.m' + 2 m'.n) non-trivial
     tau = random_admissible_tau(7).tau + 2 * b
-    values, grads = thetaeval._series(PeriodMatrix(tau), None)
-    vscale, gscale = np.abs(values).max(), np.abs(grads).max()
-    for q in all_forms():
-        value, grad = cube_series(q.mp, q.mpp, tau)
-        x = pack(q)
-        assert abs(values[x] - value) <= 1e-14 * vscale
-        assert np.abs(grads[x] - grad).max() <= 1e-14 * gscale
+    for z in (np.zeros(3), np.array([3.2, -0.9, 4.7]) + 0.2j * np.array([1.0, -0.5, 0.8])):
+        # the tolerance of test_series_at_z_matches_cube_sum, 1e-14 at z = 0
+        tol = 1e-15 * (10 + np.pi * z.imag @ np.linalg.solve(tau.imag, z.imag))
+        values, grads = thetaeval._series(PeriodMatrix(tau), z)
+        vscale, gscale = np.abs(values).max(), np.abs(grads).max()
+        for q in all_forms():
+            value, grad = cube_series(q.mp, q.mpp, tau, z=z)
+            x = pack(q)
+            assert abs(values[x] - value) <= tol * vscale
+            assert np.abs(grads[x] - grad).max() <= tol * gscale
 
 
 @pytest.fixture(scope="module")
@@ -577,6 +581,11 @@ def test_tau_json_malformed():
         tau_from_json({"tau": [[1, 2], [3]]})
     with pytest.raises(InvalidTauError):
         tau_from_json({"nope": 1})
+    # rows of 3, 2 and 3 valid entries
+    ragged = tau_to_json(1j * np.eye(3))
+    del ragged["tau"][1][2]
+    with pytest.raises(InvalidTauError, match="malformed tau JSON"):
+        tau_from_json(ragged)
     # every entry is a JSON number a float can hold: no boolean, string, null, list or 400-digit integer
     for entry in (10**400, True, "a", None, [1.0]):
         obj = tau_to_json(1j * np.eye(3))

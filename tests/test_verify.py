@@ -396,11 +396,22 @@ def test_line_rejects_non_finite(bad):
     ((1.0, float("nan"), 0.5), "finite"), ((0, 0, 0), "zero covector"),
 ], ids=["non-finite", "zero"])
 def test_covector_stack_checks_every_row(row, bad, message):
-    # a stack of covectors is refused as one ProjLine of its bad row is
+    # a stack of covectors is refused as one ProjLine of its bad row is, by the certificate too:
+    # a zero row would read as the line X1 = 0 and certify on this curve
     rows = np.array([line.c for line in _random_lines(14, 28)])
     rows[row] = bad
-    for build in (line_covectors, lambda rows: ProjLine(rows[row])):
+    curve = _pipeline(1).quartic
+    for build in (line_covectors, lambda rows: ProjLine(rows[row]), lambda rows: bitangency_summary(curve, ((), rows))):
         with pytest.raises(ValueError, match=message):
+            build(rows)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (6,)], ids=["3x4", "flat"])
+def test_covector_stack_of_wrong_shape(shape):
+    # twelve or six numbers are not read as four or two lines
+    rows = np.ones(shape, dtype=complex)
+    for build in (line_covectors, lambda rows: bitangency_summary(DOUBLE_CONIC, ((), rows))):
+        with pytest.raises(ValueError, match="3 finite entries"):
             build(rows)
 
 
