@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout (or to the file named by
-``--json``); human-readable summaries go to stderr.  The JSON layout is
-``json.dumps(indent=2)``'s, byte for byte, written by :func:`_dump`.  Exit codes:
-0 success, 1 input error (usage errors included), 2 special-locus
-refusal, 3 invariant or verification failure, or a numerical refusal
-by :func:`~thetaquartic.verify.reconstruct`, which writes no report.
+``--json``); human-readable summaries go to stderr.  The JSON is
+``json.dumps``'s default layout, one line per report, written by
+:func:`_emit`.  Exit codes: 0 success, 1 input error (usage errors
+included), 2 special-locus refusal, 3 invariant or verification failure,
+or a numerical refusal by :func:`~thetaquartic.verify.reconstruct`,
+which writes no report.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -86,115 +86,29 @@ def _check_json_target(path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON writer
+# JSON output
 
-def _float_text(x) -> str:
-    """A float as ``json`` writes it: ``float.__repr__``, or NaN / Infinity / -Infinity."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+def _wire(node):
+    """The JSON form of a report's two leaves that ``json`` does not know, as its ``default``.
 
-
-def _dump_dict(node, pad, out) -> None:
-    if not node:
-        out.append("{}")
-        return
-    inner = pad + "  "
-    sep = "{\n" + inner
-    for key, value in node.items():
-        out.append(sep + _quote(key) + ": ")
-        _dump(value, inner, out)
-        sep = ",\n" + inner
-    out.append("\n" + pad + "}")
-
-
-def _dump_list(node, pad, out) -> None:
-    if not len(node):
-        out.append("[]")
-        return
-    inner = pad + "  "
-    sep = "[\n" + inner
-    for value in node:
-        out.append(sep)
-        _dump(value, inner, out)
-        sep = ",\n" + inner
-    out.append("\n" + pad + "]")
-
-
-def _complex_text(node, pad: str, finite: bool) -> str:
-    """A complex array at indent ``pad``: a 1-D one from one template per number, a deeper one row by row."""
-    if not len(node):
-        return "[]"
-    inner = pad + "  "
-    if node.ndim > 1:
-        items = [_complex_text(row, inner, finite) for row in node]
-    else:
-        real, imag = node.real.tolist(), node.imag.tolist()
-        if not finite:
-            real, imag = map(_float_text, real), map(_float_text, imag)
-        field = inner + "  "
-        items = [f'{{\n{field}"re": {x},\n{field}"im": {y}\n{inner}}}' for x, y in zip(real, imag)]
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-
-
-def _dump_complex(node, pad, out) -> None:
-    if node.dtype.kind != "c" or node.ndim == 0:
-        raise TypeError(f"Object of type ndarray of {node.dtype} is not JSON serializable")
-    out.append(_complex_text(node, pad, bool(np.isfinite(node).all())))
-
-
-@functools.lru_cache(maxsize=None)
-def _char_text(char: ca.Characteristic, pad: str) -> str:
-    """The text of ``char``'s wire form ``{"mp": [...], "mpp": [...]}`` at indent ``pad``."""
-    inner, entry = pad + "  ", ",\n" + pad + "    "
-    mp, mpp = (entry[1:] + entry.join(map(str, half)) for half in (char.mp, char.mpp))
-    return f'{{\n{inner}"mp": [{mp}\n{inner}],\n{inner}"mpp": [{mpp}\n{inner}]\n{pad}}}'
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-#: exact type -> writer of one JSON value at indent ``pad``
-_WRITERS = {
-    dict: _dump_dict,
-    list: _dump_list,
-    np.ndarray: _dump_complex,
-    ca.Characteristic: lambda node, pad, out: out.append(_char_text(node, pad)),
-    str: lambda node, pad, out: out.append(_quote(node)),
-    float: lambda node, pad, out: out.append(_float_text(node)),
-    np.float64: lambda node, pad, out: out.append(_float_text(node)),
-    bool: lambda node, pad, out: out.append("true" if node else "false"),
-    int: lambda node, pad, out: out.append(int.__repr__(node)),
-    type(None): lambda node, pad, out: out.append("null"),
-}
-
-
-def _dump(node, pad: str, out: list) -> None:
-    """Append the text of ``node`` at indent ``pad`` to ``out``, as ``json.dumps(indent=2)`` lays it out.
-
-    Dicts with string keys, lists, strings, floats, ints, bools and
-    None are written as ``json`` writes them.  Two leaves are written from
-    templates: a complex ndarray in the form of
-    :func:`~thetaquartic.thetaeval.complex_to_json`, and a
-    :class:`~thetaquartic.charalgebra.Characteristic` as ``{"mp": list(mp), "mpp": list(mpp)}``.
+    A complex ndarray is written by :func:`~thetaquartic.thetaeval.complex_to_json`,
+    a :class:`~thetaquartic.charalgebra.Characteristic` as ``{"mp": list(mp), "mpp": list(mpp)}``.
     Any other type raises TypeError, as ``json`` does.
     """
-    writer = _WRITERS.get(type(node))
-    if writer is None:
-        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
-    writer(node, pad, out)
+    if type(node) is np.ndarray and node.dtype.kind == "c" and node.ndim:
+        return te.complex_to_json(node)
+    if type(node) is ca.Characteristic:
+        return {"mp": list(node.mp), "mpp": list(node.mpp)}
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 def _emit(obj, args) -> None:
-    out = []
-    _dump(obj, "", out)
-    text = "".join(out)
+    text = json.dumps(obj, default=_wire) + "\n"
     if args.json_path is not None:
         with open(args.json_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _note(msg: str) -> None:
@@ -280,8 +194,8 @@ def _report(keys, run: vf.Reconstruction) -> dict:
     The one place the pipeline's JSON layout is written, and a field is
     built only when its key is asked for.  Complex numbers stay in
     arrays and labels stay :class:`~thetaquartic.charalgebra.Characteristic`
-    objects; :func:`_dump` writes both.  Covectors are scaled by
-    :func:`~thetaquartic.weber.unit_pivot`.
+    objects; :func:`_wire` hands ``json`` the wire form of both.
+    Covectors are scaled by :func:`~thetaquartic.weber.unit_pivot`.
     """
     ok, residual, contacts, _ = run.certs
     fields = {

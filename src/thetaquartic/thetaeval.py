@@ -8,9 +8,9 @@ with the half-integral phase convention e(x) := exp(pi*i*x).  That
 convention is the single most bug-prone piece of the whole pipeline.  A
 phase of a real argument is ``numpy.exp(1j*pi*...)`` on a value
 assembled right next to a comment saying so, as in the lattice pass.
-Integer phases are tabulated powers of i instead: ``weber._I_POW``,
-``_CLASS_UNITS``, the unit vector of a reduced Re tau and Re z
-(:func:`_series`), and the signs +-1 of
+Integer phases are exact powers of i instead: ``_CLASS_UNITS``, the
+unit vector of a reduced Re tau and Re z (:func:`_series`), the phases
+of :func:`~thetaquartic.weber.weber_symbolic`, and the signs +-1 of
 :func:`~thetaquartic.charalgebra.reduce_characteristic`.
 
 Every series goes through one private kernel (:func:`_series`): one
@@ -399,14 +399,20 @@ def random_tau(rng: np.random.Generator) -> np.ndarray:
 def complex_to_json(z):
     """The JSON form of complex numbers: {"re", "im"} for a number, nested lists of them for an array.
 
-    The wire form of every complex number the package writes; the
-    command line's reports are written from templates pinned to it
-    (``thetaquartic.cli._complex_text``), and a tau file through here.
+    The wire form of every complex number the package writes, the
+    command line's reports and tau files alike.  An array is converted
+    in one pass over its real and imaginary parts, then nested back to
+    its shape.
     """
-    if np.ndim(z):
-        return [complex_to_json(x) for x in z]
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+    if not np.ndim(z):
+        z = complex(z)
+        return {"re": z.real, "im": z.imag}
+    z = np.asarray(z, dtype=complex)
+    items = [{"re": x, "im": y} for x, y in zip(z.real.ravel().tolist(), z.imag.ravel().tolist())]
+    for axis in range(z.ndim - 1, 0, -1):
+        n = z.shape[axis]
+        items = [items[i * n:(i + 1) * n] for i in range(math.prod(z.shape[:axis]))]
+    return items
 
 
 def tau_to_json(tau) -> dict:

@@ -82,8 +82,6 @@ _QUARTIC_SUM = np.array(
     dtype=float,
 )
 
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
-
 #: Guards for the small dense solves.  The condition limit only has to
 #: catch genuine rank deficiency (cond = inf); admissible-but-marginal
 #: period matrices legitimately produce badly conditioned systems.
@@ -272,7 +270,7 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
         rc, sign = reduce_characteristic(c)
         rho *= sign
         reduced.append(rc)
-    phase = _I_POW[t % 4] * (-1 if d % 2 else 1) * rho
+    phase = 1j ** (t % 4) * (-1 if d % 2 else 1) * rho
     return WeberEntry(phase=phase, chars=tuple(reduced), rho=rho)
 
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,7 @@ import pytest
 
 import thetaquartic
 from thetaquartic import invariants
-from thetaquartic.charalgebra import all_forms
-from thetaquartic.cli import _dump, main
+from thetaquartic.cli import _wire, main
 from thetaquartic.errors import SingularSystemError
 from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, tau_from_json, tau_to_json
 from thetaquartic.verify import bitangency_check, reconstruct
@@ -273,10 +273,13 @@ LABEL_DIGESTS = dict(line.split()[::-1] for line in (DATA / "label_outputs.sha25
 
 @pytest.mark.parametrize("name", LABEL_DIGESTS)
 def test_label_outputs_are_pinned(name, capsys):
-    # the labels, their order and the numbering of the 288 systems (--system-index) are public
+    # the labels, their order and the numbering of the 288 systems (--system-index) are public;
+    # the digests are of the json.dumps(indent=2) text, the layout these outputs were pinned in
     code, out, _ = run_cli(capsys, *LABEL_COMMANDS[name])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == LABEL_DIGESTS[name]
+    obj = json.loads(out)
+    assert out == json.dumps(obj) + "\n"
+    assert hashlib.sha256((json.dumps(obj, indent=2) + "\n").encode()).hexdigest() == LABEL_DIGESTS[name]
 
 
 def test_aronhold_bad_index(capsys):
@@ -428,54 +431,50 @@ LAYOUT_RUNS = [
 
 @pytest.mark.parametrize("argv, code", LAYOUT_RUNS,
                          ids=[" ".join(Path(a).stem for a in argv) for argv, _ in LAYOUT_RUNS])
-def test_output_layout_is_json_dumps_indent_2(argv, code, tmp_path, capsys):
-    # every subcommand prints exactly what json.dumps(indent=2) makes of its own report
+def test_output_is_json_dumps(argv, code, tmp_path, capsys):
+    # every subcommand prints exactly what json.dumps makes of its own report, on one line
     got, out, _ = run_cli(capsys, *argv)
     assert got == code
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert out == json.dumps(json.loads(out)) + "\n"
     path = tmp_path / "report.json"
     assert run_cli(capsys, *argv, "--json", str(path))[0] == code
     assert path.read_bytes() == out.encode()
-
-
-def dumped(node, pad=""):
-    out = []
-    _dump(node, pad, out)
-    return "".join(out)
-
-
-def indented(obj, pad):
-    """json.dumps(obj, indent=2) as it reads when nested at indent ``pad``."""
-    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
 NON_FINITE = np.array([complex(math.nan, 1.0), complex(math.inf, -math.inf), 0.5 - 2j, complex(-0.0, 1e-300)])
 CONTACTS = np.array([[1, 0.25 - 1j, 1e-17j], [3.5e20 + 1j, -1, 2j / 3]])
 
 
-@pytest.mark.parametrize("node, wire", [
-    ({"residual": math.nan, "worst": [math.inf, -math.inf]}, None),
-    (NON_FINITE, complex_to_json(NON_FINITE)),
-    ({"empty_list": [], "empty_dict": {}, "empty": np.array([], dtype=complex)},
-     {"empty_list": [], "empty_dict": {}, "empty": []}),
-    (CONTACTS, complex_to_json(CONTACTS)),
-    (np.stack([CONTACTS, -CONTACTS]), complex_to_json(np.stack([CONTACTS, -CONTACTS]))),
-    (np.float64(0.1) / 3, None),
-    ([True, 1, False, 0, None, 1.0, -7, 2**70], None),
-    ({"ascii": "plain", "escaped": "q\"u\\o\nte\u00e9\U0001d703"}, None),
-], ids=["non-finite floats", "non-finite complex", "empty", "contacts", "3-d complex", "float64", "bool next to int",
-        "strings"])
-def test_writer_matches_json_dumps(node, wire):
-    assert dumped(node) == json.dumps(node if wire is None else wire, indent=2)
+def _one_by_one(z):
+    """complex_to_json's wire form, built number by number from complex(x)."""
+    if not np.ndim(z):
+        w = complex(z)
+        return {"re": w.real, "im": w.imag}
+    return [_one_by_one(x) for x in z]
 
 
-@pytest.mark.parametrize("pad", ["", "  ", "    ", "          "])
-def test_writer_templates_match_their_wire_form(pad):
-    # the complex template is complex_to_json's form, the label template {"mp": [...], "mpp": [...]}
-    for z in (NON_FINITE, CONTACTS[0], CONTACTS[1] * 1e-5, np.array([0j])):
-        assert dumped(z, pad) == indented(complex_to_json(z), pad)
-    for q in all_forms():
-        assert dumped(q, pad) == indented({"mp": list(q.mp), "mpp": list(q.mpp)}, pad)
+def _bits(node):
+    """``node`` with each leaf replaced by its type and its 8 bytes, so that NaN and -0.0 compare exactly."""
+    if isinstance(node, dict):
+        return {key: _bits(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_bits(value) for value in node]
+    return type(node), struct.pack("<d", node)
+
+
+def _draw(*shape):
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("z", [
+    2.5 - 0j, np.array(-0.0 + 1j), np.complex128(1e-300 - 3j),
+    _draw(3), _draw(2, 3), _draw(2, 2, 3), _draw(0), _draw(0, 3),
+    NON_FINITE, CONTACTS, np.stack([CONTACTS, -CONTACTS]),
+], ids=["complex", "0-d", "complex128", "3", "2x3", "2x2x3", "0", "0x3", "non-finite", "contacts", "3-d"])
+def test_complex_to_json_is_the_wire_form(z):
+    # one dict per number, nested as the array is, every part a Python float with the bits of the number
+    assert _bits(complex_to_json(z)) == _bits(_one_by_one(z))
 
 
 @pytest.mark.parametrize("node", [object(), {1, 2}, 1 + 2j, np.int64(1), np.bool_(True),
@@ -484,7 +483,7 @@ def test_writer_refuses_what_json_refuses(node):
     with pytest.raises(TypeError):
         json.dumps(node)
     with pytest.raises(TypeError):
-        dumped(node)
+        json.dumps(node, default=_wire)
 
 
 #: functions of the pipeline modules that the traced commands do not call, and why each stays there
@@ -522,7 +521,7 @@ def test_pipeline_modules_hold_what_the_commands_run(tmp_path):
     # every function of the four pipeline modules runs under some command, or NOT_TRACED says why not
     from thetaquartic import charalgebra, cli, thetaeval, verify, weber
 
-    for cached in (weber._plan, charalgebra.enumerate_aronhold, cli.build_parser, cli._char_text):
+    for cached in (weber._plan, charalgebra.enumerate_aronhold, cli.build_parser):
         cached.cache_clear()
     tau = str(DATA / "tau_seed3.json")
     commands = [

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -570,10 +572,14 @@ def test_period_matrix_validation():
     assert np.abs(pm.tau - pm.tau.T).max() == 0
 
 
-def test_tau_json_roundtrip(tau_seed1):
-    obj = tau_to_json(tau_seed1.tau)
-    back = tau_from_json(obj)
-    assert np.abs(back - tau_seed1.tau).max() == 0
+@pytest.mark.parametrize("seed, shift", [(1, 0.0), (4, 0.0), (7, 0.0), (7, 1e12)],
+                         ids=["seed1", "seed4", "seed7", "seed7-re-tau11+1e12"])
+def test_tau_json_roundtrip(seed, shift):
+    # through json's own text and back, every bit of tau survives
+    tau = random_admissible_tau(seed).tau.copy()
+    tau[0, 0] += shift
+    back = tau_from_json(json.loads(json.dumps(tau_to_json(tau))))
+    assert back.tobytes() == tau.tobytes()
 
 
 def test_tau_json_malformed():
