@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout (or to the file named by
-``--json``); human-readable summaries go to stderr.  The JSON is
-``json.dumps``'s default layout, one line per report, written by
-:func:`_emit`.  Exit codes: 0 success, 1 input error (usage errors
-included), 2 special-locus refusal, 3 invariant or verification failure,
-or a numerical refusal by :func:`~thetaquartic.verify.reconstruct`,
-which writes no report.
+``--json``); human-readable summaries go to stderr.  Each command
+builds its report as JSON data (labels from :data:`_LABELS`, pipeline
+reports in :func:`_report`), which :func:`_emit` writes in
+``json.dumps``'s default layout, one line per report.  Exit codes: 0
+success, 1 input error (usage errors included), 2 special-locus
+refusal, 3 invariant or verification failure, or a numerical refusal
+by :func:`~thetaquartic.verify.reconstruct`, which writes no report.
 """
 
 from __future__ import annotations
@@ -88,22 +89,17 @@ def _check_json_target(path: str) -> None:
 # ---------------------------------------------------------------------------
 # JSON output
 
-def _wire(node):
-    """The JSON form of a report's two leaves that ``json`` does not know, as its ``default``.
+#: the wire form {"mp", "mpp"} of each of the 64 forms, keyed by its bits m' + m''; shared by every report, never mutated
+_LABELS = {q.mp + q.mpp: {"mp": list(q.mp), "mpp": list(q.mpp)} for q in ca.all_forms()}
 
-    A complex ndarray is written by :func:`~thetaquartic.thetaeval.complex_to_json`,
-    a :class:`~thetaquartic.charalgebra.Characteristic` as ``{"mp": list(mp), "mpp": list(mpp)}``.
-    Any other type raises TypeError, as ``json`` does.
-    """
-    if type(node) is np.ndarray and node.dtype.kind == "c" and node.ndim:
-        return te.complex_to_json(node)
-    if type(node) is ca.Characteristic:
-        return {"mp": list(node.mp), "mpp": list(node.mpp)}
-    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+def _label(q: ca.Characteristic) -> dict:
+    return _LABELS[q.mp + q.mpp]
 
 
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, default=_wire) + "\n"
+    """Write a report, a tree of JSON data that holds no cycle (so none is checked for), as one line of JSON."""
+    text = json.dumps(obj, check_circular=False) + "\n"
     if args.json_path is not None:
         with open(args.json_path, "w") as fh:
             fh.write(text)
@@ -138,7 +134,7 @@ def cmd_classify(args) -> int:
     for q in ca.all_forms():
         arf_q = ca.arf(q)
         rows.append({
-            "char": q,
+            "char": _label(q),
             "bracket": q.bracket(),
             "arf": arf_q,
             "parity": "odd" if arf_q else "even",
@@ -157,17 +153,17 @@ def cmd_aronhold(args) -> int:
     if args.system_index is None:
         _emit({
             "count": len(systems),
-            "systems": [list(s) for s in systems],
+            "systems": [[_label(q) for q in s] for s in systems],
         }, args)
         _note(f"{len(systems)} Aronhold systems")
         return EXIT_OK
     system = _system(args)
     der = ca.derived_forms(system)
     _emit({
-        "system": list(system),
-        "q_s": der.q_s,
-        "pair_forms": {f"{i}{j}": q for (i, j), q in sorted(der.pair.items())},
-        "triple_forms": {f"{i}{j}{k}": q for (i, j, k), q in sorted(der.triple.items())},
+        "system": [_label(q) for q in system],
+        "q_s": _label(der.q_s),
+        "pair_forms": {f"{i}{j}": _label(q) for (i, j), q in sorted(der.pair.items())},
+        "triple_forms": {f"{i}{j}{k}": _label(q) for (i, j, k), q in sorted(der.triple.items())},
     }, args)
     _note("system: " + " ".join(q.bracket() for q in system))
     return EXIT_OK
@@ -189,26 +185,28 @@ REPORT_KEYS = {
 
 
 def _report(keys, run: vf.Reconstruction) -> dict:
-    """The report of one pipeline run under the given top-level keys, in their order.
+    """The report of one pipeline run under the given top-level keys, in their order, as JSON data.
 
     The one place the pipeline's JSON layout is written, and a field is
-    built only when its key is asked for.  Complex numbers stay in
-    arrays and labels stay :class:`~thetaquartic.charalgebra.Characteristic`
-    objects; :func:`_wire` hands ``json`` the wire form of both.
-    Covectors are scaled by :func:`~thetaquartic.weber.unit_pivot`.
+    built only when its key is asked for.  Each complex field is one
+    :func:`~thetaquartic.thetaeval.complex_to_json` call (the 28 lines
+    and the 28 contact pairs as stacks, zipped row by row into the
+    per-line dicts); labels come from :data:`_LABELS`.  Covectors are
+    scaled by :func:`~thetaquartic.weber.unit_pivot`.
     """
     ok, residual, contacts, _ = run.certs
     fields = {
-        "aronhold": lambda: list(run.frame.system),
-        "a": lambda: run.frame.a,
-        "bitangents": lambda: [{"q": q, "line": row} for q, row in zip(run.labels, wb.unit_pivot(run.covectors))],
-        "quartic": lambda: run.quartic.coeffs,
-        "k": lambda: run.frame.k,
-        "lambda": lambda: run.frame.lam,
-        "xi": lambda: wb.unit_pivot(run.frame.xi),
+        "aronhold": lambda: [_label(q) for q in run.frame.system],
+        "a": lambda: te.complex_to_json(run.frame.a),
+        "bitangents": lambda: [{"q": _label(q), "line": row}
+                               for q, row in zip(run.labels, te.complex_to_json(wb.unit_pivot(run.covectors)))],
+        "quartic": lambda: te.complex_to_json(run.quartic.coeffs),
+        "k": lambda: te.complex_to_json(run.frame.k),
+        "lambda": lambda: te.complex_to_json(run.frame.lam),
+        "xi": lambda: te.complex_to_json(wb.unit_pivot(run.frame.xi)),
         "reports": lambda: [
-            {"q": q, "is_bitangent": b, "residual": r, "contacts": x}
-            for q, b, r, x in zip(run.labels, ok.tolist(), residual.tolist(), contacts)
+            {"q": _label(q), "is_bitangent": b, "residual": r, "contacts": x}
+            for q, b, r, x in zip(run.labels, ok.tolist(), residual.tolist(), te.complex_to_json(contacts))
         ],
         "summary": lambda: run.summary,
         "verify": lambda: _report(REPORT_KEYS["verify"], run),

@@ -105,7 +105,7 @@ def line_covectors(rows) -> np.ndarray:
     rows = np.array(rows, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != 3 or not np.isfinite(rows).all():
         raise ValueError("a line covector has 3 finite entries")
-    if not np.abs(rows).max(axis=1).all():
+    if not (rows != 0).any(axis=1).all():
         raise ValueError("zero covector does not define a line")
     rows.setflags(write=False)
     return rows

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -14,11 +15,12 @@ import pytest
 
 import thetaquartic
 from thetaquartic import invariants
-from thetaquartic.cli import _wire, main
+from thetaquartic.charalgebra import REFERENCE_SYSTEM, Characteristic, enumerate_aronhold
+from thetaquartic.cli import _emit, main
 from thetaquartic.errors import SingularSystemError
 from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, tau_from_json, tau_to_json
 from thetaquartic.verify import bitangency_check, reconstruct
-from thetaquartic.weber import ProjLine
+from thetaquartic.weber import ProjLine, unit_pivot
 
 DATA = Path(__file__).parent / "data"
 
@@ -479,11 +481,90 @@ def test_complex_to_json_is_the_wire_form(z):
 
 @pytest.mark.parametrize("node", [object(), {1, 2}, 1 + 2j, np.int64(1), np.bool_(True),
                                   np.zeros(3), np.array(1j), [np.float32(1.0)]])
-def test_writer_refuses_what_json_refuses(node):
+def test_writer_refuses_what_json_refuses(node, capsys):
+    # a report holds JSON data only: anything else is a TypeError, and no partial report is written
     with pytest.raises(TypeError):
         json.dumps(node)
     with pytest.raises(TypeError):
-        json.dumps(node, default=_wire)
+        _emit(node, argparse.Namespace(json_path=None))
+    assert capsys.readouterr().out == ""
+
+
+def _label(q):
+    return {"mp": list(q.mp), "mpp": list(q.mpp)}
+
+
+def _leafwise_report(command, run):
+    """The report of ``command`` on ``run``, built leaf by leaf from the arrays of :func:`reconstruct`."""
+    ok, residual, contacts, _ = run.certs
+    verify = {
+        "reports": [
+            {"q": _label(q), "is_bitangent": bool(ok[i]), "residual": float(residual[i]),
+             "contacts": _one_by_one(contacts[i])}
+            for i, q in enumerate(run.labels)
+        ],
+        "summary": run.summary,
+    }
+    if command == "verify":
+        return verify
+    fields = {
+        "aronhold": [_label(q) for q in run.frame.system],
+        "a": _one_by_one(run.frame.a),
+        "bitangents": [{"q": _label(q), "line": _one_by_one(unit_pivot(c))}
+                       for q, c in zip(run.labels, run.covectors)],
+        "quartic": _one_by_one(run.quartic.coeffs),
+        "k": _one_by_one(run.frame.k),
+        "lambda": _one_by_one(run.frame.lam),
+        "xi": _one_by_one(unit_pivot(run.frame.xi)),
+        "verify": verify,
+    }
+    keys = {"bitangents": ("aronhold", "a", "bitangents", "quartic", "k", "lambda", "verify"),
+            "quartic": ("aronhold", "a", "k", "lambda", "xi", "quartic")}[command]
+    return {key: fields[key] for key in keys}
+
+
+#: (tau file, --system-index, exit code): a certified run, draw 213 (24 of 28 certify) and system 5 at seed 6 (20 of 28)
+LEAFWISE_RUNS = [("tau_seed3", None, 0), ("tau_rng201_draw213", None, 3), ("tau_seed6", 5, 3)]
+
+
+@pytest.mark.parametrize("command", ["bitangents", "quartic", "verify"])
+@pytest.mark.parametrize("tau, index, code", LEAFWISE_RUNS)
+def test_report_is_the_leafwise_tree(command, tau, index, code, capsys):
+    # the stacked conversions of cli._report print the bytes of a tree converted number by number
+    path = DATA / f"{tau}.json"
+    argv = [command, "--tau", str(path)] + ([] if index is None else ["--system-index", str(index)])
+    got, out, _ = run_cli(capsys, *argv)
+    assert got == code
+    system = REFERENCE_SYSTEM if index is None else enumerate_aronhold()[index]
+    run = reconstruct(PeriodMatrix(tau_from_json(json.loads(path.read_text()))), system)
+    assert out == json.dumps(_leafwise_report(command, run)) + "\n"
+
+
+def test_report_holds_only_json_data(monkeypatch, capsys):
+    # json.dumps never falls back to a default hook: no array and no Characteristic reaches it
+    seen = []
+
+    def hook(node):
+        seen.append(type(node).__name__)
+        if isinstance(node, np.ndarray):
+            return complex_to_json(node)
+        if isinstance(node, Characteristic):
+            return _label(node)
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumps(obj, default=hook, **kw))
+    code, out, _ = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"))
+    assert code == 0 and len(json.loads(out)["bitangents"]) == 28
+    assert seen == []
+
+
+def test_repeated_runs_print_the_same_bytes(capsys):
+    # the reports share the label dicts of cli._LABELS: no run may change what the next one prints
+    commands = [["bitangents", "--tau", str(DATA / "tau_seed3.json")], ["classify"],
+                ["aronhold"], ["aronhold", "--system-index", "5"]]
+    first = [run_cli(capsys, *argv) for argv in commands]
+    assert [run_cli(capsys, *argv) for argv in commands] == first
 
 
 #: functions of the pipeline modules that the traced commands do not call, and why each stays there

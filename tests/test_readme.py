@@ -19,9 +19,12 @@ def test_readme_library_recipe():
 
 
 def test_readme_cli_flags_match_parser():
-    # the --flags named in the "CLI" section are exactly those the subcommands declare
+    # the --flags of the "CLI" section's sh block and of its code spans that begin with -- are
+    # exactly those the subcommands declare; prose may name another program's options
     section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    usage = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    spans = re.findall(r"`(--[^`]*)`", re.sub(r"```.*?```", "", section, flags=re.S))
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join([usage, *spans])))
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     declared = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
     assert named == declared - {"-h", "--help"}

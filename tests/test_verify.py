@@ -393,8 +393,8 @@ def test_line_rejects_non_finite(bad):
 
 @pytest.mark.parametrize("row", [0, 13, 27])
 @pytest.mark.parametrize("bad, message", [
-    ((1.0, float("nan"), 0.5), "finite"), ((0, 0, 0), "zero covector"),
-], ids=["non-finite", "zero"])
+    ((1.0, float("nan"), 0.5), "finite"), ((0, 0, 0), "zero covector"), ((-0.0, -0.0j, 0j), "zero covector"),
+], ids=["non-finite", "zero", "signed-zero"])
 def test_covector_stack_checks_every_row(row, bad, message):
     # a stack of covectors is refused as one ProjLine of its bad row is, by the certificate too:
     # a zero row would read as the line X1 = 0 and certify on this curve
@@ -404,6 +404,12 @@ def test_covector_stack_checks_every_row(row, bad, message):
     for build in (line_covectors, lambda rows: ProjLine(rows[row]), lambda rows: bitangency_summary(curve, ((), rows))):
         with pytest.raises(ValueError, match=message):
             build(rows)
+
+
+def test_covector_stack_keeps_a_subnormal_row():
+    # a row is zero only if every entry compares equal to 0; the smallest subnormal does not
+    rows = line_covectors([(0, 0, 5e-324), (0, -5e-324j, 0)])
+    assert rows.shape == (2, 3) and not rows.flags.writeable
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (6,)], ids=["3x4", "flat"])
