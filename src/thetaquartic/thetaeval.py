@@ -186,28 +186,32 @@ class PeriodMatrix:
         self._tables: dict = {}  # policy -> ThetaTables, see theta_tables
 
 
+def _check_cap(count) -> None:
+    if count > MAX_POINTS:
+        tail = "Im(tau) is too close to singular for the requested tail"
+        raise TruncationError(f"{count:.3g} lattice points needed, over the cap of {MAX_POINTS}; {tail}")
+
+
 def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
     """The integer points k with |chol.(k + center)|^2 <= r2, as float rows.
 
-    Fincke-Pohst on the upper Cholesky factor: k_3 ranges over its
-    interval, then k_2 over the interval the remaining budget leaves for
-    each k_3, then k_1; each level is one vectorized expansion.  Raises
-    :class:`TruncationError` before a level would exceed ``MAX_POINTS``
-    points.
+    Fincke-Pohst on the upper Cholesky factor: k_3 ranges over one
+    interval, in scalars, then k_2 over the interval the remaining budget
+    leaves for each k_3 and k_1 likewise, each in one vectorized expansion.
+    Raises :class:`TruncationError` before a level would exceed ``MAX_POINTS``.
     """
-    k = np.zeros((1, 0))
-    rem = np.full(1, r2)
-    for i in (2, 1, 0):
+    mid, half = -center[2], math.sqrt(max(r2, 0.0)) / chol[2, 2]
+    lo, hi = math.ceil(mid - half), math.floor(mid + half)
+    _check_cap(hi - lo + 1)
+    ki = np.arange(lo, hi + 1, dtype=float)
+    k, rem = ki[:, None], r2 - (chol[2, 2] * (ki - mid)) ** 2
+    for i in (1, 0):
         d = chol[i, i]
         mid = -center[i] - (k + center[i + 1 :]) @ (chol[i, i + 1 :] / d)  # window center for k_i
         half = np.sqrt(np.maximum(rem, 0)) / d
         lo = np.ceil(mid - half)
         counts = np.floor(mid + half) - lo + 1
-        if counts.sum() > MAX_POINTS:
-            raise TruncationError(
-                f"{counts.sum():.3g} lattice points needed, over the cap of {MAX_POINTS}; "
-                "Im(tau) is too close to singular for the requested tail"
-            )
+        _check_cap(counts.sum())
         counts = counts.astype(int)
         ki = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         k = np.concatenate((ki[:, None], np.repeat(k, counts, axis=0)), axis=1)

@@ -10,11 +10,12 @@ contact points for the report.
 
 All entry points run one batched pass over a stack of line covectors, an
 (L, 3) array such as :func:`thetaquartic.weber.all_bitangents` returns.
-A stacked SVD gives each line's spanning points p, q.  The curve, scaled
-to unit largest coefficient, is a 6x6 matrix C on the six quadratic
-monomials X_i X_j, each of its 15 coefficients on the one entry whose row
-and column multiply to its monomial.  With Q the coefficients of the six
-quadratics (s p_i + t q_i)(s p_j + t q_j), each restriction g(s, t) =
+Each line's spanning points p, q are LAPACK's SVD basis in closed form
+(:func:`_spanning_points`).  The curve, scaled to unit largest
+coefficient, is a 6x6 matrix C on the six quadratic monomials X_i X_j,
+each of its 15 coefficients on the one entry whose row and column
+multiply to its monomial.  With Q the coefficients of the six quadratics
+(s p_i + t q_i)(s p_j + t q_j), each restriction g(s, t) =
 F(s p + t q) is the anti-diagonal sums of Q^T C Q.  Sampling F at five
 roots of unity and taking an inverse DFT mixes all 15 monomials into
 every sample and certified fewer digits (mean 13.55 against 13.58 on the
@@ -91,19 +92,31 @@ _VARS = np.array([np.repeat([0, 1, 2], e) for e in MONOMIALS])  # row m: i, j, k
 _ROW, _COL = _PAIRS[_VARS[:, ::2], _VARS[:, 1::2]].T
 
 
+def _spanning_points(covectors) -> np.ndarray:
+    """LAPACK's SVD null-space basis p, q (2, L, 3) of each row c of a covector stack (L, 3), row by row.
+
+    Columns 1 and 2 of the reflector H = I - tau v v^H, H conj(c) = beta e_0, of its LQ step (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 19.1); each row first scaled by a power of two, which changes no bit.
+    """
+    parts = np.ascontiguousarray(covectors, dtype=complex).reshape(-1, 3).view(float)
+    a = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=1, keepdims=True))[1]).view(complex).conj()
+    a0 = a[:, :1]
+    beta = -np.copysign(_norm(a), a0.real)
+    v = a / (a0 - beta)
+    v[:, 0] = 1
+    return np.eye(3)[1:, None] - (beta - a0) / beta * v * v[:, 1:].T.conj()[..., None]  # e_j - tau conj(v_j) v
+
+
 def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Restrict the curve, scaled to unit largest coefficient, to a stack of line covectors (L, 3).
 
-    Returns (g, p, q): p[l], q[l] are unit spanning points of line l (the
-    SVD null space of its covector) and g[l, k] is the coefficient of
+    Returns (g, p, q): p[l], q[l] are the orthonormal spanning points of
+    line l (:func:`_spanning_points`) and g[l, k] is the coefficient of
     s^(4-k) t^k in F(s p[l] + t q[l]), the anti-diagonal sum u + v = k of
-    Q^T C Q (see the module docstring).  Raises
-    :class:`DegenerateCurveError` if any restriction vanishes, i.e. a
-    line is a component of the curve.
+    Q^T C Q (see the module docstring).  Raises :class:`DegenerateCurveError`
+    if any restriction vanishes, i.e. a line is a component of the curve.
     """
-    covectors = np.asarray(covectors, dtype=complex).reshape(-1, 3)
-    _, _, vh = np.linalg.svd(covectors[:, None, :])
-    p, q = vh[:, 1].conj(), vh[:, 2].conj()
+    p, q = _spanning_points(covectors)
     # quad[l, a, u]: the coefficient of s^(2-u) t^u in (s p_i + t q_i)(s p_j + t q_j), pair a = (i, j)
     pi, pj, qi, qj = p[:, _PAIR_I], p[:, _PAIR_J], q[:, _PAIR_I], q[:, _PAIR_J]
     quad = np.stack([pi * pj, pi * qj + qi * pj, qi * qj], axis=-1)
@@ -111,9 +124,8 @@ def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarra
     c[_ROW, _COL] = curve.coeffs / np.abs(curve.coeffs).max()
     # F(s p + t q) = sum_ab c[a, b] quad_a quad_b; stacked, not 2-D, products keep rows batch-independent
     form = quad.transpose(0, 2, 1) @ (c @ quad)
-    g = np.zeros((len(form), 5), dtype=complex)
-    for u in range(3):
-        g[:, u : u + 3] += form[:, u]
+    f = form.reshape(-1, 9).T  # f[3 u + v] = form[:, u, v]
+    g = np.stack([f[0], f[1] + f[3], f[2] + f[4] + f[6], f[5] + f[7], f[8]], axis=1)
     if np.any(np.abs(g).max(axis=1) < RESTRICTION_ZERO_TOL):
         raise DegenerateCurveError("the line lies on the curve; restriction is zero")
     return g, p, q
@@ -200,7 +212,7 @@ def _sphere_centres(g: np.ndarray) -> np.ndarray:
 
 
 def _canonical(x: np.ndarray) -> np.ndarray:
-    """Unit plane points (L, 2, 3) with a fixed phase and order.
+    """Unit plane points (L, 2, 3), unit already on input, with a fixed phase and order.
 
     The first entry whose modulus is within 1e-9 (relative) of the
     largest is made real positive, and the two points of a line are put
@@ -209,7 +221,6 @@ def _canonical(x: np.ndarray) -> np.ndarray:
     of equal modulus, zeros on a coordinate line) decide neither the
     phase nor the order.
     """
-    x = x / _norm(x)
     rows = np.arange(len(x))
     size = np.abs(x)
     lead = np.argmax(size >= (1 - 1e-9) * size.max(axis=-1, keepdims=True), axis=-1)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,20 @@ def test_point_cap_counts_thin_ellipsoid():
     tau = PeriodMatrix(1j * np.diag([1e-10, 1e10, 1.0]))
     with pytest.raises(TruncationError):
         even_constant_table(tau)
+
+
+def test_point_cap_counts_the_top_level_first():
+    # Y_33 = 1e-14 makes the k_3 interval of the packing-radius pass alone 5.64e6 long: the
+    # cap refuses it from that count, before any level's points are allocated (about 45 MB)
+    tau = PeriodMatrix(1j * np.diag([1, 1, 1e-14]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match=r"^5\.64e\+06 lattice points needed, over the cap of 1048576; "):
+            theta_tables(tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.fixture

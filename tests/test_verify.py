@@ -47,7 +47,7 @@ DATA = Path(__file__).parent / "data"
 
 def _restrict(curve: QuarticCurve, line: ProjLine) -> np.ndarray:
     # the binary quartic g(s, t) the certificate makes of one line: the curve scaled to unit
-    # largest coefficient, on the SVD null-space basis of the covector
+    # largest coefficient, on the spanning points of verify._spanning_points
     return verify._restrictions(curve, [line.c])[0][0]
 
 
@@ -314,14 +314,49 @@ def test_restriction_matches_mpmath_on_special_curves(curve):
 
 
 def _check_restrictions_against_mpmath(curve, lines):
-    # the kernel restricts the curve scaled to unit largest coefficient, in the
-    # null-space basis of the covector's SVD
+    # the kernel restricts the curve scaled to unit largest coefficient, on the
+    # spanning points of its own basis helper
     coeffs = curve.coeffs / np.abs(curve.coeffs).max()
     for line in lines:
-        _, _, vh = np.linalg.svd(line.c.reshape(1, 3))
-        want = mp_restriction(coeffs, MONOMIALS, vh[1].conj(), vh[2].conj())
+        (p,), (q,) = verify._spanning_points(line.c)
+        want = mp_restriction(coeffs, MONOMIALS, p, q)
         got = _restrict(curve, line)
         assert np.abs(got - want).max() < 1e-15 * np.abs(coeffs).sum()
+
+
+def _basis_rows() -> np.ndarray:
+    # seeded random rows; rows whose c_0 is 0, -0.0, negative real, purely imaginary or
+    # -0.0 + i y; the axis rows times 1, -1, i and -i; then all of them scaled by 2^+-1000
+    # and 1e+-300
+    rng = np.random.default_rng(27)
+    rows = rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3))
+    edge = rows[:24].copy()
+    for i, c0 in enumerate([0.0, -0.0, -1.5, 0.8j, -0.8j, complex(-0.0, 0.8)]):
+        edge[4 * i : 4 * i + 4, 0] = c0
+    axes = np.concatenate([unit * np.eye(3) for unit in (1, -1, 1j, -1j)])
+    rows = np.concatenate((rows, edge, axes))
+    return np.concatenate([rows] + [scale * rows for scale in (2.0**1000, 2.0**-1000, 1e300, 1e-300)])
+
+
+def test_spanning_points_are_lapacks_svd_basis():
+    # the closed form is the null-space basis np.linalg.svd returns, conjugated
+    rows = _basis_rows()
+    assert np.copysign(1, rows[304:308, 0].real).tolist() == [-1] * 4  # the -0.0 rows kept their sign
+    p, q = verify._spanning_points(rows)
+    assert verify._spanning_points(np.asfortranarray(rows)).tobytes() == np.stack((p, q)).tobytes()
+    want = np.linalg.svd(rows[:, None, :])[2][:, 1:].conj()
+    assert np.abs(p - want[:, 0]).max() <= 2e-15
+    assert np.abs(q - want[:, 1]).max() <= 2e-15
+
+
+def test_spanning_points_are_an_orthonormal_null_space():
+    rows = _basis_rows()
+    p, q = verify._spanning_points(rows)
+    unit = rows / np.abs(rows).max(axis=1, keepdims=True)  # c up to scale, without overflow
+    for x in (p, q):
+        assert np.abs(np.linalg.norm(x, axis=1) - 1).max() <= 1e-15
+        assert np.abs((unit * x).sum(axis=1)).max() <= 1e-15  # c.x = 0, no conjugate
+    assert np.abs((p.conj() * q).sum(axis=1)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [1, 2, 6])
@@ -445,11 +480,10 @@ def _product_curve(*forms) -> QuarticCurve:
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
 def test_double_root_near_infinity_stays_double(eps):
-    # on the line's SVD basis p, q, the factor L1 = -eps p* + q* vanishes at
+    # on the line's spanning points p, q, the factor L1 = -eps p* + q* vanishes at
     # [s : t] = [1 : eps] and L2 = p* - c q* at [c : 1]
     line = ProjLine((0.3 + 0.1j, -1.2, 0.7j))
-    _, _, vh = np.linalg.svd(line.c.reshape(1, 3))
-    p, q = vh[1].conj(), vh[2].conj()
+    (p,), (q,) = verify._spanning_points(line.c)
     c = 0.3 + 0.7j
     l1, l2 = -eps * p.conj() + q.conj(), p.conj() - c * q.conj()
     curve = _product_curve(l1, l1, l2, l2)
@@ -469,8 +503,7 @@ def test_near_flex_flag_compares_separation_with_the_split(eps, flagged):
     # contacts [1 : eps] and [1 : -eps], about 2 eps apart, and a 1e-10 bump that leaves a
     # residual of 2.9e-11: near-flex iff separation^2 <= 10 sqrt(residual) = 5.4e-5
     line = ProjLine((0.3 + 0.1j, -1.2, 0.7j))
-    _, _, vh = np.linalg.svd(line.c.reshape(1, 3))
-    p, q = vh[1].conj(), vh[2].conj()
+    (p,), (q,) = verify._spanning_points(line.c)
     l1, l2 = -eps * p.conj() + q.conj(), eps * p.conj() + q.conj()
     coeffs = np.array(_product_curve(l1, l1, l2, l2).coeffs)
     coeffs[4] += 1e-10 * np.abs(coeffs).max()
