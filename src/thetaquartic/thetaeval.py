@@ -46,6 +46,15 @@ k mod 4.  So the pass sums w and p_l w over the 64 classes of k mod 4
 where k mod 2 = m', else 0) maps the class sums to the values and, times
 2*pi*i, the gradients of every characteristic.
 
+At z = 0 the pass uses the parity of theta.  The ellipsoid is centred
+at 0, so its points come in pairs k, -k around the one point k = 0, and
+the enumeration lists them as row h + j = -(row h - j) of its N rows,
+h = N // 2.  The weight w = e(p.tau.p) is even in p and the gradient
+weight p w odd, so the pass exponentiates only rows 0..h, about
+(N + 1) / 2 of the N points, and mirrors the rest, negating the
+gradient weights exactly.  The class sums run over the full list in its
+order, so they hold the same bits as a pass over every point.
+
 R follows the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004).  In
 coordinates u with |u|^2 = pi (n+c).Y.(n+c), take rho at most the
@@ -259,7 +268,13 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     """Values (64,) and z-gradients (64, 3) of theta at every reduced characteristic, by packed index.
 
     One lattice pass over k = 2p (see the module docstring); ``z`` None
-    means z = 0, and any other z must be 3 finite numbers.  The pass sums
+    means z = 0, and any other z must be 3 finite numbers.  At ``z`` None
+    the parity of theta halves the work: w = e(p.tau.p) is even in p and
+    p w odd, and row h + j of the N points is -(row h - j), h = N // 2,
+    so only rows 0..h are exponentiated, about (N + 1) / 2 points, and
+    mirrored.  The class sums are over every point in the same order, so
+    the tables are the bits of the full pass, as at ``z`` = zeros(3),
+    which evaluates every point.  The pass sums
     at tau - 2B and z - n, B = rint(Re tau / 2) and n = rint(Re z), so a
     large Re tau or Re z costs no digits in the phases.  The units
     i^(m'.B.m' + 2 m'.n) follow only if B or n is non-zero, as in no
@@ -286,8 +301,20 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
         raise TruncationError(f"{exc}; the pass was at z = {zz}") from None
     cls = (k.astype(np.intp) & 3) @ _CLASS_STRIDES  # k mod 4
     p = np.divide(k, 2, out=k)  # p = k/2, in place
-    w = np.exp(1j * np.pi * (((p @ (tau.tau - 2 * b)) * p).sum(axis=1) + 2 * p @ (zz - n)))  # e(x) convention
-    terms = np.concatenate((w[None], p.T * w))  # row j: the weights of the value (j = 0) or of d/dz_j
+    t = tau.tau - 2 * b
+    if z is None:
+        # the parity of theta: row h + j is -(row h - j), so w is exponentiated on rows 0..h only
+        h = len(p) // 2
+        if len(p) % 2 == 0 or p[h].any():
+            raise RuntimeError(f"the lattice pass at z = 0 is not symmetric: {len(p)} points, middle row {p[h]}")
+        half = p[: h + 1]
+        w = np.exp(1j * np.pi * ((half @ t) * half).sum(axis=1))  # e(x) convention
+        g = half.T * w
+        w, g = np.concatenate((w, w[-2::-1])), np.concatenate((g, -g[:, -2::-1]), axis=1)
+    else:
+        w = np.exp(1j * np.pi * (((p @ t) * p).sum(axis=1) + 2 * p @ (zz - n)))  # e(x) convention
+        g = p.T * w
+    terms = np.concatenate((w[None], g))  # row j: the weights of the value (j = 0) or of d/dz_j
     idx = (cls + 64 * np.arange(4)[:, None]).ravel()
     sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
     out = sums.reshape(4, 64) @ _CLASS_UNITS.T  # row 0: the values; rows 1-3: the gradients' coordinates

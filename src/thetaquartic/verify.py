@@ -101,7 +101,7 @@ def _spanning_points(covectors) -> np.ndarray:
     parts = np.ascontiguousarray(covectors, dtype=complex).reshape(-1, 3).view(float)
     a = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=1, keepdims=True))[1]).view(complex).conj()
     a0 = a[:, :1]
-    beta = -np.copysign(_norm(a), a0.real)
+    beta = -np.copysign(wb.norm(a, axis=-1, keepdims=True), a0.real)
     v = a / (a0 - beta)
     v[:, 0] = 1
     return np.eye(3)[1:, None] - (beta - a0) / beta * v * v[:, 1:].T.conj()[..., None]  # e_j - tau conj(v_j) v
@@ -160,11 +160,6 @@ def _chart_transforms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CHART_M, _CHART_INF, _CHART_CENTRE = _chart_transforms()
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(x, axis=-1, keepdims=True) by numpy's own expression, bit for bit, without its dispatch
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1, keepdims=True))
-
-
 def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the roots of x^2 + b x + c: the larger-modulus one without cancellation, the
     # other as c over it, and 0 where both are 0 (x^2 itself)
@@ -208,7 +203,7 @@ def _sphere_centres(g: np.ndarray) -> np.ndarray:
     a, b = a - (n * u - m * v) / det, b - (n * v - m.conj() * u) / det
     x = np.stack(_quadratic_roots(a, b), axis=1)
     centres = x[..., None] * _CHART_INF[chart, None] + _CHART_CENTRE[chart, None]
-    return centres / _norm(centres)
+    return centres / wb.norm(centres, axis=-1, keepdims=True)
 
 
 def _canonical(x: np.ndarray) -> np.ndarray:
@@ -247,7 +242,7 @@ def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np
     r0, r1, r2 = t0[:, 0] * t0[:, 1], -(s0[:, 0] * t0[:, 1] + t0[:, 0] * s0[:, 1]), s0[:, 0] * s0[:, 1]
     model = np.stack([r0 * r0, 2 * r0 * r1, r1 * r1 + 2 * r0 * r2, 2 * r1 * r2, r2 * r2], axis=-1)
     amp = np.sum(model.conj() * g, axis=1, keepdims=True) / np.sum(model.conj() * model, axis=1, keepdims=True)
-    residual = (_norm(g - amp * model) / _norm(g))[:, 0]
+    residual = (wb.norm(g - amp * model, axis=-1, keepdims=True) / wb.norm(g, axis=-1, keepdims=True))[:, 0]
 
     # if g = amp (square + e), e splits each double root of the square by about
     # sqrt(|e|) / separation, and |e| is at least the rounding level eps of g however
@@ -298,7 +293,12 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
     for no lines).
     """
     _, covectors = labelled_lines
-    certs = _certify(curve, wb.line_covectors(covectors))
+    return _summary(curve, wb.line_covectors(covectors))
+
+
+def _summary(curve: QuarticCurve, covectors: np.ndarray) -> tuple[tuple, dict]:
+    """:func:`bitangency_summary` of a stack already checked by :func:`~thetaquartic.weber.line_covectors`."""
+    certs = _certify(curve, covectors)
     ok, residual = certs[:2]
     n_pass = int(ok.sum())
     return certs, {"pass": n_pass, "fail": len(ok) - n_pass, "max_residual": float(residual.max(initial=0.0))}
@@ -320,13 +320,15 @@ def reconstruct(tau: PeriodMatrix, system: AronholdSystem = REFERENCE_SYSTEM) ->
     """Weber's formula end to end: tau to the quartic and its 28 certified bitangents.
 
     Runs :func:`~thetaquartic.weber.weber_coefficients`, then
-    ``riemann_quartic``, ``all_bitangents`` and :func:`bitangency_summary`,
-    so a refusal is the error of the first stage that refuses.  Fewer
-    than 28 certified lines is a result, not an error.
+    ``riemann_quartic``, ``all_bitangents`` and the certificates of
+    :func:`bitangency_summary`, so a refusal is the error of the first
+    stage that refuses.  ``all_bitangents`` has checked the covectors, so
+    they are not checked a second time.  Fewer than 28 certified lines is
+    a result, not an error.
     """
-    # each stage is looked up on its module at call time, the binding perfbench/tracing.py swaps
+    # each weber stage is looked up on its module at call time, the binding perfbench/tracing.py swaps
     frame = wb.weber_coefficients(system, tau)
     quartic = wb.riemann_quartic(frame.xi)
     labels, covectors = wb.all_bitangents(system, tau)
-    certs, summary = bitangency_summary(quartic, (labels, covectors))
+    certs, summary = _summary(quartic, covectors)
     return Reconstruction(frame, quartic, labels, covectors, certs, summary)

@@ -95,6 +95,30 @@ XI_RESIDUAL_GATE = 1e-8
 #: bound of the cache keyed by an Aronhold system: one entry per system
 SYSTEM_CACHE_SIZE = 288
 
+#: the right-hand side (-1, -1, -1) of the lambda and k solves, and its norm sqrt(3)
+_RHS = -np.ones(3, dtype=complex)
+_RHS.setflags(write=False)
+_RHS_NORM = np.sqrt(3.0)
+
+
+def norm(x: np.ndarray, axis=None, keepdims: bool = False):
+    """``np.linalg.norm(x, axis=axis, keepdims=keepdims)`` of a complex array, bit for bit, without its dispatch.
+
+    numpy's own expressions: with ``axis`` None, the square root of the
+    dot products of the real and imaginary parts in memory order; along
+    an axis, the square root of the reduced sum of |x|^2.
+    """
+    if axis is None:
+        x = x.ravel(order="K")
+        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis, keepdims=keepdims))
+
+
+def _cond(mat: np.ndarray):
+    """``np.linalg.cond(mat)`` of a finite matrix, bit for bit: s[0] / s[-1] of one SVD, inf where s[-1] is 0."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    return s[0] / s[-1] if s[-1] else np.inf
+
 
 def line_covectors(rows) -> np.ndarray:
     """``rows`` as a read-only (L, 3) complex array of line covectors.
@@ -123,7 +147,7 @@ class ProjLine:
     def residual_to(self, other) -> float:
         """Normalized cross-product residual against the covector ``other``; 0 iff projectively equal."""
         u, w = self.c, np.asarray(other, dtype=complex)
-        return float(np.linalg.norm(np.cross(u, w)) / (np.linalg.norm(u) * np.linalg.norm(w)))
+        return float(norm(np.cross(u, w)) / (norm(u) * norm(w)))
 
 
 def unit_pivot(rows) -> np.ndarray:
@@ -301,13 +325,10 @@ def _weber_matrix(plan: _GatherPlan, values: np.ndarray) -> np.ndarray:
 
 
 def _solve3(mat: np.ndarray, what: str) -> np.ndarray:
-    rhs = -np.ones(3, dtype=complex)
-    if not np.all(np.isfinite(mat)) or np.linalg.cond(mat) > COND_LIMIT:
+    if not np.all(np.isfinite(mat)) or _cond(mat) > COND_LIMIT:
         raise SingularSystemError(f"{what} is singular")
-    x = np.linalg.solve(mat, rhs)
-    resid = np.linalg.norm(mat @ x - rhs) / (
-        np.linalg.norm(mat) * np.linalg.norm(x) + np.linalg.norm(rhs)
-    )
+    x = np.linalg.solve(mat, _RHS)
+    resid = norm(mat @ x - _RHS) / (norm(mat) * norm(x) + _RHS_NORM)
     if not np.all(np.isfinite(x)) or resid > SOLVE_RESIDUAL_GATE:
         raise SingularSystemError(f"{what} is numerically singular (residual {resid:.2e})")
     return x
@@ -347,7 +368,7 @@ def xi_forms(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     w = 1.0 / np.abs(b).max(axis=1)
     rhs = -np.vstack([np.ones(3, dtype=complex), k[:, None] * a])  # column l: -(1, k_i a_il)
     y, *_ = np.linalg.lstsq(b * w[:, None], rhs * w[:, None], rcond=None)
-    resid = (np.linalg.norm(b @ y - rhs, axis=0) / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)).max()
+    resid = (norm(b @ y - rhs, axis=0) / np.maximum(norm(rhs, axis=0), 1e-300)).max()
     if resid > XI_RESIDUAL_GATE:
         raise SingularSystemError(f"three-radical scaling system inconsistent (residual {resid:.2e})")
     return line_covectors(y)
@@ -400,8 +421,8 @@ def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     """
     grads, lines = require_generic(tau).grads, _plan(system).lines
     g, g4 = grads[lines[:3]], grads[lines[3]]
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    cond = np.linalg.cond(g := g / norms) if norms.min() > 0 else np.inf
+    norms = norm(g, axis=1, keepdims=True)
+    cond = _cond(g := g / norms) if norms.min() > 0 else np.inf
     if not cond <= FRAME_COND_LIMIT:
         raise SingularSystemError(
             f"frame matrix condition number {cond:.2e} exceeds FRAME_COND_LIMIT {FRAME_COND_LIMIT:.0e}"
@@ -411,7 +432,7 @@ def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     # |c4_j det g| / |g4| is |D[.., q_4, ..]| over its three gradient norms;
     # numerators may legitimately be tiny (a near-zero coefficient), only a
     # vanishing denominator poisons the frame
-    denominator, scale = np.abs(c4).min() * abs(np.linalg.det(g)), np.linalg.norm(g4)
+    denominator, scale = np.abs(c4).min() * abs(np.linalg.det(g)), norm(g4)
     if denominator < JACOBIAN_DET_REL_TOL * scale:
         raise SingularSystemError(
             f"Jacobian determinant denominator {denominator / scale:.2e} (relative to its gradient norms) "

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from conftest import genus1_factorization_residual, xor_char
 from oracles import cube_series, raw_grad
 
 RNG = np.random.default_rng(2024)
+DATA = Path(__file__).parent / "data"
 
 
 def _skewed(tau, k):
@@ -523,6 +525,30 @@ def test_theta_at_zero_is_the_kept_constant(seed, shift):
     tau = PeriodMatrix(random_admissible_tau(seed).tau + shift * np.array([[2, 1, 0], [1, 0, -1], [0, -1, 4]]))
     kept, (values, grads) = theta_tables(tau), thetaeval._series(tau, np.zeros(3))
     assert kept.values.tobytes() == values.tobytes() and kept.grads.tobytes() == grads.tobytes()
+
+
+#: a shift 2B of Re tau whose units i^(m'.B.m') are not all 1
+_MIRROR_SHIFT = 2 * np.array([[1, 0, 1], [0, 0, 1], [1, 1, 1]])
+_MIRROR_TAUS = {
+    **{f"seed{s}": random_admissible_tau(s).tau for s in range(1, 31)},
+    **{f"seed{s}+2B": random_admissible_tau(s).tau + _MIRROR_SHIFT for s in range(1, 31)},
+    "draw213": tau_from_json(json.loads((DATA / "tau_rng201_draw213.json").read_text())),
+    "thin": _skewed(PeriodMatrix(0.1 + 1j * np.diag([1e-3, 1e3, 1.0])), 1).tau,  # thin: Im(tau) eigenvalues 3e-4 to 2e3
+    "imaginary": 1j * random_admissible_tau(1).tau.imag,  # real weights, whose imaginary parts are signed zeros
+}
+
+
+@pytest.mark.parametrize("name", _MIRROR_TAUS)
+def test_mirrored_pass_is_the_full_pass(name):
+    # at z = None the pass exponentiates rows 0..h of the ellipsoid and mirrors them (w even, p w odd);
+    # at z = 0 given as an array it evaluates every row: the two agree bit for bit
+    tau = PeriodMatrix(_MIRROR_TAUS[name])
+    half, full = thetaeval._series(tau, None), thetaeval._series(tau, np.zeros(3))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(half, full))
+    # the ellipsoid at centre 0 lists -k in the reverse order of k, its middle row 0
+    chol = np.linalg.cholesky(tau.tau.imag).T
+    k = _ellipsoid(chol / 2, np.zeros(3), thetaeval._radius2(tau, chol, np.zeros(3), thetaeval.DEFAULT_POLICY))
+    assert len(k) % 2 == 1 and (k[::-1] == -k).all()
 
 
 def test_failed_pass_is_not_kept(series_calls):

@@ -188,6 +188,24 @@ def test_bitangency_summary_of_no_lines(tau_seed1):
     assert [c.shape for c in certs] == [(0,), (0,), (0, 2, 3), (0,)]
 
 
+def test_reconstruct_checks_the_28_covectors_once(tau_seed1, monkeypatch):
+    # all_bitangents returns a checked stack; the certificates take it as it is
+    from thetaquartic import weber
+
+    stacks = []
+    check = weber.line_covectors
+
+    def counting(rows):
+        stacks.append(len(rows))
+        return check(rows)
+
+    monkeypatch.setattr(weber, "line_covectors", counting)
+    run = reconstruct(PeriodMatrix(tau_seed1.tau))
+    assert stacks == [3, 28]  # xi_forms' three rows, then all_bitangents' 28 lines
+    assert run.summary == bitangency_summary(run.quartic, (run.labels, run.covectors))[1]
+    assert stacks == [3, 28, 28]
+
+
 def test_random_admissible_tau_exhaustion(monkeypatch):
     monkeypatch.setattr(verify, "MAX_TRIES", 0)
     with pytest.raises(ThetaQuarticError, match="seed"):

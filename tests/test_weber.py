@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -136,6 +137,31 @@ def test_solve_k_scaling_and_singular():
     assert abs(k2[1] - k[1] / 3.0) < 1e-10 * abs(k[1])
     with pytest.raises(SingularSystemError):
         solve_k(np.ones((3, 3), dtype=complex), np.ones(3, dtype=complex))
+
+
+def _gate_matrices():
+    rng = np.random.default_rng(28)
+    mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(50)]
+    for e in (500, -500):
+        mats += [m * np.ldexp(1.0, e * np.array([1, 0, -1]))[:, None] for m in mats[:10]]  # rows 2^e, 1, 2^-e
+    singular = np.diag([1.0, 2.0, 0.0]).astype(complex)  # exactly singular: s[-1] == 0
+    return mats + [singular, singular @ mats[0], np.zeros((3, 3), dtype=complex), np.ones((3, 3), dtype=complex)]
+
+
+def test_gate_helpers_are_numpy_bit_for_bit():
+    # the solves' condition numbers and norms skip numpy.linalg's dispatch, not its arithmetic;
+    # an exactly singular matrix reads cond = inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mat in _gate_matrices():
+            assert np.float64(weber._cond(mat)).tobytes() == np.float64(np.linalg.cond(mat)).tobytes()
+            cases = [(mat, None, False), (mat.T, None, False), (mat[0], None, False), (mat[:, 0], None, False),
+                     (mat, 0, False), (mat, 1, True), (mat, -1, True)]
+            for x, axis, keepdims in cases:
+                got, want = weber.norm(x, axis, keepdims), np.linalg.norm(x, axis=axis, keepdims=keepdims)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert weber._cond(np.diag([1.0, 2.0, 0.0])) == np.inf
+    assert weber._RHS_NORM == np.linalg.norm(weber._RHS) and not weber._RHS.flags.writeable
 
 
 def test_xi_forms_satisfy_all_equations(tau_seed1):
