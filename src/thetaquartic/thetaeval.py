@@ -142,6 +142,10 @@ _ODD_IDX = np.array([pack(m) for m in _ODD])
 
 ASYMMETRY_TOL = 1e-9
 
+#: the centre a = Y^-1 Im(z) of the pass at z = 0
+_ZERO3 = np.zeros(3)
+_ZERO3.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -207,6 +211,9 @@ def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
     Fincke-Pohst on the upper Cholesky factor: k_3 ranges over one
     interval, in scalars, then k_2 over the interval the remaining budget
     leaves for each k_3 and k_1 likewise, each in one vectorized expansion.
+    The rows come in ascending (k_3, k_2, k_1) order, the order the class
+    sums of :func:`_series` are taken in.  The last level (k_1) computes
+    no remaining budget, as no level follows it.
     Raises :class:`TruncationError` before a level would exceed ``MAX_POINTS``.
     """
     mid, half = -center[2], math.sqrt(max(r2, 0.0)) / chol[2, 2]
@@ -224,7 +231,8 @@ def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
         counts = counts.astype(int)
         ki = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         k = np.concatenate((ki[:, None], np.repeat(k, counts, axis=0)), axis=1)
-        rem = np.repeat(rem, counts) - (d * (ki - np.repeat(mid, counts))) ** 2
+        if i:
+            rem = np.repeat(rem, counts) - (d * (ki - np.repeat(mid, counts))) ** 2
     return k
 
 
@@ -272,7 +280,9 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     the parity of theta halves the work: w = e(p.tau.p) is even in p and
     p w odd, and row h + j of the N points is -(row h - j), h = N // 2,
     so only rows 0..h are exponentiated, about (N + 1) / 2 points, and
-    mirrored.  The class sums are over every point in the same order, so
+    mirrored into the other rows of one (4, N) weight array.  There the
+    centre a = Y^-1 Im z is 0 with no solve and the peak |w| is 1 with no
+    check.  The class sums are over every point in the same order, so
     the tables are the bits of the full pass, as at ``z`` = zeros(3),
     which evaluates every point.  The pass sums
     at tau - 2B and z - n, B = rint(Re tau / 2) and n = rint(Re z), so a
@@ -287,11 +297,14 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     b, n = np.rint(tau.tau.real / 2), np.rint(zz.real)
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
-    a = np.linalg.solve(imag, zz.imag)
-    # log of the peak |w|, in Python floats, which overflow to inf without a warning
-    growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
-    if growth > _LOG_FLOAT_MAX:
-        raise ValueError(f"theta at z = {zz} leaves the float range: pi Im(z).Y^-1.Im(z) = {growth:.4g}")
+    if z is None:
+        a = _ZERO3
+    else:
+        a = np.linalg.solve(imag, zz.imag)
+        # log of the peak |w|, in Python floats, which overflow to inf without a warning
+        growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
+        if growth > _LOG_FLOAT_MAX:
+            raise ValueError(f"theta at z = {zz} leaves the float range: pi Im(z).Y^-1.Im(z) = {growth:.4g}")
     r2 = _radius2(tau, chol, a, pol)
     try:
         k = _ellipsoid(chol / 2, 2 * a, r2)  # (k/2 + a).Y.(k/2 + a) <= r2
@@ -308,13 +321,15 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
         if len(p) % 2 == 0 or p[h].any():
             raise RuntimeError(f"the lattice pass at z = 0 is not symmetric: {len(p)} points, middle row {p[h]}")
         half = p[: h + 1]
-        w = np.exp(1j * np.pi * ((half @ t) * half).sum(axis=1))  # e(x) convention
-        g = half.T * w
-        w, g = np.concatenate((w, w[-2::-1])), np.concatenate((g, -g[:, -2::-1]), axis=1)
+        # row j: the weights of the value (j = 0) or of d/dz_j
+        terms = np.empty((4, len(p)), dtype=complex)
+        w = np.exp(1j * np.pi * ((half @ t) * half).sum(axis=1), out=terms[0, : h + 1])  # e(x) convention
+        np.multiply(half.T, w, out=terms[1:, : h + 1])
+        terms[0, h + 1 :] = w[-2::-1]
+        np.negative(terms[1:, :h][:, ::-1], out=terms[1:, h + 1 :])
     else:
         w = np.exp(1j * np.pi * (((p @ t) * p).sum(axis=1) + 2 * p @ (zz - n)))  # e(x) convention
-        g = p.T * w
-    terms = np.concatenate((w[None], g))  # row j: the weights of the value (j = 0) or of d/dz_j
+        terms = np.concatenate((w[None], p.T * w))
     idx = (cls + 64 * np.arange(4)[:, None]).ravel()
     sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
     out = sums.reshape(4, 64) @ _CLASS_UNITS.T  # row 0: the values; rows 1-3: the gradients' coordinates

@@ -392,7 +392,7 @@ def riemann_quartic(xi: np.ndarray) -> QuarticCurve:
     order by one 0/1 table built from MONOMIALS, and the quartic is
     4 AB - SS.  The 15 coefficients are scaled by :func:`unit_pivot`.
     """
-    a, b, c = (np.outer(unit, row) for unit, row in zip(np.eye(3), np.asarray(xi, dtype=complex)))
+    a, b, c = np.eye(3)[:, :, None] * np.asarray(xi, dtype=complex)[:, None, :]
     s = a + b - c
     ab, ss = (_QUARTIC_SUM @ np.multiply.outer(x, y).ravel() for x, y in ((a, b), (s, s)))
     coeffs = 4 * ab - ss
@@ -417,12 +417,15 @@ def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     condition number above FRAME_COND_LIMIT, or when a denominator
     D[.., q_4, ..] is below JACOBIAN_DET_REL_TOL times the product of its
     three gradient norms: a frame double precision cannot represent,
-    which says nothing about the even constants.
+    which says nothing about the even constants.  One SVD of G gives both
+    gates their figures: the condition number s_0 / s_2 and |det G|,
+    the product s_0 s_1 s_2 of its singular values.
     """
     grads, lines = require_generic(tau).grads, _plan(system).lines
     g, g4 = grads[lines[:3]], grads[lines[3]]
     norms = norm(g, axis=1, keepdims=True)
-    cond = _cond(g := g / norms) if norms.min() > 0 else np.inf
+    s = np.linalg.svd(g := g / norms, compute_uv=False) if norms.min() > 0 else np.zeros(3)
+    cond = s[0] / s[-1] if s[-1] else np.inf
     if not cond <= FRAME_COND_LIMIT:
         raise SingularSystemError(
             f"frame matrix condition number {cond:.2e} exceeds FRAME_COND_LIMIT {FRAME_COND_LIMIT:.0e}"
@@ -432,7 +435,7 @@ def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     # |c4_j det g| / |g4| is |D[.., q_4, ..]| over its three gradient norms;
     # numerators may legitimately be tiny (a near-zero coefficient), only a
     # vanishing denominator poisons the frame
-    denominator, scale = np.abs(c4).min() * abs(np.linalg.det(g)), norm(g4)
+    denominator, scale = np.abs(c4).min() * (s[0] * s[1] * s[2]), norm(g4)
     if denominator < JACOBIAN_DET_REL_TOL * scale:
         raise SingularSystemError(
             f"Jacobian determinant denominator {denominator / scale:.2e} (relative to its gradient norms) "

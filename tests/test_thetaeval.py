@@ -535,6 +535,7 @@ _MIRROR_TAUS = {
     "draw213": tau_from_json(json.loads((DATA / "tau_rng201_draw213.json").read_text())),
     "thin": _skewed(PeriodMatrix(0.1 + 1j * np.diag([1e-3, 1e3, 1.0])), 1).tau,  # thin: Im(tau) eigenvalues 3e-4 to 2e3
     "imaginary": 1j * random_admissible_tau(1).tau.imag,  # real weights, whose imaginary parts are signed zeros
+    "one point": 0.1 + 100j * np.eye(3),  # the ellipsoid holds k = 0 alone: nothing to mirror
 }
 
 
@@ -549,6 +550,17 @@ def test_mirrored_pass_is_the_full_pass(name):
     chol = np.linalg.cholesky(tau.tau.imag).T
     k = _ellipsoid(chol / 2, np.zeros(3), thetaeval._radius2(tau, chol, np.zeros(3), thetaeval.DEFAULT_POLICY))
     assert len(k) % 2 == 1 and (k[::-1] == -k).all()
+
+
+@pytest.mark.parametrize("centre", [np.zeros(3), np.array([0.6, -1.4, 0.9])], ids=["centre0", "centre"])
+@pytest.mark.parametrize("name", ["seed1", "thin"])
+def test_ellipsoid_rows_ascend_in_k3_k2_k1(name, centre):
+    # the class sums of a pass keep their bits only if the enumeration keeps its order
+    tau = PeriodMatrix(_MIRROR_TAUS[name])
+    chol = np.linalg.cholesky(tau.tau.imag).T
+    k = _ellipsoid(chol / 2, centre, thetaeval._radius2(tau, chol, centre / 2, thetaeval.DEFAULT_POLICY))
+    assert len(k) > 100
+    assert (np.lexsort(k.T) == np.arange(len(k))).all()  # lexsort's last key, k_3, is its first
 
 
 def test_failed_pass_is_not_kept(series_calls):

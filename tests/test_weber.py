@@ -9,7 +9,7 @@ from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, enumerate_
 from thetaquartic.errors import SingularSystemError, SpecialLocusError
 from thetaquartic.invariants import jacobi_ratio
 from thetaquartic.thetaeval import even_constant_table, theta_tables
-from thetaquartic.verify import bitangency_check, reconstruct
+from thetaquartic.verify import bitangency_check, random_admissible_tau, reconstruct
 from thetaquartic.weber import (
     MONOMIALS,
     AronholdSystem,
@@ -293,6 +293,21 @@ def test_frame_gates_guard_lines_and_rows(slot, combo, gate, tau_seed1, monkeypa
     for build in (all_bitangents, aronhold_coeffs_dets):
         with pytest.raises(SingularSystemError, match=gate):
             build(REFERENCE_SYSTEM, tau_seed1)
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+def test_denominator_gate_reads_det_g(seed, monkeypatch):
+    # at a tolerance of inf the denominator gate refuses every frame that passes the condition gate; the
+    # value it prints, from the singular values of the equilibrated g, is np.linalg.det's to its 3 digits
+    tau = random_admissible_tau(seed)
+    grads = theta_tables(tau).grads
+    g, g4 = grads[[pack(q) for q in N[:3]]], grads[pack(N[3])]
+    g = g / np.linalg.norm(g, axis=1, keepdims=True)
+    want = np.abs(g4 @ np.linalg.inv(g)).min() * abs(np.linalg.det(g)) / np.linalg.norm(g4)
+    monkeypatch.setattr(weber, "JACOBIAN_DET_REL_TOL", np.inf)
+    with pytest.raises(SingularSystemError, match="^Jacobian determinant denominator ") as exc:
+        frame_matrix(REFERENCE_SYSTEM, tau)
+    assert str(exc.value).split()[3] == f"{want:.2e}"
 
 
 def test_det_rows_match_explicit_jacobian_determinants(tau_seed1, tau_seed2):
