@@ -1,6 +1,6 @@
 """Compare the outputs of two checkouts, digest by digest: is a change bit-identical?
 
-    python3 scripts/diff_outputs.py PARENT CHANGE [--show N]
+    python3 scripts/diff_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two checkouts (the same directory twice
 is allowed).  One child process per checkout imports ``thetaquartic``
@@ -22,7 +22,7 @@ Per input it keeps a sha256 of the theta tables and of every array of
 stdout, ``--json`` bytes, stderr and exit code.  The inputs are read from
 the ``tests/data`` beside this script, so both sides see the same bytes.
 The script prints how many digests are equal and different and the first
-``--show`` differences, and exits 1 on any difference.  Children get
+``SHOW`` (10) differences, and exits 1 on any difference.  Children get
 ``PYTHONDONTWRITEBYTECODE=1`` and ``OPENBLAS_NUM_THREADS=1`` and run side
 by side.  Outside the children the script uses the standard library only.
 """
@@ -46,6 +46,8 @@ SHIFT_2B = [[2, 0, 2], [0, 0, 2], [2, 2, 2]]
 SYSTEM_SEEDS = (3, 6, 11, 18)
 COMMANDS = ("bitangents", "quartic", "verify")
 SYSTEM_FLAGS = ((), ("--system-index", "5"), ("--system-index", "287"))
+#: differences printed
+SHOW = 10
 
 
 def _sha(*parts) -> str:
@@ -144,7 +146,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--show", type=int, default=10, help="differences to print (default 10)")
     args = parser.parse_args()
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
@@ -163,7 +164,7 @@ def main() -> None:
     keys = list(parent) + [key for key in change if key not in parent]
     differ = [key for key in keys if parent.get(key) != change.get(key)]
     print(f"{len(keys) - len(differ)} equal, {len(differ)} different")
-    for key in differ[: args.show]:
+    for key in differ[:SHOW]:
         print(f"  {key}:\n    parent {parent.get(key)}\n    change {change.get(key)}")
     sys.exit(1 if differ else 0)
 

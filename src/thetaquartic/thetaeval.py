@@ -142,11 +142,6 @@ _ODD_IDX = np.array([pack(m) for m in _ODD])
 
 ASYMMETRY_TOL = 1e-9
 
-#: the centre a = Y^-1 Im(z) of the pass at z = 0
-_ZERO3 = np.zeros(3)
-_ZERO3.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls the lattice truncation of the theta series.
@@ -298,7 +293,7 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     imag = tau.tau.imag
     chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
     if z is None:
-        a = _ZERO3
+        a = zz.imag  # the centre Y^-1 Im(z) at z = 0: zeros, no solve
     else:
         a = np.linalg.solve(imag, zz.imag)
         # log of the peak |w|, in Python floats, which overflow to inf without a warning

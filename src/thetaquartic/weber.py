@@ -114,9 +114,11 @@ def norm(x: np.ndarray, axis=None, keepdims: bool = False):
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis, keepdims=keepdims))
 
 
-def _cond(mat: np.ndarray):
-    """``np.linalg.cond(mat)`` of a finite matrix, bit for bit: s[0] / s[-1] of one SVD, inf where s[-1] is 0."""
-    s = np.linalg.svd(mat, compute_uv=False)
+def _cond(s: np.ndarray):
+    """The condition number from a finite matrix's descending singular values ``s``: s[0] / s[-1], inf where s[-1] is 0.
+
+    With ``s = np.linalg.svd(mat, compute_uv=False)`` it is ``np.linalg.cond(mat)``, bit for bit.
+    """
     return s[0] / s[-1] if s[-1] else np.inf
 
 
@@ -325,7 +327,7 @@ def _weber_matrix(plan: _GatherPlan, values: np.ndarray) -> np.ndarray:
 
 
 def _solve3(mat: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(mat)) or _cond(mat) > COND_LIMIT:
+    if not np.all(np.isfinite(mat)) or _cond(np.linalg.svd(mat, compute_uv=False)) > COND_LIMIT:
         raise SingularSystemError(f"{what} is singular")
     x = np.linalg.solve(mat, _RHS)
     resid = norm(mat @ x - _RHS) / (norm(mat) * norm(x) + _RHS_NORM)
@@ -425,7 +427,7 @@ def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     g, g4 = grads[lines[:3]], grads[lines[3]]
     norms = norm(g, axis=1, keepdims=True)
     s = np.linalg.svd(g := g / norms, compute_uv=False) if norms.min() > 0 else np.zeros(3)
-    cond = s[0] / s[-1] if s[-1] else np.inf
+    cond = _cond(s)
     if not cond <= FRAME_COND_LIMIT:
         raise SingularSystemError(
             f"frame matrix condition number {cond:.2e} exceeds FRAME_COND_LIMIT {FRAME_COND_LIMIT:.0e}"

@@ -550,6 +550,8 @@ def test_mirrored_pass_is_the_full_pass(name):
     chol = np.linalg.cholesky(tau.tau.imag).T
     k = _ellipsoid(chol / 2, np.zeros(3), thetaeval._radius2(tau, chol, np.zeros(3), thetaeval.DEFAULT_POLICY))
     assert len(k) % 2 == 1 and (k[::-1] == -k).all()
+    if name == "one point":
+        assert len(k) == 1  # the case covers the empty mirror slices only while N is 1
 
 
 @pytest.mark.parametrize("centre", [np.zeros(3), np.array([0.6, -1.4, 0.9])], ids=["centre0", "centre"])
