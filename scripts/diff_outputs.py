@@ -17,14 +17,20 @@ from that checkout's ``src`` and runs the same inputs:
   ``--system-index 5`` and ``--system-index 287``, each once to stdout and
   once with ``--json FILE``.
 
-Per input it keeps a sha256 of the theta tables and of every array of
-``reconstruct`` (or the refusal's type and message), and of a CLI run's
-stdout, ``--json`` bytes, stderr and exit code.  The inputs are read from
-the ``tests/data`` beside this script, so both sides see the same bytes.
-The script prints how many digests are equal and different and the first
-``SHOW`` (10) differences, and exits 1 on any difference.  Children get
-``PYTHONDONTWRITEBYTECODE=1`` and ``OPENBLAS_NUM_THREADS=1`` and run side
-by side.  Outside the children the script uses the standard library only.
+Per input and system it keeps a sha256 (or the refusal's type and
+message) of every array of ``reconstruct``, of the determinant-ratio rows
+of ``weber.aronhold_coeffs_dets``, and of every array of the four stages
+``weber_coefficients``, ``riemann_quartic``, ``all_bitangents`` and
+``bitangency_summary`` called one by one on a fresh ``PeriodMatrix``, as
+perfbench's ``generic`` op calls them; on the draws and on the seeds with
+and without +2B also of the theta tables.  Per CLI run it keeps a sha256
+of stdout, the ``--json`` bytes, stderr and the exit code.  The inputs
+are read from the ``tests/data`` beside this script, so both sides see
+the same bytes.  The script prints how many digests are equal and
+different and the first ``SHOW`` (10) differences, and exits 1 on any
+difference.  Children get ``PYTHONDONTWRITEBYTECODE=1`` and
+``OPENBLAS_NUM_THREADS=1`` and run side by side.  Outside the children
+the script uses the standard library only.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ def digest_checkout(root: Path) -> dict:
     import numpy as np
 
     import thetaquartic
-    from thetaquartic import cli, random_admissible_tau, reconstruct, weber
+    from thetaquartic import cli, random_admissible_tau, reconstruct, verify, weber
     from thetaquartic.charalgebra import REFERENCE_SYSTEM, enumerate_aronhold
     from thetaquartic.thetaeval import PeriodMatrix, random_tau, tau_from_json, theta_tables
 
@@ -95,9 +101,22 @@ def digest_checkout(root: Path) -> dict:
         f = r.frame
         return _sha(f.a, f.k, f.lam, f.xi, r.quartic.coeffs, r.covectors, *r.certs, r.summary, r.labels)
 
+    def chain(tau, system=REFERENCE_SYSTEM):
+        tau = PeriodMatrix(tau.tau)
+        frame = weber.weber_coefficients(system, tau)
+        quartic = weber.riemann_quartic(frame.xi)
+        labels, covectors = weber.all_bitangents(system, tau)
+        certs, summary = verify.bitangency_summary(quartic, (labels, covectors))
+        return _sha(frame.a, frame.k, frame.lam, frame.xi, quartic.coeffs, covectors, *certs, summary, labels)
+
+    def outputs(name, tau, system=REFERENCE_SYSTEM):
+        keep(f"{name} reconstruct", lambda: run(tau, system))
+        keep(f"{name} determinant rows", lambda: _sha(weber.aronhold_coeffs_dets(system, tau)))
+        keep(f"{name} chain", lambda: chain(tau, system))
+
     def pipeline(name, tau):
         keep(f"{name} tables", lambda: tables(tau))
-        keep(f"{name} reconstruct", lambda: run(tau))
+        outputs(name, tau)
 
     rng = np.random.default_rng(201)
     for i in range(DRAWS):
@@ -111,13 +130,13 @@ def digest_checkout(root: Path) -> dict:
     sweeps["draw 213"] = PeriodMatrix(tau_from_json(json.loads((DATA / "tau_rng201_draw213.json").read_text())))
     for name, tau in sweeps.items():
         for index, system in enumerate(enumerate_aronhold()):
-            keep(f"{name} system {index}", lambda: run(tau, system))
+            outputs(f"{name} system {index}", tau, system)
     # with its tolerance at inf, the Jacobian-denominator gate refuses every frame the condition gate
     # passes, so its message (the denominator to 3 digits) is compared too
     tol, weber.JACOBIAN_DET_REL_TOL = weber.JACOBIAN_DET_REL_TOL, np.inf
     try:
         for seed in SEEDS:
-            keep(f"seed {seed} denominator gate", lambda: run(random_admissible_tau(seed)))
+            outputs(f"seed {seed} denominator gate", random_admissible_tau(seed))
     finally:
         weber.JACOBIAN_DET_REL_TOL = tol
 

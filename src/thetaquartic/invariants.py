@@ -75,13 +75,17 @@ def raw_theta(mp, mpp, tau, z, radius=8) -> complex:
     return total
 
 
-def fd_gradient(func, step=1e-5) -> np.ndarray:
-    """Central finite differences of a C^3 -> C function at the origin."""
+#: the step of :func:`fd_gradient`'s central differences
+FD_STEP = 1e-5
+
+
+def fd_gradient(func) -> np.ndarray:
+    """Central finite differences of a C^3 -> C function at the origin, with step :data:`FD_STEP`."""
     out = np.zeros(3, dtype=complex)
     for axis in range(3):
         dz = np.zeros(3)
-        dz[axis] = step
-        out[axis] = (func(dz) - func(-dz)) / (2 * step)
+        dz[axis] = FD_STEP
+        out[axis] = (func(dz) - func(-dz)) / (2 * FD_STEP)
     return out
 
 

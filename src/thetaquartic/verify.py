@@ -8,10 +8,12 @@ square to the restriction by least squares, and tests whether the
 fitted square reproduces the restriction.  The fit also yields the
 contact points for the report.
 
-All entry points run one batched pass over a stack of line covectors, an
-(L, 3) array such as :func:`thetaquartic.weber.all_bitangents` returns.
-Each line's spanning points p, q are LAPACK's SVD basis in closed form
-(:func:`_spanning_points`).  The curve, scaled to unit largest
+The certificate has one entry, :func:`bitangency_summary`: one batched
+pass over a stack of line covectors, an (L, 3) array such as
+:func:`thetaquartic.weber.all_bitangents` returns, which it checks first.
+:func:`reconstruct` calls it on the 28 lines, and :func:`bitangency_check`
+on one.  Each line's spanning points p, q are LAPACK's SVD basis in
+closed form (:func:`_spanning_points`).  The curve, scaled to unit largest
 coefficient, is a 6x6 matrix C on the six quadratic monomials X_i X_j,
 each of its 15 coefficients on the one entry whose row and column
 multiply to its monomial.  With Q the coefficients of the six quadratics
@@ -54,6 +56,9 @@ BITANGENCY_TOL = 1e-6
 #: restriction coefficients below this (relative to the curve's scale)
 #: mean the line lies on the curve
 RESTRICTION_ZERO_TOL = 1e-12
+
+#: contact point entries equal to this many decimals (relative to the largest, for the phase) are ties
+CANONICAL_DIGITS = 9
 
 #: draws :func:`random_admissible_tau` makes before it gives up
 MAX_TRIES = 100
@@ -209,32 +214,41 @@ def _sphere_centres(g: np.ndarray) -> np.ndarray:
 def _canonical(x: np.ndarray) -> np.ndarray:
     """Unit plane points (L, 2, 3), unit already on input, with a fixed phase and order.
 
-    The first entry whose modulus is within 1e-9 (relative) of the
-    largest is made real positive, and the two points of a line are put
-    in ascending lexicographic order of the (Re, Im) pairs of their
-    coordinates rounded to 1e-9: entries equal up to rounding noise (two
-    of equal modulus, zeros on a coordinate line) decide neither the
-    phase nor the order.
+    The first entry whose modulus is within 10^-CANONICAL_DIGITS
+    (relative) of the largest is made real positive, and the two points
+    of a line are put in ascending lexicographic order of the (Re, Im)
+    pairs of their coordinates rounded to CANONICAL_DIGITS decimals:
+    entries equal up to rounding noise (two of equal modulus, zeros on a
+    coordinate line) decide neither the phase nor the order.
     """
     rows = np.arange(len(x))
     size = np.abs(x)
-    lead = np.argmax(size >= (1 - 1e-9) * size.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.argmax(size >= (1 - 10.0 ** -CANONICAL_DIGITS) * size.max(axis=-1, keepdims=True), axis=-1)
     pivot = x[rows[:, None], [0, 1], lead][..., None]
     x = x * (pivot.conj() / np.abs(pivot))
-    keys = np.round(x.view(float), 9)
+    keys = np.round(x.view(float), CANONICAL_DIGITS)
     diff = keys[:, 0] - keys[:, 1]
     first = diff[rows, np.argmax(diff != 0, axis=1)]
     return np.where((first > 0)[:, None, None], x[:, ::-1], x)
 
 
-def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Square-fit certificates for a stack of L line covectors (L may be 0), in one array pass.
+def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict]:
+    """Square-fit certificates of labelled lines against the curve, in one array pass.
 
-    Returns read-only arrays (is_bitangent, residual, contacts, near_flex):
-    boolean and float of length L, and contacts of shape (L, 2, 3), the
-    two canonical contact points of each line (see :func:`bitangency_check`).
+    ``labelled_lines`` is (labels, covectors) as
+    :func:`thetaquartic.weber.all_bitangents` returns it: L labels and an
+    (L, 3) stack of covectors (L may be 0).  This is the one place a
+    stack is checked as a :class:`ProjLine` is
+    (:func:`~thetaquartic.weber.line_covectors`): a row without 3 finite
+    entries, not all zero, raises ValueError.  Returns (certs, summary).
+    certs is the tuple of read-only arrays (is_bitangent, residual,
+    contacts, near_flex), aligned with the covectors: row l holds the
+    verdict of :func:`bitangency_check` at :data:`BITANGENCY_TOL`, the
+    residual, the two canonical contact points (shape (2, 3)) and the
+    near-flex flag of line l.  summary counts passes/failures and the
+    worst residual (0.0 for no lines).
     """
-    g, p, q = _restrictions(curve, covectors)
+    g, p, q = _restrictions(curve, wb.line_covectors(labelled_lines[1]))
     centers = _sphere_centres(g)
 
     # the square of the pair form (s1 t - t1 s)(s2 t - t2 s) = r0 s^2 + r1 s t + r2 t^2
@@ -254,11 +268,13 @@ def _certify(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np
     contacts = _canonical(s0[..., None] * p[:, None, :] + t0[..., None] * q[:, None, :])
     for arr in (is_bitangent, residual, contacts, near_flex):
         arr.setflags(write=False)
-    return is_bitangent, residual, contacts, near_flex
+    n_pass = int(is_bitangent.sum())
+    summary = {"pass": n_pass, "fail": len(residual) - n_pass, "max_residual": float(residual.max(initial=0.0))}
+    return (is_bitangent, residual, contacts, near_flex), summary
 
 
 def bitangency_check(curve: QuarticCurve, line: ProjLine) -> BitangencyReport:
-    """Square-fit bitangency certificate.
+    """Square-fit bitangency certificate of one line: row 0 of :func:`bitangency_summary` on the stack (line.c,).
 
     The line is bitangent iff the restriction of the curve to it is a
     square up to scale.  A least-squares square root of the restriction
@@ -272,36 +288,8 @@ def bitangency_check(curve: QuarticCurve, line: ProjLine) -> BitangencyReport:
     separation squared is at most 10 sqrt(max(residual, eps)), eps the
     machine epsilon, so the contacts carry few digits.
     """
-    ok, residual, contacts, flex = _certify(curve, line.c)
+    (ok, residual, contacts, flex), _ = bitangency_summary(curve, ((), line.c[None]))
     return BitangencyReport(line, bool(ok[0]), contacts[0], float(residual[0]), bool(flex[0]))
-
-
-def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict]:
-    """Check labelled lines against the curve in one pass.
-
-    ``labelled_lines`` is (labels, covectors) as
-    :func:`thetaquartic.weber.all_bitangents` returns it: L labels and an
-    (L, 3) stack of covectors, checked as a :class:`ProjLine` is
-    (:func:`~thetaquartic.weber.line_covectors`): a row without 3 finite
-    entries, not all zero, raises ValueError.  Returns (certs, summary).
-    certs is the tuple of arrays (is_bitangent, residual, contacts,
-    near_flex) of the batched certificate, aligned with the covectors:
-    row l holds the verdict of
-    :func:`bitangency_check` at :data:`BITANGENCY_TOL`, the residual, the
-    two canonical contact points (shape (2, 3)) and the near-flex flag of
-    line l.  summary counts passes/failures and the worst residual (0.0
-    for no lines).
-    """
-    _, covectors = labelled_lines
-    return _summary(curve, wb.line_covectors(covectors))
-
-
-def _summary(curve: QuarticCurve, covectors: np.ndarray) -> tuple[tuple, dict]:
-    """:func:`bitangency_summary` of a stack already checked by :func:`~thetaquartic.weber.line_covectors`."""
-    certs = _certify(curve, covectors)
-    ok, residual = certs[:2]
-    n_pass = int(ok.sum())
-    return certs, {"pass": n_pass, "fail": len(ok) - n_pass, "max_residual": float(residual.max(initial=0.0))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,13 +310,13 @@ def reconstruct(tau: PeriodMatrix, system: AronholdSystem = REFERENCE_SYSTEM) ->
     Runs :func:`~thetaquartic.weber.weber_coefficients`, then
     ``riemann_quartic``, ``all_bitangents`` and the certificates of
     :func:`bitangency_summary`, so a refusal is the error of the first
-    stage that refuses.  ``all_bitangents`` has checked the covectors, so
-    they are not checked a second time.  Fewer than 28 certified lines is
-    a result, not an error.
+    stage that refuses.  The certificate is the one check of the
+    covectors ``all_bitangents`` returns.  Fewer than 28 certified lines
+    is a result, not an error.
     """
-    # each weber stage is looked up on its module at call time, the binding perfbench/tracing.py swaps
+    # each stage is looked up on its module at call time, the binding perfbench/tracing.py swaps
     frame = wb.weber_coefficients(system, tau)
     quartic = wb.riemann_quartic(frame.xi)
     labels, covectors = wb.all_bitangents(system, tau)
-    certs, summary = _summary(quartic, covectors)
+    certs, summary = bitangency_summary(quartic, (labels, covectors))
     return Reconstruction(frame, quartic, labels, covectors, certs, summary)

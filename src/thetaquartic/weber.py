@@ -249,16 +249,16 @@ def require_generic(tau: PeriodMatrix) -> ThetaTables:
 # determinant ratios
 
 def aronhold_coeffs_dets(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
-    """The rows (a_i1 : a_i2 : a_i3) as Jacobian determinant ratios.
+    """The rows (a_i1 : a_i2 : a_i3) as Jacobian determinant ratios: the lines b_5..b_7 of :func:`all_bitangents`.
 
     Row i is (D[q_{4+i},q2,q3]/D[q4,q2,q3], D[q1,q_{4+i},q3]/D[q1,q4,q3],
     D[q1,q2,q_{4+i}]/D[q1,q2,q4]); by Cramer's rule that is
     grad theta[q_{4+i}] . T with T from :func:`frame_matrix`, which also
-    gates the denominators.  The overall scalar of each row is not
-    meaningful, only its projective class.
+    gates the denominators, so it is the covector of b_{4+i}.  The
+    overall scalar of each row is not meaningful, only its projective
+    class.  The (3, 3) array is read-only.
     """
-    t = frame_matrix(system, tau)
-    return require_generic(tau).grads[_plan(system).lines[4:7]] @ t
+    return all_bitangents(system, tau)[1][4:7]
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +474,16 @@ def all_bitangents(system: AronholdSystem, tau: PeriodMatrix) -> tuple[tuple[Cha
     the same tuple on every call for a system.  ``covectors`` is the
     read-only (28, 3) array whose row l is the line of labels[l]:
     grad theta[q] . T with T from :func:`frame_matrix`, one gather of
-    the kept gradients and one product for all 28, checked by
-    :func:`line_covectors`.
+    the kept gradients and one product for all 28.  It is not checked
+    here: :func:`thetaquartic.verify.bitangency_summary` checks it as it
+    certifies it.  The tables are finite and both gates of T passed, so
+    a row is zero only where a gradient is.
     """
     t = frame_matrix(system, tau)
     plan = _plan(system)
-    return plan.labels, line_covectors(require_generic(tau).grads[plan.lines] @ t)
+    covectors = require_generic(tau).grads[plan.lines] @ t
+    covectors.setflags(write=False)
+    return plan.labels, covectors
 
 
 def _bitangent_labels(system: AronholdSystem) -> tuple[Characteristic, ...]:

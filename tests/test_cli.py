@@ -583,7 +583,6 @@ NOT_TRACED = {
     "charalgebra.is_azygetic_triple": "perfbench/tracing.py wraps weber's binding of it",
     "verify._chart_transforms": "runs at import, for the six chart tables",
     "verify.bitangency_check": "the one-line certificate; perfbench/tracing.py wraps it",
-    "verify.bitangency_summary": "README entry point; perfbench/workloads.py times it, reconstruct skips its check",
 }
 
 

@@ -188,8 +188,8 @@ def test_bitangency_summary_of_no_lines(tau_seed1):
     assert [c.shape for c in certs] == [(0,), (0,), (0, 2, 3), (0,)]
 
 
-def test_reconstruct_checks_the_28_covectors_once(tau_seed1, monkeypatch):
-    # all_bitangents returns a checked stack; the certificates take it as it is
+def _count_covector_checks(monkeypatch) -> list:
+    """Record the length of every stack ``weber.line_covectors`` checks from now on."""
     from thetaquartic import weber
 
     stacks = []
@@ -200,10 +200,40 @@ def test_reconstruct_checks_the_28_covectors_once(tau_seed1, monkeypatch):
         return check(rows)
 
     monkeypatch.setattr(weber, "line_covectors", counting)
+    return stacks
+
+
+def test_reconstruct_checks_the_28_covectors_once(tau_seed1, monkeypatch):
+    # all_bitangents returns the stack unchecked; the certificate checks it as it certifies it
+    stacks = _count_covector_checks(monkeypatch)
     run = reconstruct(PeriodMatrix(tau_seed1.tau))
-    assert stacks == [3, 28]  # xi_forms' three rows, then all_bitangents' 28 lines
+    assert stacks == [3, 28]  # xi_forms' three rows, then the certificate's 28 lines
     assert run.summary == bitangency_summary(run.quartic, (run.labels, run.covectors))[1]
     assert stacks == [3, 28, 28]
+
+
+def test_reconstruct_certifies_through_bitangency_summary(tau_seed1, monkeypatch):
+    # the certificate runs under its public name, the binding perfbench/tracing.py wraps,
+    # once, on the very stack the run returns
+    calls = []
+    certify = verify.bitangency_summary
+
+    def recording(curve, labelled_lines):
+        calls.append(labelled_lines)
+        return certify(curve, labelled_lines)
+
+    monkeypatch.setattr(verify, "bitangency_summary", recording)
+    run = reconstruct(tau_seed1)
+    assert len(calls) == 1
+    labels, covectors = calls[0]
+    assert labels == run.labels and covectors is run.covectors
+
+
+def test_chain_checks_the_28_covectors_once(tau_seed1, monkeypatch):
+    # the four stages perfbench's generic op calls check the 28 lines once, at the certificate
+    stacks = _count_covector_checks(monkeypatch)
+    _chain(PeriodMatrix(tau_seed1.tau), REFERENCE_SYSTEM)
+    assert stacks == [3, 28]
 
 
 def test_random_admissible_tau_exhaustion(monkeypatch):
@@ -245,6 +275,20 @@ def test_reconstruct_refuses_as_the_chain(index):
     with pytest.raises(SingularSystemError) as refused:
         reconstruct(tau, system)
     assert type(refused.value) is type(chained.value) and str(refused.value) == str(chained.value)
+
+
+def test_reconstruct_refuses_a_zero_gradient_line(tau_seed1, monkeypatch):
+    # all_bitangents does not check its stack: a line is zero only where an odd gradient is,
+    # and the certificate refuses it as a ProjLine would; weber reads the tables through theta_tables
+    from thetaquartic import weber
+
+    tables = weber.theta_tables(tau_seed1)
+    grads = tables.grads.copy()
+    grads[weber._plan(REFERENCE_SYSTEM).lines[27]] = 0
+    monkeypatch.setattr(weber, "theta_tables", lambda tau: tables._replace(grads=grads))
+    for run in (reconstruct, _chain):
+        with pytest.raises(ValueError, match="zero covector does not define a line"):
+            run(tau_seed1, REFERENCE_SYSTEM)
 
 
 def test_reconstruction_is_frozen(tau_seed1):
@@ -393,7 +437,7 @@ def test_check_equals_summary_row(seed, index):
     rng = np.random.default_rng(seed)
     stacks = [rng.choice(28, size, replace=False) for size in (2, 7, 28)] + [np.tile(np.arange(28), 2)]
     for rows in stacks:
-        for got, want in zip(verify._certify(run.quartic, run.covectors[rows]), run.certs):
+        for got, want in zip(bitangency_summary(run.quartic, ((), run.covectors[rows]))[0], run.certs):
             assert got.tobytes() == want[rows].tobytes(), rows
 
 
