@@ -12,10 +12,15 @@ from that checkout's ``src`` and runs the same inputs:
   18, and on draw 213 (``tests/data/tau_rng201_draw213.json``);
 - ``random_admissible_tau(1..30)`` with ``weber.JACOBIAN_DET_REL_TOL`` at
   inf, so that every frame refuses at the denominator gate with its value;
+- the symbolic bookkeeping of all 288 Aronhold systems and the reference
+  system: ``charalgebra.derived_forms`` and ``weber._plan`` (the packed
+  indices and phases of the nine coefficients, the 28 labels and their
+  packed indices);
 - ``bitangents``, ``quartic`` and ``verify`` on the three
   ``tests/data/tau_*.json`` files, with the reference system,
-  ``--system-index 5`` and ``--system-index 287``, each once to stdout and
-  once with ``--json FILE``.
+  ``--system-index 5`` and ``--system-index 287``, and ``classify``,
+  ``aronhold`` and ``aronhold --system-index`` 0, 5 and 287, each once to
+  stdout and once with ``--json FILE``.
 
 Per input and system it keeps a sha256 (or the refusal's type and
 message) of every array of ``reconstruct``, of the determinant-ratio rows
@@ -52,6 +57,8 @@ SHIFT_2B = [[2, 0, 2], [0, 0, 2], [2, 2, 2]]
 SYSTEM_SEEDS = (3, 6, 11, 18)
 COMMANDS = ("bitangents", "quartic", "verify")
 SYSTEM_FLAGS = ((), ("--system-index", "5"), ("--system-index", "287"))
+#: the commands that read no tau file
+TAU_FREE = (("classify",), ("aronhold",), *(("aronhold", "--system-index", i) for i in ("0", "5", "287")))
 #: differences printed
 SHOW = 10
 
@@ -79,7 +86,7 @@ def digest_checkout(root: Path) -> dict:
 
     import thetaquartic
     from thetaquartic import cli, random_admissible_tau, reconstruct, verify, weber
-    from thetaquartic.charalgebra import REFERENCE_SYSTEM, enumerate_aronhold
+    from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, enumerate_aronhold
     from thetaquartic.thetaeval import PeriodMatrix, random_tau, tau_from_json, theta_tables
 
     if Path(thetaquartic.__file__).resolve().parent != (root / "src" / "thetaquartic").resolve():
@@ -140,21 +147,28 @@ def digest_checkout(root: Path) -> dict:
     finally:
         weber.JACOBIAN_DET_REL_TOL = tol
 
+    def plan(system):
+        p = weber._plan(system)
+        return _sha(p.chars, p.phase, p.labels, p.lines)
+
+    for name, system in [("reference", REFERENCE_SYSTEM), *enumerate(enumerate_aronhold())]:
+        keep(f"system {name} derived forms", lambda: _sha(derived_forms(system)))
+        keep(f"system {name} plan", lambda: plan(system))
+
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"
-        for file in TAU_FILES:
-            for command in COMMANDS:
-                for flags in SYSTEM_FLAGS:
-                    for to_file in (False, True):
-                        argv = [command, "--tau", str(DATA / file), *flags]
-                        argv += ["--json", str(report)] if to_file else []
-                        stdout, stderr = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                            code = cli.main(argv)
-                        written = report.read_bytes() if report.exists() else None
-                        report.unlink(missing_ok=True)
-                        key = " ".join(["cli", command, file, *flags, *(["--json"] if to_file else [])])
-                        out[key] = _sha(code, stdout.getvalue(), written, stderr.getvalue())
+        # (the words of the digest's key, the arguments)
+        runs = [((command, file, *flags), (command, "--tau", str(DATA / file), *flags))
+                for file in TAU_FILES for command in COMMANDS for flags in SYSTEM_FLAGS]
+        for name, argv in runs + [(argv, argv) for argv in TAU_FREE]:
+            for to_file in (False, True):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main([*argv, *(["--json", str(report)] if to_file else [])])
+                written = report.read_bytes() if report.exists() else None
+                report.unlink(missing_ok=True)
+                key = " ".join(["cli", *name, *(["--json"] if to_file else [])])
+                out[key] = _sha(code, stdout.getvalue(), written, stderr.getvalue())
     return out
 
 

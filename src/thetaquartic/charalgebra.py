@@ -11,14 +11,16 @@ is both: a reduced one is a form, and an integer one is an entrywise sum
 of forms, whose theta function is the reduced one's times the sign of
 :func:`reduce_characteristic`.  Characteristics sort by (m', m''): the
 canonical order of the 64 forms, of the forms in an Aronhold system and
-of the 288 systems.  :func:`pack` gives the index of a reduced one in
-the theta tables, and the Arf invariant m'.m'' mod 2 (:func:`arf`)
-splits the forms into 36 even and 28 odd ones.
+of the 288 systems.  The Arf invariant m'.m'' mod 2 (:func:`arf`) splits
+the forms into 36 even and 28 odd ones.
 
-Everything here is exact integer combinatorics: parity counts, azygetic
-triples, Aronhold systems (seven odd forms, every sub-triple azygetic;
-there are exactly 288 of them), and the sign bookkeeping for non-reduced
-integer characteristics.
+All F2 arithmetic on forms goes through one table: :data:`PACKED_FORMS`
+holds the 64 forms by their 6-bit packed index (:func:`pack`, also the
+row of the theta tables), and ``_ARF`` their Arf invariants in the same
+order.  The pointwise sum of an odd number of forms is the XOR of their
+packed indices, so a form sum, an Arf parity, an azygetic triple and an
+Aronhold system are XORs and lookups.  Integer sums of characteristics
+(:func:`char_sum`) stay for the sign bookkeeping of non-reduced ones.
 """
 
 from __future__ import annotations
@@ -87,17 +89,6 @@ def reduce_characteristic(m: Characteristic) -> tuple[Characteristic, int]:
     return r, sign
 
 
-def form_sum(*forms: Characteristic) -> Characteristic:
-    """Pointwise sum of an odd number of quadratic forms: the reduced sum of their characteristics.
-
-    A sum of evenly many forms is a linear functional, not a quadratic
-    form, so an even count is rejected.
-    """
-    if len(forms) % 2 == 0:
-        raise ValueError("the sum of an even number of quadratic forms is not a quadratic form")
-    return reduce_characteristic(char_sum(*forms))[0]
-
-
 def all_forms() -> list[Characteristic]:
     """The 64 forms in (m', m'') order."""
     return [Characteristic(b[:3], b[3:]) for b in product((0, 1), repeat=6)]
@@ -111,8 +102,12 @@ def odd_forms() -> list[Characteristic]:
     return [q for q in all_forms() if arf(q) == 1]
 
 
+#: the 64 forms by packed index: bit i of the index is (m' + m'')[i]
+PACKED_FORMS = tuple(Characteristic(b[:3], b[3:]) for b in (tuple(x >> i & 1 for i in range(6)) for x in range(64)))
+#: _ARF[x] is the Arf invariant of PACKED_FORMS[x]: 1 for the 28 odd forms
+_ARF = tuple(map(arf, PACKED_FORMS))
 #: the packed index of each reduced characteristic, keyed by its bits m' + m''
-_PACKED = {bits: sum(b << i for i, b in enumerate(bits)) for bits in product((0, 1), repeat=6)}
+_PACKED = {q.mp + q.mpp: x for x, q in enumerate(PACKED_FORMS)}
 
 
 def pack(m: Characteristic) -> int:
@@ -128,35 +123,41 @@ def pack(m: Characteristic) -> int:
         raise ValueError(f"only a reduced characteristic has a packed index, got {m.bracket()}") from None
 
 
+def form_sum(*forms: Characteristic) -> Characteristic:
+    """Pointwise sum of an odd number of quadratic forms: the form packed at the XOR of their packed indices.
+
+    A sum of evenly many forms is a linear functional, not a quadratic
+    form, so an even count is rejected, and a non-reduced characteristic
+    is no form, so :func:`pack` refuses it.
+    """
+    if len(forms) % 2 == 0:
+        raise ValueError("the sum of an even number of quadratic forms is not a quadratic form")
+    return PACKED_FORMS[reduce(operator.xor, map(pack, forms))]
+
+
 def is_azygetic_triple(q1: Characteristic, q2: Characteristic, q3: Characteristic) -> bool:
-    """Whether the Arf sum a(q1)+a(q2)+a(q3)+a(q1+q2+q3) equals 1."""
-    if len({pack(q1), pack(q2), pack(q3)}) != 3:  # pack refuses a non-reduced one
+    """Whether the Arf sum a(q1)+a(q2)+a(q3)+a(q1+q2+q3) is 1: four ``_ARF`` lookups, the last at the XOR."""
+    x, y, z = pack(q1), pack(q2), pack(q3)  # pack refuses a non-reduced one
+    if len({x, y, z}) != 3:
         raise ValueError("azygeticity is only defined for three distinct forms")
-    total = arf(q1) + arf(q2) + arf(q3) + arf(form_sum(q1, q2, q3))
-    return total % 2 == 1
-
-
-#: _EVEN_LUT[x] is 1 iff the form packed as x is even; an odd triple is
-#: azygetic iff the XOR of its packed forms is even
-_EVEN_LUT = [1 - arf(q) for q in sorted(all_forms(), key=pack)]
+    return _ARF[x] ^ _ARF[y] ^ _ARF[z] ^ _ARF[x ^ y ^ z] == 1
 
 
 def is_aronhold(forms: Iterable[Characteristic]) -> bool:
     """Seven distinct odd forms with every one of the 35 sub-triples azygetic.
 
     For odd forms the Arf sum of a triple is 1 + a(q1+q2+q3), so a triple
-    is azygetic iff its sum is even: one table lookup on the packed forms.
-    A non-reduced characteristic is not a form, so it is never a member.
+    is azygetic iff its sum is even: one ``_ARF`` lookup at the XOR of the
+    packed forms.  A non-reduced characteristic is not a form, so it is
+    never a member.
     """
     try:
         packed = [pack(q) for q in forms]
     except ValueError:
         return False
-    if len(packed) != 7 or len(set(packed)) != 7:
+    if len(packed) != 7 or len(set(packed)) != 7 or not all(_ARF[x] for x in packed):
         return False
-    if any(_EVEN_LUT[x] for x in packed):
-        return False
-    return all(_EVEN_LUT[x ^ y ^ z] for x, y, z in combinations(packed, 3))
+    return not any(_ARF[x ^ y ^ z] for x, y, z in combinations(packed, 3))
 
 
 @dataclass(frozen=True)
@@ -201,17 +202,16 @@ REFERENCE_SYSTEM = AronholdSystem((
 def enumerate_aronhold() -> tuple[AronholdSystem, ...]:
     """All 288 Aronhold systems, as sets in a canonical order.
 
-    Backtracking over the 28 odd forms in (m', m'') order.  Each step
-    carries the pool of later forms that are azygetic with every pair of
-    chosen ones; choosing a form keeps only the pool members azygetic
-    with it and each earlier choice, one table lookup per pair, and a
-    branch stops when too few members remain to reach seven.  Each
-    returned system has its forms sorted, and the tuple is sorted
-    lexicographically on the sorted forms, so the output order is
+    Backtracking over the packed indices of the 28 odd forms in (m', m'')
+    order.  Each step carries the pool of later forms that are azygetic
+    with every pair of chosen ones; choosing a form keeps only the pool
+    members azygetic with it and each earlier choice, one ``_ARF`` lookup
+    per pair, and a branch stops when too few members remain to reach
+    seven.  Each returned system has its forms sorted, and the tuple is
+    sorted lexicographically on the sorted forms, so the output order is
     deterministic.  The enumeration runs once per process; later calls
     return the same tuple.
     """
-    form_of = {pack(q): q for q in odd_forms()}
     out: list[tuple[int, ...]] = []
 
     def extend(chosen: tuple[int, ...], pool: list[int]):
@@ -221,10 +221,10 @@ def enumerate_aronhold() -> tuple[AronholdSystem, ...]:
             return
         # a form followed by fewer than 6 - len(chosen) pool members cannot complete a system
         for i, c in enumerate(pool[: len(pool) + len(chosen) - 6]):
-            extend(chosen + (c,), [d for d in pool[i + 1 :] if all(_EVEN_LUT[x ^ c ^ d] for x in chosen)])
+            extend(chosen + (c,), [d for d in pool[i + 1 :] if not any(_ARF[x ^ c ^ d] for x in chosen)])
 
-    extend((), list(form_of))
-    return tuple(AronholdSystem(tuple(form_of[x] for x in sel)) for sel in out)
+    extend((), [pack(q) for q in odd_forms()])
+    return tuple(AronholdSystem(tuple(PACKED_FORMS[x] for x in sel)) for sel in out)
 
 
 @dataclass(frozen=True)
@@ -245,12 +245,10 @@ def derived_forms(system: AronholdSystem) -> DerivedForms:
     """The 21 remaining odd forms, the 35 even forms, and q_S."""
     forms = system.forms
     q_s = system.sum_form()
-    pair = {}
-    for i, j in combinations(range(1, 8), 2):
-        pair[(i, j)] = form_sum(q_s, forms[i - 1], forms[j - 1])
-    triple = {}
-    for i, j, k in combinations(range(1, 8), 3):
-        triple[(i, j, k)] = form_sum(forms[i - 1], forms[j - 1], forms[k - 1])
+    pair = {(i, j): form_sum(q_s, forms[i - 1], forms[j - 1]) for i, j in combinations(range(1, 8), 2)}
+    triple = {
+        (i, j, k): form_sum(forms[i - 1], forms[j - 1], forms[k - 1]) for i, j, k in combinations(range(1, 8), 3)
+    }
     odd_part = set(forms) | set(pair.values())
     even_part = {q_s} | set(triple.values())
     if len(odd_part) != 28 or len(even_part) != 36 or (odd_part & even_part):

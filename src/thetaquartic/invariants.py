@@ -177,20 +177,22 @@ def addition_formula_residual(
     the right side averages, over the 64 representatives a of Z^6/2Z^6,
     the products theta_{n_i+a} with (n_i) the half-sum transform of
     (m_i), weighted by e(m1'.a'').  Raises if the (n_i) are not
-    integral.
+    integral.  Each distinct z costs one lattice pass (at u = None, u + v is v).
     """
     ms = (m1, m2, m3, m4)
     ns = [_half_combination(ms, s) for s in _ADDITION_SIGNS]
     zero = np.zeros(3, dtype=complex)
     uu, vv = (zero if x is None else np.asarray(x, dtype=complex) for x in (u, v))
     consts = te.theta_tables(tau).values
-    lhs = (
-        te._lookup(te._series(tau, uu + vv)[0], m1)
-        * te._lookup(te._series(tau, uu - vv)[0], m2)
-        * te._lookup(consts, m3)
-        * te._lookup(consts, m4)
-    )
-    at_u, at_v = (consts if x is None else te._series(tau, x)[0] for x in (u, v))
+    passes = {}  # the values at z, keyed by the bytes of z
+
+    def at(z):
+        if z.tobytes() not in passes:
+            passes[z.tobytes()] = te._series(tau, z)[0]
+        return passes[z.tobytes()]
+
+    at_u, at_v = (consts if x is None else at(y) for x, y in ((u, uu), (v, vv)))
+    lhs = te._lookup(at(uu + vv), m1) * te._lookup(at(uu - vv), m2) * te._lookup(consts, m3) * te._lookup(consts, m4)
     total = 0.0 + 0.0j
     peak = 0.0
     factor_peak = 0.0

@@ -287,8 +287,9 @@ def weber_symbolic(system: AronholdSystem, i: int, j: int) -> WeberEntry:
     qr, qs = system[r - 1], system[s - 1]
     qj = system[j - 1]
 
-    t = sum(char_sum(q4, q4i).mp[l] * char_sum(q4, *system.forms[4:]).mpp[l] for l in range(3))
-    d = sum(char_sum(qj, qr, qs).mp[l] * char_sum(q4, q4i).mpp[l] for l in range(3))
+    s4i, s4567, sjrs = char_sum(q4, q4i), char_sum(q4, *system.forms[4:]), char_sum(qj, qr, qs)
+    t = sum(a * b for a, b in zip(s4i.mp, s4567.mpp))
+    d = sum(a * b for a, b in zip(sjrs.mp, s4i.mpp))
 
     rho = 1
     reduced = []

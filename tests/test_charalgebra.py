@@ -1,9 +1,13 @@
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
 
+from thetaquartic import charalgebra
 from thetaquartic.charalgebra import (
+    PACKED_FORMS,
     REFERENCE_SYSTEM,
     AronholdSystem,
     Characteristic,
@@ -62,6 +66,12 @@ def test_pack_refuses_non_reduced(mp, mpp):
 @pytest.mark.parametrize("mp, mpp", [((1.9, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 1.0, 0)), (("1", 0, 0), (0, 0, 0))])
 def test_characteristic_refuses_non_integral_entries(mp, mpp):
     with pytest.raises(TypeError):
+        Characteristic(mp, mpp)
+
+
+@pytest.mark.parametrize("mp, mpp", [((1, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1, 0))])
+def test_characteristic_refuses_wrong_lengths(mp, mpp):
+    with pytest.raises(ValueError, match="length 3"):
         Characteristic(mp, mpp)
 
 
@@ -163,6 +173,37 @@ def test_azygetic_exhaustive_recount():
         total = sum(arf(q) for q in t) + arf(form_sum(*t))
         n_oracle += total % 2
     assert n_main == n_oracle
+
+
+def test_f2_table_against_the_definition_on_f2_6():
+    # each form as its 64 values q(w) from the definition (oracles.eval_form), one bit per vector w:
+    # a pointwise sum is the XOR of these masks, and a form is even iff it has 36 zeros, odd iff 28
+    vectors = all_vectors()
+    values = {q: sum(eval_form(q, w) << i for i, w in enumerate(vectors)) for q in all_forms()}
+    form_of = {mask: q for q, mask in values.items()}
+    assert len(form_of) == 64
+    zeros = {q: 64 - bin(mask).count("1") for q, mask in values.items()}
+    assert sorted(zeros.values()) == [28] * 28 + [36] * 36
+    odd = {q: zeros[q] == 28 for q in values}
+    # the one table: PACKED_FORMS[x] is the form packed as x, and _ARF[x] its parity
+    assert [pack(q) for q in PACKED_FORMS] == list(range(64))
+    assert list(charalgebra._ARF) == [odd[q] for q in PACKED_FORMS]
+    odds = [q for q in all_forms() if odd[q]]
+    triples = list(combinations(odds, 3))
+    assert len(triples) == 3276
+    for t in triples:
+        total = form_of[values[t[0]] ^ values[t[1]] ^ values[t[2]]]
+        assert form_sum(*t) == total
+        assert is_azygetic_triple(*t) == (not odd[total])  # Arf sum 1 + 1 + 1 + a(total)
+    for system in enumerate_aronhold() + (REFERENCE_SYSTEM,):
+        f = system.forms
+        der = derived_forms(system)
+        q_s = reduce(xor, (values[q] for q in f))
+        assert values[der.q_s] == q_s and not odd[der.q_s]
+        for (i, j), q in der.pair.items():
+            assert values[q] == q_s ^ values[f[i - 1]] ^ values[f[j - 1]] and odd[q]
+        for (i, j, k), q in der.triple.items():
+            assert values[q] == values[f[i - 1]] ^ values[f[j - 1]] ^ values[f[k - 1]] and not odd[q]
 
 
 def test_azygetic_repeated_forms_error():

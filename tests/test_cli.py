@@ -172,6 +172,23 @@ def test_malformed_tau_exit_1(tmp_path, capsys):
         assert code == 1 and err.startswith("input error: ") and "bitangency:" not in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    (None, "expected a 3x3 matrix, got shape (2, 2)"),
+    (complex(np.inf, 1.0), "matrix contains non-finite entries"),
+], ids=["2x2", "infinity"])
+def test_tau_shape_and_finiteness_exit_1_without_a_report(entry, message, tmp_path, capsys):
+    # PeriodMatrix is the one check of the shape and of the values of a tau file
+    tau = 1j * np.eye(2 if entry is None else 3)
+    if entry is not None:
+        tau[1, 1] = entry
+    tau_path, report = tmp_path / "tau.json", tmp_path / "report.json"
+    tau_path.write_text(json.dumps(tau_to_json(tau)))
+    assert (entry is None) != ("Infinity" in tau_path.read_text())
+    code, out, err = run_cli(capsys, "bitangents", "--tau", str(tau_path), "--json", str(report))
+    assert (code, out, err) == (1, "", f"input error: {message}\n")
+    assert not report.exists()
+
+
 def test_non_pd_tau_exit_1(tmp_path, capsys):
     tau_path = tmp_path / "tau.json"
     tau_path.write_text(json.dumps(tau_to_json(np.diag([1j, 1j, -1j]))))

@@ -498,9 +498,9 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
         grad_theta0(q + lift, tau)
     invariants.parity_vanishing(tau)
     assert len(series_calls) == 1
-    # u = 0 reads the kept table; v, u + v and u - v cost one pass each
+    # u = 0 reads the kept table; v (which is u + v) and u - v cost one pass each
     invariants.addition_formula(tau, np.random.default_rng(0))
-    assert len(series_calls) == 4
+    assert len(series_calls) == 3
     loose = TruncationPolicy(target_tail=1e-10)
     even_constant_table(tau, loose)
     coarse = theta_tables(tau, loose)
@@ -508,13 +508,27 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
     # the coarse table kept beside the default one never reaches the pipeline
     a = weber_coefficients(REFERENCE_SYSTEM, tau).a
     _, lines = all_bitangents(REFERENCE_SYSTEM, tau)
-    assert len(series_calls) == 5
+    assert len(series_calls) == 4
     twin = PeriodMatrix(tau_seed1.tau)
     odd_gradient_table(twin)
-    assert len(series_calls) == 6
+    assert len(series_calls) == 5
     assert a.tobytes() == weber_coefficients(REFERENCE_SYSTEM, twin).a.tobytes()
     assert lines.tobytes() == all_bitangents(REFERENCE_SYSTEM, twin)[1].tobytes()
-    assert len(series_calls) == 6
+    assert len(series_calls) == 5
+
+
+def test_addition_formula_one_pass_per_distinct_z(tau_seed1, series_calls):
+    tau = PeriodMatrix(tau_seed1.tau)
+    theta_tables(tau)
+    q5, q6, q7 = REFERENCE_SYSTEM.forms[4:]
+    ms = (char_sum(q5, q6, q7), q5, q6, q7)
+    u, v = np.array([0.1 + 0.02j, -0.2, 0.05j]), np.array([-0.15 + 0.03j, 0.1 - 0.04j, 0.2])
+    series_calls.clear()
+    assert addition_formula_residual(*ms, None, v, tau) < 1e-9
+    assert len(series_calls) == 2  # u = 0 reads the kept table; v (which is u + v) and u - v
+    series_calls.clear()
+    assert addition_formula_residual(*ms, u, v, tau) < 1e-9
+    assert len(series_calls) == 4  # u + v, u - v, u and v
 
 
 @pytest.mark.parametrize("shift", [0, 1, -3], ids=["re0", "re+1", "re-3"])

@@ -6,7 +6,7 @@ import pytest
 
 from thetaquartic import invariants, weber
 from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, enumerate_aronhold, odd_forms, pack
-from thetaquartic.errors import SingularSystemError, SpecialLocusError
+from thetaquartic.errors import DegenerateCurveError, SingularSystemError, SpecialLocusError
 from thetaquartic.invariants import jacobi_ratio
 from thetaquartic.thetaeval import even_constant_table, theta_tables
 from thetaquartic.verify import bitangency_check, random_admissible_tau, reconstruct
@@ -208,6 +208,12 @@ def test_xi_lines_match_transported_pair_forms(tau_seed1):
 def test_riemann_quartic_beta1_bitangent(tau_seed1):
     report = bitangency_check(reconstruct(tau_seed1).quartic, ProjLine((1, 0, 0)))
     assert report.is_bitangent and report.residual < 1e-8
+
+
+def test_riemann_quartic_refuses_the_zero_polynomial():
+    # xi = 0 makes A = B = C = 0, so 4AB - (A + B - C)^2 vanishes identically
+    with pytest.raises(DegenerateCurveError, match="reconstruction produced the zero polynomial"):
+        riemann_quartic(np.zeros((3, 3)))
 
 
 def test_riemann_quartic_is_three_radical_model(tau_seed1, tau_seed2):
