@@ -80,12 +80,18 @@ An ellipsoid thinner than the lattice spacing in some direction holds
 far more points than its volume, which is why the cap is on the exact
 count.  Of the modular transformations, only Re tau mod 2 is applied
 to tau (:func:`_series`), not Re tau mod 1 or a GL_3(Z) reduction.
+
+One curve's arrays are small, so numpy's Python wrappers cost more than their
+arithmetic.  Here and in :mod:`~thetaquartic.weber` and :mod:`~thetaquartic.verify`,
+reductions are ufunc methods (``np.add.reduce``, not ``.sum()``), stacks are
+``np.concatenate`` of ``[..., None]`` views and constant arrays are module-level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -129,9 +135,10 @@ _UNITS = np.array([1, 1j, -1, -1j])
 #: m' and m'' of the form in each table row: row x holds PACKED_FORMS[x], the form charalgebra.pack sends to x
 _MP, _MPP = np.array([[q.mp, q.mpp] for q in PACKED_FORMS], dtype=np.int8).transpose(1, 0, 2)
 
-#: Class c of k mod 4 holds k = _CLASSES[c] mod 4, c = k_1 + 4 k_2 + 16 k_3
+#: Class c of k mod 4 holds k = _CLASSES[c] mod 4, c = k_1 + 4 k_2 + 16 k_3; weight row j sums into 64 j + c
 _CLASS_STRIDES = np.array([1, 4, 16])
 _CLASSES = (np.arange(64)[:, None] // _CLASS_STRIDES) & 3
+_ROW_OFFSETS = 64 * np.arange(4)[:, None]
 #: [x, c]: the factor of the class-c sums in theta at row x's form, i^(k.m'') where k mod 2 is m', else 0
 _CLASS_UNITS = _UNITS[(_MPP @ _CLASSES.T) & 3] * ((_CLASSES & 1) == _MP[:, None]).all(axis=-1)
 
@@ -175,22 +182,19 @@ class PeriodMatrix:
             raise InvalidTauError(f"entries are not complex numbers: {exc}") from exc
         if tau.shape != (3, 3):
             raise InvalidTauError(f"expected a 3x3 matrix, got shape {tau.shape}")
-        if not np.all(np.isfinite(tau)):
+        if not np.logical_and.reduce(np.isfinite(tau), axis=None):
             raise InvalidTauError("matrix contains non-finite entries")
         # halves first, so that entries near the float limit neither overflow nor lose bits
-        asym = 2 * float(np.abs(tau / 2 - tau.T / 2).max())
+        asym = 2 * float(np.maximum.reduce(np.abs(tau / 2 - tau.T / 2), axis=None))
         if asym > ASYMMETRY_TOL:
             raise InvalidTauError(f"matrix is asymmetric: max |tau - tau^T| = {asym:.3e}")
         tau = tau / 2 + tau.T / 2
-        imag = tau.imag
-        eigs = np.linalg.eigvalsh(imag)
-        if eigs.min() <= 0:
-            raise InvalidTauError(
-                f"imaginary part is not positive definite: min eigenvalue = {eigs.min():.3e}"
-            )
+        lam_min = float(np.minimum.reduce(np.linalg.eigvalsh(tau.imag)))
+        if lam_min <= 0:
+            raise InvalidTauError(f"imaginary part is not positive definite: min eigenvalue = {lam_min:.3e}")
         tau.setflags(write=False)
         self.tau = tau
-        self.lam_min = float(eigs.min())
+        self.lam_min = lam_min
         self._tables: dict = {}  # policy -> ThetaTables, see theta_tables
 
 
@@ -222,12 +226,12 @@ def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
         half = np.sqrt(np.maximum(rem, 0)) / d
         lo = np.ceil(mid - half)
         counts = np.floor(mid + half) - lo + 1
-        _check_cap(counts.sum())
+        _check_cap(np.add.reduce(counts))
         counts = counts.astype(int)
-        ki = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        k = np.concatenate((ki[:, None], np.repeat(k, counts, axis=0)), axis=1)
+        ki = (lo - counts.cumsum() + counts).repeat(counts) + np.arange(np.add.reduce(counts))
+        k = np.concatenate((ki[:, None], k.repeat(counts, axis=0)), axis=1)
         if i:
-            rem = np.repeat(rem, counts) - (d * (ki - np.repeat(mid, counts))) ** 2
+            rem = rem.repeat(counts) - (d * (ki - mid.repeat(counts))) ** 2
     return k
 
 
@@ -241,15 +245,15 @@ def _packing_radius(tau: PeriodMatrix, chol: np.ndarray) -> float:
     if math.pi * tau.lam_min >= RHO_CAP**2:
         return RHO_CAP  # |u|^2 >= pi * lam_min * |n|^2
     n = _ellipsoid(chol, np.zeros(3), RHO_CAP**2 / math.pi)
-    norms = math.pi * ((n @ chol.T) ** 2).sum(axis=1)
-    return math.sqrt(norms[norms > 0].min(initial=RHO_CAP**2))
+    norms = math.pi * np.add.reduce((n @ chol.T) ** 2, axis=1)
+    return math.sqrt(np.minimum.reduce(norms[norms > 0], initial=RHO_CAP**2))
 
 
 def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: TruncationPolicy) -> float:
     """R^2 of the summation ellipsoid: the smallest the tail bound allows for pol.target_tail."""
     rho = _packing_radius(tau, chol)
     pref = 1.5 * (2 / rho) ** 3
-    w_value = 1 + 2 * math.pi * float(np.linalg.norm(a))
+    w_value = 1 + 2 * math.pi * math.sqrt(a.dot(a))  # |a|, numpy's norm of a real vector
     w_grad = 2 * math.sqrt(math.pi / tau.lam_min)
 
     def bound(t):  # neglected value plus gradient mass at T = t
@@ -279,23 +283,22 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     centre a = Y^-1 Im z is 0 with no solve and the peak |w| is 1 with no
     check.  The class sums are over every point in the same order, so
     the tables are the bits of the full pass, as at ``z`` = zeros(3),
-    which evaluates every point.  The pass sums
-    at tau - 2B and z - n, B = rint(Re tau / 2) and n = rint(Re z), so a
-    large Re tau or Re z costs no digits in the phases.  The units
-    i^(m'.B.m' + 2 m'.n) follow only if B or n is non-zero, as in no
-    benchmark pass (|Re tau| <= 1/2, z = 0): a step on every pass cost 1-2%.
+    which evaluates every point.  The pass sums at tau - 2B and z - n,
+    B = rint(Re tau / 2) and n = rint(Re z), so a large Re tau or Re z
+    costs no digits in the phases.  The units i^(m'.B.m' + 2 m'.n) follow
+    only if B or n is non-zero, as in no benchmark pass (|Re tau| <= 1/2,
+    z = 0): a step on every pass cost 1-2%.
     """
     zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    if zz.shape != (3,) or not np.isfinite(zz).all():
+    if zz.shape != (3,) or not np.logical_and.reduce(np.isfinite(zz)):
         raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
     # theta[m](tau + 2B, z + n) = i^(m'.B.m' + 2 m'.n) theta[m](tau, z) for integer symmetric B and integer n
     b, n = np.rint(tau.tau.real / 2), np.rint(zz.real)
-    imag = tau.tau.imag
-    chol = np.linalg.cholesky(imag).T  # imag = chol^T chol
+    chol = np.linalg.cholesky(tau.tau.imag).T  # Im tau = chol^T chol
     if z is None:
         a = zz.imag  # the centre Y^-1 Im(z) at z = 0: zeros, no solve
     else:
-        a = np.linalg.solve(imag, zz.imag)
+        a = np.linalg.solve(tau.tau.imag, zz.imag)
         # log of the peak |w|, in Python floats, which overflow to inf without a warning
         growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
         if growth > _LOG_FLOAT_MAX:
@@ -313,29 +316,36 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     if z is None:
         # the parity of theta: row h + j is -(row h - j), so w is exponentiated on rows 0..h only
         h = len(p) // 2
-        if len(p) % 2 == 0 or p[h].any():
+        if len(p) % 2 == 0 or np.logical_or.reduce(p[h]):
             raise RuntimeError(f"the lattice pass at z = 0 is not symmetric: {len(p)} points, middle row {p[h]}")
         half = p[: h + 1]
         # row j: the weights of the value (j = 0) or of d/dz_j
         terms = np.empty((4, len(p)), dtype=complex)
-        w = np.exp(1j * np.pi * ((half @ t) * half).sum(axis=1), out=terms[0, : h + 1])  # e(x) convention
+        w = np.exp(1j * np.pi * np.add.reduce((half @ t) * half, axis=1), out=terms[0, : h + 1])  # e(x) convention
         np.multiply(half.T, w, out=terms[1:, : h + 1])
         terms[0, h + 1 :] = w[-2::-1]
         np.negative(terms[1:, :h][:, ::-1], out=terms[1:, h + 1 :])
+        out = _class_sums(cls, terms)
     else:
-        w = np.exp(1j * np.pi * (((p @ t) * p).sum(axis=1) + 2 * p @ (zz - n)))  # e(x) convention
-        terms = np.concatenate((w[None], p.T * w))
-    idx = (cls + 64 * np.arange(4)[:, None]).ravel()
-    sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
-    out = sums.reshape(4, 64) @ _CLASS_UNITS.T  # row 0: the values; rows 1-3: the gradients' coordinates
-    out[1:] *= 2j * np.pi
-    if not np.isfinite(out).all():  # a peak term below the float limit can still overflow in p w or a sum
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, with a message
+            w = np.exp(1j * np.pi * (np.add.reduce((p @ t) * p, axis=1) + 2 * p @ (zz - n)))  # e(x) convention
+            out = _class_sums(cls, np.concatenate((w[None], p.T * w)))
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise ValueError(f"theta at z = {zz} leaves the float range")
-    if b.any() or n.any():
+    if np.logical_or.reduce(b, axis=None) or np.logical_or.reduce(n):
         # fmod takes B mod 4 and n mod 2 exactly, 0 from 2^54 and 2^53 on
         b4, n2 = np.fmod(b, 4).astype(np.int8), np.fmod(n, 2).astype(np.int8)
-        out *= _UNITS[(((_MP @ b4) * _MP).sum(axis=1) + 2 * (_MP @ n2)) & 3]
+        out *= _UNITS[(np.add.reduce((_MP @ b4) * _MP, axis=1) + 2 * (_MP @ n2)) & 3]
     return out[0], out[1:].T.copy()
+
+
+def _class_sums(cls: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The values (row 0) and gradients (rows 1-3) at the 64 rows from the weights (4, N) and classes (N,) of a pass."""
+    idx = (cls + _ROW_OFFSETS).ravel()
+    sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
+    out = sums.reshape(4, 64) @ _CLASS_UNITS.T
+    out[1:] *= 2j * np.pi
+    return out
 
 
 def _lookup(table: np.ndarray, m: Characteristic):
@@ -393,9 +403,8 @@ def theta_tables(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> T
         values, grads = _series(tau, None, pol)
         for arr in (values, grads):
             arr.setflags(write=False)
-        mags = np.abs(values[_EVEN_IDX])
-        tol = VANISHING_REL_TOL * mags.max()
-        vanishing = tuple(m for m, v in zip(_EVEN, mags) if v < tol)  # _EVEN is in (m', m'') order
+        mags = np.abs(values[_EVEN_IDX])  # _EVEN is in (m', m'') order
+        vanishing = tuple(compress(_EVEN, (mags < VANISHING_REL_TOL * np.maximum.reduce(mags)).tolist()))
         kept = tau._tables[pol] = ThetaTables(values, grads, vanishing)
     return kept
 

@@ -36,6 +36,7 @@ array operations, and the result stays arrays:
 :func:`bitangency_summary` returns them with their pass count, and
 only :func:`bitangency_check` builds a :class:`BitangencyReport`.
 Laying the certificates out as a report is the command line's job.
+numpy is called at its C entry points, as :mod:`~thetaquartic.thetaeval` says.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ _PAIRS[_PAIR_I, _PAIR_J] = _PAIRS[_PAIR_J, _PAIR_I] = np.arange(6)
 #: monomial m = X_i X_j X_k X_l, i <= j <= k <= l, is entry (_ROW[m], _COL[m]) = ((i, j), (k, l)) of C
 _VARS = np.array([np.repeat([0, 1, 2], e) for e in MONOMIALS])  # row m: i, j, k, l
 _ROW, _COL = _PAIRS[_VARS[:, ::2], _VARS[:, 1::2]].T
+#: e_1, e_2 as the (2, 1, 3) stack of _spanning_points, and the machine epsilon that near_flex floors residuals at
+_E12, _EPS = np.eye(3)[1:, None], np.finfo(float).eps
+_E12.setflags(write=False)
 
 
 def _spanning_points(covectors) -> np.ndarray:
@@ -104,12 +108,12 @@ def _spanning_points(covectors) -> np.ndarray:
     and Stability of Numerical Algorithms*, 19.1); each row first scaled by a power of two, which changes no bit.
     """
     parts = np.ascontiguousarray(covectors, dtype=complex).reshape(-1, 3).view(float)
-    a = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=1, keepdims=True))[1]).view(complex).conj()
+    a = np.ldexp(parts, -np.frexp(np.maximum.reduce(np.abs(parts), axis=1, keepdims=True))[1]).view(complex).conj()
     a0 = a[:, :1]
     beta = -np.copysign(wb.norm(a, axis=-1, keepdims=True), a0.real)
     v = a / (a0 - beta)
     v[:, 0] = 1
-    return np.eye(3)[1:, None] - (beta - a0) / beta * v * v[:, 1:].T.conj()[..., None]  # e_j - tau conj(v_j) v
+    return _E12 - (beta - a0) / beta * v * v[:, 1:].T.conj()[..., None]  # e_j - tau conj(v_j) v
 
 
 def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,14 +128,14 @@ def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarra
     p, q = _spanning_points(covectors)
     # quad[l, a, u]: the coefficient of s^(2-u) t^u in (s p_i + t q_i)(s p_j + t q_j), pair a = (i, j)
     pi, pj, qi, qj = p[:, _PAIR_I], p[:, _PAIR_J], q[:, _PAIR_I], q[:, _PAIR_J]
-    quad = np.stack([pi * pj, pi * qj + qi * pj, qi * qj], axis=-1)
+    quad = np.concatenate(((pi * pj)[..., None], (pi * qj + qi * pj)[..., None], (qi * qj)[..., None]), axis=-1)
     c = np.zeros((6, 6), dtype=complex)
-    c[_ROW, _COL] = curve.coeffs / np.abs(curve.coeffs).max()
+    c[_ROW, _COL] = curve.coeffs / np.maximum.reduce(np.abs(curve.coeffs))
     # F(s p + t q) = sum_ab c[a, b] quad_a quad_b; stacked, not 2-D, products keep rows batch-independent
     form = quad.transpose(0, 2, 1) @ (c @ quad)
     f = form.reshape(-1, 9).T  # f[3 u + v] = form[:, u, v]
-    g = np.stack([f[0], f[1] + f[3], f[2] + f[4] + f[6], f[5] + f[7], f[8]], axis=1)
-    if np.any(np.abs(g).max(axis=1) < RESTRICTION_ZERO_TOL):
+    g = np.concatenate([col[:, None] for col in (f[0], f[1] + f[3], f[2] + f[4] + f[6], f[5] + f[7], f[8])], 1)
+    if np.logical_or.reduce(np.maximum.reduce(np.abs(g), axis=1) < RESTRICTION_ZERO_TOL):
         raise DegenerateCurveError("the line lies on the curve; restriction is zero")
     return g, p, q
 
@@ -170,7 +174,7 @@ def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # other as c over it, and 0 where both are 0 (x^2 itself)
     d = np.sqrt(b * b - 4 * c)
     big = -(b + np.where((b.conj() * d).real >= 0, d, -d)) / 2
-    return big, np.divide(c, big, out=np.zeros_like(big), where=big != 0)
+    return big, np.divide(c, big, out=np.zeros(big.shape, dtype=complex), where=big != 0)
 
 
 def _sphere_centres(g: np.ndarray) -> np.ndarray:
@@ -193,7 +197,7 @@ def _sphere_centres(g: np.ndarray) -> np.ndarray:
     """
     h = np.einsum("cjk,lk->lcj", _CHART_M, g)
     size = np.abs(h)
-    chart = np.argmax(size[:, :, 0] / size.max(axis=2), axis=1)
+    chart = (size[:, :, 0] / np.maximum.reduce(size, axis=2)).argmax(axis=1)
     h = h[np.arange(len(g)), chart]
     h1, h2, h3, h4 = (h[:, 1:] / h[:, :1]).T
     a = h1 / 2
@@ -206,7 +210,7 @@ def _sphere_centres(g: np.ndarray) -> np.ndarray:
     n, m = 1 + (ac * a).real + (bc * b).real, ac + bc * a
     det = 2 * (n * n - (m.conj() * m).real)
     a, b = a - (n * u - m * v) / det, b - (n * v - m.conj() * u) / det
-    x = np.stack(_quadratic_roots(a, b), axis=1)
+    x = np.concatenate([root[:, None] for root in _quadratic_roots(a, b)], 1)
     centres = x[..., None] * _CHART_INF[chart, None] + _CHART_CENTRE[chart, None]
     return centres / wb.norm(centres, axis=-1, keepdims=True)
 
@@ -223,12 +227,12 @@ def _canonical(x: np.ndarray) -> np.ndarray:
     """
     rows = np.arange(len(x))
     size = np.abs(x)
-    lead = np.argmax(size >= (1 - 10.0 ** -CANONICAL_DIGITS) * size.max(axis=-1, keepdims=True), axis=-1)
+    lead = (size >= (1 - 10.0 ** -CANONICAL_DIGITS) * np.maximum.reduce(size, axis=-1, keepdims=True)).argmax(axis=-1)
     pivot = x[rows[:, None], [0, 1], lead][..., None]
     x = x * (pivot.conj() / np.abs(pivot))
-    keys = np.round(x.view(float), CANONICAL_DIGITS)
+    keys = x.view(float).round(CANONICAL_DIGITS)
     diff = keys[:, 0] - keys[:, 1]
-    first = diff[rows, np.argmax(diff != 0, axis=1)]
+    first = diff[rows, (diff != 0).argmax(axis=1)]
     return np.where((first > 0)[:, None, None], x[:, ::-1], x)
 
 
@@ -254,8 +258,8 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
     # the square of the pair form (s1 t - t1 s)(s2 t - t2 s) = r0 s^2 + r1 s t + r2 t^2
     s0, t0 = centers[..., 0], centers[..., 1]
     r0, r1, r2 = t0[:, 0] * t0[:, 1], -(s0[:, 0] * t0[:, 1] + t0[:, 0] * s0[:, 1]), s0[:, 0] * s0[:, 1]
-    model = np.stack([r0 * r0, 2 * r0 * r1, r1 * r1 + 2 * r0 * r2, 2 * r1 * r2, r2 * r2], axis=-1)
-    amp = np.sum(model.conj() * g, axis=1, keepdims=True) / np.sum(model.conj() * model, axis=1, keepdims=True)
+    model = np.concatenate([x[:, None] for x in (r0 * r0, 2 * r0 * r1, r1 * r1 + 2 * r0 * r2, 2 * r1 * r2, r2 * r2)], 1)
+    amp = np.add.reduce(model.conj() * g, 1, keepdims=True) / np.add.reduce(model.conj() * model, 1, keepdims=True)
     residual = (wb.norm(g - amp * model, axis=-1, keepdims=True) / wb.norm(g, axis=-1, keepdims=True))[:, 0]
 
     # if g = amp (square + e), e splits each double root of the square by about
@@ -264,12 +268,12 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
     # separation, i.e. separation^2 <= 10 sqrt(max(residual, eps))
     separation = np.abs(s0[:, 0] * t0[:, 1] - t0[:, 0] * s0[:, 1])  # chordal, the centres being unit
     is_bitangent = residual < BITANGENCY_TOL
-    near_flex = is_bitangent & (separation * separation <= 10 * np.sqrt(np.maximum(residual, np.finfo(float).eps)))
+    near_flex = is_bitangent & (separation * separation <= 10 * np.sqrt(np.maximum(residual, _EPS)))
     contacts = _canonical(s0[..., None] * p[:, None, :] + t0[..., None] * q[:, None, :])
     for arr in (is_bitangent, residual, contacts, near_flex):
         arr.setflags(write=False)
-    n_pass = int(is_bitangent.sum())
-    summary = {"pass": n_pass, "fail": len(residual) - n_pass, "max_residual": float(residual.max(initial=0.0))}
+    n_pass, worst = int(np.add.reduce(is_bitangent)), float(np.maximum.reduce(residual, initial=0.0))
+    summary = {"pass": n_pass, "fail": len(residual) - n_pass, "max_residual": worst}
     return (is_bitangent, residual, contacts, near_flex), summary
 
 

@@ -39,7 +39,8 @@ Results stay arrays: a stack of line covectors is an (L, 3) complex
 array, checked as :class:`ProjLine` checks one line
 (:func:`line_covectors`).  Laying them out as a report is the command
 line's job.  Covectors and quartic coefficients are scaled for output by
-:func:`unit_pivot`.
+:func:`unit_pivot`.  numpy is called at its C entry points, for the
+reason and in the way :mod:`~thetaquartic.thetaeval` states.
 """
 
 from __future__ import annotations
@@ -92,13 +93,14 @@ FRAME_COND_LIMIT = 1e10
 JACOBIAN_DET_REL_TOL = 1e-12
 XI_RESIDUAL_GATE = 1e-8
 
-#: bound of the cache keyed by an Aronhold system: one entry per system
-SYSTEM_CACHE_SIZE = 288
+#: bound of the cache keyed by an Aronhold system: the 288 of enumerate_aronhold and REFERENCE_SYSTEM, a 289th
+SYSTEM_CACHE_SIZE = 288 + 1
 
-#: the right-hand side (-1, -1, -1) of the lambda and k solves, and its norm sqrt(3)
-_RHS = -np.ones(3, dtype=complex)
-_RHS.setflags(write=False)
-_RHS_NORM = np.sqrt(3.0)
+#: the row (1, 1, 1), minus it the lambda and k right-hand side (norm sqrt(3)), and e_i as a (3, 3, 1) stack
+_ONES, _EYE = np.ones((1, 3), dtype=complex), np.eye(3)[:, :, None]
+_RHS, _RHS_NORM = -_ONES[0], np.sqrt(3.0)
+for _const in (_ONES, _RHS, _EYE):
+    _const.setflags(write=False)
 
 
 def norm(x: np.ndarray, axis=None, keepdims: bool = False):
@@ -129,9 +131,9 @@ def line_covectors(rows) -> np.ndarray:
     the checks of :class:`ProjLine`, on a whole stack at once.
     """
     rows = np.array(rows, dtype=complex)
-    if rows.ndim != 2 or rows.shape[1] != 3 or not np.isfinite(rows).all():
+    if rows.ndim != 2 or rows.shape[1] != 3 or not np.logical_and.reduce(np.isfinite(rows), axis=None):
         raise ValueError("a line covector has 3 finite entries")
-    if not (rows != 0).any(axis=1).all():
+    if not np.logical_and.reduce(np.logical_or.reduce(rows != 0, axis=1)):
         raise ValueError("zero covector does not define a line")
     rows.setflags(write=False)
     return rows
@@ -158,7 +160,8 @@ def unit_pivot(rows) -> np.ndarray:
     The scale in which covectors and quartic coefficients are reported.
     """
     rows = np.asarray(rows, dtype=complex)
-    return rows / np.take_along_axis(rows, np.argmax(np.abs(rows), axis=-1)[..., None], -1)
+    flat = rows.reshape(-1, rows.shape[-1])
+    return rows / flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)].reshape(rows.shape[:-1] + (1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +172,9 @@ class QuarticCurve:
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=complex)
-        if c.shape != (15,) or not np.isfinite(c).all():
+        if c.shape != (15,) or not np.logical_and.reduce(np.isfinite(c)):
             raise ValueError("a ternary quartic has 15 finite coefficients")
-        if not c.any():
+        if not np.logical_or.reduce(c):
             raise DegenerateCurveError("zero polynomial is not a quartic curve")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -328,11 +331,11 @@ def _weber_matrix(plan: _GatherPlan, values: np.ndarray) -> np.ndarray:
 
 
 def _solve3(mat: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(mat)) or _cond(np.linalg.svd(mat, compute_uv=False)) > COND_LIMIT:
+    if not np.logical_and.reduce(np.isfinite(mat), None) or _cond(np.linalg.svd(mat, compute_uv=False)) > COND_LIMIT:
         raise SingularSystemError(f"{what} is singular")
     x = np.linalg.solve(mat, _RHS)
     resid = norm(mat @ x - _RHS) / (norm(mat) * norm(x) + _RHS_NORM)
-    if not np.all(np.isfinite(x)) or resid > SOLVE_RESIDUAL_GATE:
+    if not np.logical_and.reduce(np.isfinite(x)) or resid > SOLVE_RESIDUAL_GATE:
         raise SingularSystemError(f"{what} is numerically singular (residual {resid:.2e})")
     return x
 
@@ -365,13 +368,12 @@ def xi_forms(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     column's relative residual must pass the consistency gate.  The rows
     are checked as line covectors (:func:`line_covectors`).
     """
-    a = np.asarray(a, dtype=complex)
-    k = np.asarray(k, dtype=complex)
-    b = np.vstack([np.ones(3, dtype=complex), 1.0 / a])
-    w = 1.0 / np.abs(b).max(axis=1)
-    rhs = -np.vstack([np.ones(3, dtype=complex), k[:, None] * a])  # column l: -(1, k_i a_il)
+    a, k = np.asarray(a, dtype=complex), np.asarray(k, dtype=complex)
+    b = np.concatenate((_ONES, 1.0 / a))
+    w = 1.0 / np.maximum.reduce(np.abs(b), axis=1)
+    rhs = -np.concatenate((_ONES, k[:, None] * a))  # column l: -(1, k_i a_il)
     y, *_ = np.linalg.lstsq(b * w[:, None], rhs * w[:, None], rcond=None)
-    resid = (norm(b @ y - rhs, axis=0) / np.maximum(norm(rhs, axis=0), 1e-300)).max()
+    resid = np.maximum.reduce(norm(b @ y - rhs, axis=0) / np.maximum(norm(rhs, axis=0), 1e-300))
     if resid > XI_RESIDUAL_GATE:
         raise SingularSystemError(f"three-radical scaling system inconsistent (residual {resid:.2e})")
     return line_covectors(y)
@@ -395,11 +397,11 @@ def riemann_quartic(xi: np.ndarray) -> QuarticCurve:
     order by one 0/1 table built from MONOMIALS, and the quartic is
     4 AB - SS.  The 15 coefficients are scaled by :func:`unit_pivot`.
     """
-    a, b, c = np.eye(3)[:, :, None] * np.asarray(xi, dtype=complex)[:, None, :]
+    a, b, c = _EYE * np.asarray(xi, dtype=complex)[:, None, :]
     s = a + b - c
     ab, ss = (_QUARTIC_SUM @ np.multiply.outer(x, y).ravel() for x, y in ((a, b), (s, s)))
     coeffs = 4 * ab - ss
-    if np.abs(coeffs).max() == 0:
+    if np.maximum.reduce(np.abs(coeffs)) == 0:
         raise DegenerateCurveError("reconstruction produced the zero polynomial")
     return QuarticCurve(unit_pivot(coeffs))
 
@@ -427,7 +429,7 @@ def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     grads, lines = require_generic(tau).grads, _plan(system).lines
     g, g4 = grads[lines[:3]], grads[lines[3]]
     norms = norm(g, axis=1, keepdims=True)
-    s = np.linalg.svd(g := g / norms, compute_uv=False) if norms.min() > 0 else np.zeros(3)
+    s = np.linalg.svd(g := g / norms, compute_uv=False) if np.minimum.reduce(norms, axis=None) > 0 else np.zeros(3)
     cond = _cond(s)
     if not cond <= FRAME_COND_LIMIT:
         raise SingularSystemError(
@@ -438,7 +440,7 @@ def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     # |c4_j det g| / |g4| is |D[.., q_4, ..]| over its three gradient norms;
     # numerators may legitimately be tiny (a near-zero coefficient), only a
     # vanishing denominator poisons the frame
-    denominator, scale = np.abs(c4).min() * (s[0] * s[1] * s[2]), norm(g4)
+    denominator, scale = np.minimum.reduce(np.abs(c4)) * (s[0] * s[1] * s[2]), norm(g4)
     if denominator < JACOBIAN_DET_REL_TOL * scale:
         raise SingularSystemError(
             f"Jacobian determinant denominator {denominator / scale:.2e} (relative to its gradient norms) "

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,13 +138,19 @@ def test_theta_refuses_malformed_z(tau_seed1, z):
     [
         (PeriodMatrix(1j * np.eye(3)), [30j, 0, 0], ValueError),  # |theta| about exp(pi 900): past the float range
         (PeriodMatrix(1j * np.eye(3)), [1e300j, 0, 0], ValueError),
+        # the peak term is below the float limit, but a sum (at 15) or a gradient (at 14.99) is past it
+        (PeriodMatrix(1j * np.eye(3)), [15j, 0, 0], ValueError),
+        (PeriodMatrix(1j * np.eye(3)), [14.99j, 0, 0], ValueError),
         (PeriodMatrix(1j * np.diag([1e-10, 1e10, 1.0])), [0.1, 0, 0], TruncationError),  # over the point cap
     ],
-    ids=["im-30", "im-1e300", "cap"],
+    ids=["im-30", "im-1e300", "im-15", "im-14.99", "cap"],
 )
 def test_refusal_at_z_names_z(tau, z, error):
-    with pytest.raises(error, match=r"z = \["):
-        theta(Characteristic((0, 0, 0), (0, 0, 0)), tau, z)
+    # the refusal is the typed error, with no RuntimeWarning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=r"z = \["):
+            theta(Characteristic((0, 0, 0), (0, 0, 0)), tau, z)
 
 
 @pytest.mark.parametrize("m, x, sign", [
@@ -566,6 +573,15 @@ def test_mirrored_pass_is_the_full_pass(name):
     assert len(k) % 2 == 1 and (k[::-1] == -k).all()
     if name == "one point":
         assert len(k) == 1  # the case covers the empty mirror slices only while N is 1
+
+
+@pytest.mark.parametrize("rows", [slice(None, -1), slice(2, None)], ids=["even-count", "middle-row-not-zero"])
+def test_pass_at_z0_refuses_an_unpaired_enumeration(rows, monkeypatch):
+    # the mirrored pass needs rows h + j = -(rows h - j); an enumeration without that pairing is an internal error
+    ellipsoid = thetaeval._ellipsoid
+    monkeypatch.setattr(thetaeval, "_ellipsoid", lambda *args: ellipsoid(*args)[rows])
+    with pytest.raises(RuntimeError, match="the lattice pass at z = 0 is not symmetric"):
+        theta_tables(PeriodMatrix(_MIRROR_TAUS["seed1"]))
 
 
 @pytest.mark.parametrize("centre", [np.zeros(3), np.array([0.6, -1.4, 0.9])], ids=["centre0", "centre"])

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -234,6 +235,40 @@ def test_chain_checks_the_28_covectors_once(tau_seed1, monkeypatch):
     stacks = _count_covector_checks(monkeypatch)
     _chain(PeriodMatrix(tau_seed1.tau), REFERENCE_SYSTEM)
     assert stacks == [3, 28]
+
+
+#: numpy's Python layers in front of C entry points: the array methods' reductions (.max, .sum, .any, ...),
+#: the function forms of array methods (np.sum, np.argmax, np.repeat, ...) and np.stack / np.vstack
+_NUMPY_WRAPPERS = {"_methods.py", "fromnumeric.py", "shape_base.py"}
+#: the numpy.linalg calls of one run: the PeriodMatrix check, the lattice pass, the two solves and their
+#: condition numbers, the xi fit and the frame
+_LINALG_CALLS = {"eigvalsh": 1, "cholesky": 1, "svd": 3, "solve": 2, "lstsq": 1, "inv": 1}
+
+
+def test_one_run_enters_numpy_at_its_c_entry_points(tau_seed1):
+    # a reconstruct on a fresh PeriodMatrix, its gather plan built, calls none of numpy's Python wrappers
+    # and numpy.linalg 9 times; files are matched by name, as numpy 1 keeps them in numpy/core
+    reconstruct(tau_seed1)
+    wrapped, linalg = [], collections.Counter()
+
+    def record(frame, event, arg):
+        if event != "call":
+            return
+        path, name = Path(frame.f_code.co_filename), frame.f_code.co_name
+        package = (path.parent.parent.name, path.parent.name)
+        if package in (("numpy", "_core"), ("numpy", "core")) and path.name in _NUMPY_WRAPPERS:
+            wrapped.append(f"{path.name}:{name}")
+        elif path.parent.name == "linalg" and not name.endswith("_dispatcher"):
+            if Path(frame.f_back.f_code.co_filename).parent.name != "linalg":  # an entry, not a helper it calls
+                linalg[name] += 1
+
+    sys.setprofile(record)
+    try:
+        reconstruct(PeriodMatrix(tau_seed1.tau))
+    finally:
+        sys.setprofile(None)
+    assert wrapped == []
+    assert linalg == _LINALG_CALLS
 
 
 def test_random_admissible_tau_exhaustion(monkeypatch):

@@ -139,6 +139,15 @@ def test_solve_k_scaling_and_singular():
         solve_k(np.ones((3, 3), dtype=complex), np.ones(3, dtype=complex))
 
 
+@pytest.mark.parametrize("x", [np.full(3, np.nan + 0j), np.zeros(3, dtype=complex)], ids=["nan", "wrong"])
+def test_solve_residual_gate_refuses_what_the_solve_returns(x, monkeypatch):
+    # a well-conditioned system whose solve comes back non-finite, or finite with residual 1, is refused by name
+    a = np.array([[2, 1, 1], [1, 3, 1], [1, 1, 4]], dtype=complex)
+    monkeypatch.setattr(np.linalg, "solve", lambda mat, rhs: x)
+    with pytest.raises(SingularSystemError, match=r"numerically singular \(residual (nan|1\.00e\+00)\)"):
+        solve_lambda(a)
+
+
 def _gate_matrices():
     rng = np.random.default_rng(28)
     mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(50)]
@@ -341,6 +350,22 @@ def test_all_bitangents_distinct(tau_seed1):
     for i in range(28):
         for j in range(i + 1, 28):
             assert vecs[i].residual_to(vecs[j].c) > 1e-6
+
+
+def test_plan_cache_holds_the_288_systems_and_the_reference_system(monkeypatch):
+    # REFERENCE_SYSTEM is an ordering enumerate_aronhold does not return: a run with it between
+    # two sweeps of the 288 systems must not evict their plans
+    systems = enumerate_aronhold()
+    assert REFERENCE_SYSTEM not in systems
+    weber._plan.cache_clear()
+    for system in (*systems, REFERENCE_SYSTEM):
+        weber._plan(system)
+    calls = []
+    symbolic = weber.weber_symbolic
+    monkeypatch.setattr(weber, "weber_symbolic", lambda *args: calls.append(args) or symbolic(*args))
+    for system in systems:
+        weber._plan(system)
+    assert calls == []
 
 
 def test_gather_plan_matches_symbolic_formula(tau_seed1):
