@@ -181,10 +181,6 @@ class AronholdSystem:
     def __getitem__(self, i):
         return self.forms[i]
 
-    def sum_form(self) -> Characteristic:
-        """q_S, the (even) sum of the seven forms."""
-        return form_sum(*self.forms)
-
 
 #: The classical ordered reference system of Weber's worked example.
 REFERENCE_SYSTEM = AronholdSystem((
@@ -244,7 +240,7 @@ class DerivedForms:
 def derived_forms(system: AronholdSystem) -> DerivedForms:
     """The 21 remaining odd forms, the 35 even forms, and q_S."""
     forms = system.forms
-    q_s = system.sum_form()
+    q_s = form_sum(*forms)  # q_S, the (even) sum of the seven forms
     pair = {(i, j): form_sum(q_s, forms[i - 1], forms[j - 1]) for i, j in combinations(range(1, 8), 2)}
     triple = {
         (i, j, k): form_sum(forms[i - 1], forms[j - 1], forms[k - 1]) for i, j, k in combinations(range(1, 8), 3)

@@ -24,12 +24,7 @@ from . import charalgebra as ca
 from . import thetaeval as te
 from . import verify as vf
 from . import weber as wb
-from .errors import (
-    InvalidTauError,
-    SpecialLocusError,
-    ThetaQuarticError,
-    TruncationError,
-)
+from .errors import SpecialLocusError, ThetaQuarticError, TruncationError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -275,7 +270,7 @@ def main(argv=None) -> int:
     except SpecialLocusError as exc:
         _note(f"special locus: {exc}")
         return EXIT_SPECIAL_LOCUS
-    except (InvalidTauError, TruncationError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (TruncationError, OSError, ValueError) as exc:  # InvalidTauError and JSONDecodeError are ValueErrors
         _note(f"input error: {exc}")
         return EXIT_INPUT
     except ThetaQuarticError as exc:

@@ -6,13 +6,16 @@ array of residuals, and owns the one tolerance it must meet.
 matrices; the acceptance tests run the same checks at their own seeds.
 The checks of exact combinatorics ignore the period matrix and count
 mismatches against tolerance 0.  The identity evaluators the checks
-measure live here too: the pipeline calls none of them, and the command
-line imports this module only for ``selftest``.
+measure live here too, and so does :func:`cube_sum`, the one direct
+lattice sum the check ``reduction-formula`` and the tests compare the
+engine with: the pipeline calls none of them, and the command line
+imports this module only for ``selftest``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,21 +61,27 @@ def _check(name: str, tol: float):
     return register
 
 
-def raw_theta(mp, mpp, tau, z, radius=8) -> complex:
-    """Direct lattice sum at an arbitrary integer characteristic, over the cube of ``radius``.
+def cube_sum(mp, mpp, tau, z=None):
+    """Theta value and z-gradient at any integer characteristic and z (default 0), from a direct box sum.
 
+    p = n + m'/2 runs over a cube of integer n centred at rint(peak - m'/2),
+    peak = -Y^-1 Im(z) with Y = Im(tau), so the cube surrounds the
+    Gaussian peak for every lift m'.  Its half-width
+    ceil(1/2 + sqrt(-ln(1e-15) / (pi lam_min))), lam_min the smallest
+    eigenvalue of Y, leaves out only terms below 1e-15 of the peak term.
     It never reduces the characteristic and shares no code with
     :mod:`thetaquartic.thetaeval`, so it is the reference for the
-    reduction signs.
+    reduction signs and for the engine's tail bound.
     """
-    points = np.array(list(itertools.product(range(-radius, radius + 1), repeat=3)), dtype=float)
-    rows = (points + np.asarray(mp, dtype=float) / 2).astype(complex)
-    shift = np.asarray(z, dtype=complex) + np.asarray(mpp, dtype=float) / 2
-    exponents = np.array([p @ tau @ p + 2 * p @ shift for p in rows])
-    total = 0.0 + 0.0j
-    for term in np.exp(1j * np.pi * exponents).tolist():  # e(x) convention, summed in lattice order
-        total += term
-    return total
+    tau, mp = np.asarray(tau), np.asarray(mp, dtype=float)
+    z = np.zeros(3) if z is None else np.asarray(z, dtype=complex)
+    centre = np.rint(-np.linalg.solve(tau.imag, z.imag) - mp / 2)
+    half = math.ceil(0.5 + math.sqrt(-math.log(1e-15) / (math.pi * np.linalg.eigvalsh(tau.imag).min())))
+    r = np.arange(-half, half + 1)
+    p = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3) + centre + mp / 2
+    # e(x) convention
+    terms = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + p @ np.asarray(mpp) + 2 * p @ z))
+    return terms.sum(), 2j * np.pi * p.T @ terms
 
 
 #: the step of :func:`fd_gradient`'s central differences
@@ -296,7 +305,7 @@ def reduction_formula(tau, rng):
         tuple(2 * int(x) for x in rng.integers(0, 2, 3)),
     )
     m = ca.Characteristic((1, 0, 1), (1, 0, 1)) + shift
-    direct = raw_theta(m.mp, m.mpp, tau.tau, np.zeros(3))
+    direct = cube_sum(m.mp, m.mpp, tau.tau)[0]
     return abs(direct - te.theta_const(m, tau)) / abs(direct)
 
 

@@ -171,7 +171,8 @@ class PeriodMatrix:
     """A genus-3 period matrix: complex symmetric with Im(tau) > 0.
 
     The input is symmetrized on construction; asymmetry beyond
-    ``ASYMMETRY_TOL`` or a non-positive-definite imaginary part raises
+    ``ASYMMETRY_TOL``, or an imaginary part with an eigenvalue <= 0 or
+    no Cholesky factor ``chol`` (kept for the lattice passes), raises
     :class:`InvalidTauError` naming the violated invariant.
     """
 
@@ -192,8 +193,15 @@ class PeriodMatrix:
         lam_min = float(np.minimum.reduce(np.linalg.eigvalsh(tau.imag)))
         if lam_min <= 0:
             raise InvalidTauError(f"imaginary part is not positive definite: min eigenvalue = {lam_min:.3e}")
+        try:
+            chol = np.linalg.cholesky(tau.imag).T  # Im tau = chol^T chol, the factor every pass reads
+        except np.linalg.LinAlgError:
+            gate = f"no Cholesky factor, min eigenvalue = {lam_min:.3e}"
+            raise InvalidTauError(f"imaginary part is not positive definite: {gate}") from None
         tau.setflags(write=False)
+        chol.setflags(write=False)
         self.tau = tau
+        self.chol = chol
         self.lam_min = lam_min
         self._tables: dict = {}  # policy -> ThetaTables, see theta_tables
 
@@ -235,7 +243,7 @@ def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
     return k
 
 
-def _packing_radius(tau: PeriodMatrix, chol: np.ndarray) -> float:
+def _packing_radius(tau: PeriodMatrix) -> float:
     """min(RHO_CAP, shortest nonzero lattice vector) in u-units.
 
     Balls of half this radius around the lattice points are disjoint,
@@ -244,14 +252,14 @@ def _packing_radius(tau: PeriodMatrix, chol: np.ndarray) -> float:
     """
     if math.pi * tau.lam_min >= RHO_CAP**2:
         return RHO_CAP  # |u|^2 >= pi * lam_min * |n|^2
-    n = _ellipsoid(chol, np.zeros(3), RHO_CAP**2 / math.pi)
-    norms = math.pi * np.add.reduce((n @ chol.T) ** 2, axis=1)
+    n = _ellipsoid(tau.chol, np.zeros(3), RHO_CAP**2 / math.pi)
+    norms = math.pi * np.add.reduce((n @ tau.chol.T) ** 2, axis=1)
     return math.sqrt(np.minimum.reduce(norms[norms > 0], initial=RHO_CAP**2))
 
 
-def _radius2(tau: PeriodMatrix, chol: np.ndarray, a: np.ndarray, pol: TruncationPolicy) -> float:
+def _radius2(tau: PeriodMatrix, a: np.ndarray, pol: TruncationPolicy) -> float:
     """R^2 of the summation ellipsoid: the smallest the tail bound allows for pol.target_tail."""
-    rho = _packing_radius(tau, chol)
+    rho = _packing_radius(tau)
     pref = 1.5 * (2 / rho) ** 3
     w_value = 1 + 2 * math.pi * math.sqrt(a.dot(a))  # |a|, numpy's norm of a real vector
     w_grad = 2 * math.sqrt(math.pi / tau.lam_min)
@@ -294,7 +302,6 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
         raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
     # theta[m](tau + 2B, z + n) = i^(m'.B.m' + 2 m'.n) theta[m](tau, z) for integer symmetric B and integer n
     b, n = np.rint(tau.tau.real / 2), np.rint(zz.real)
-    chol = np.linalg.cholesky(tau.tau.imag).T  # Im tau = chol^T chol
     if z is None:
         a = zz.imag  # the centre Y^-1 Im(z) at z = 0: zeros, no solve
     else:
@@ -303,9 +310,9 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
         growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
         if growth > _LOG_FLOAT_MAX:
             raise ValueError(f"theta at z = {zz} leaves the float range: pi Im(z).Y^-1.Im(z) = {growth:.4g}")
-    r2 = _radius2(tau, chol, a, pol)
+    r2 = _radius2(tau, a, pol)
     try:
-        k = _ellipsoid(chol / 2, 2 * a, r2)  # (k/2 + a).Y.(k/2 + a) <= r2
+        k = _ellipsoid(tau.chol / 2, 2 * a, r2)  # (k/2 + a).Y.(k/2 + a) <= r2
     except TruncationError as exc:
         if z is None:
             raise

@@ -30,6 +30,12 @@ def xor_char(*chars) -> Characteristic:
     )
 
 
+def near_singular_tau(rng, eps) -> np.ndarray:
+    """0.1 + i Q diag(eps, 1, 2) Q^T, with Q from the QR factorization of a standard normal draw."""
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return 0.1 + 1j * q @ np.diag([eps, 1, 2]) @ q.T
+
+
 def genus1_factorization_residual(forms) -> float:
     """Worst relative gap, at a diagonal tau, between theta and its product of genus-1 series."""
     tau = PeriodMatrix(np.diag([0.1 + 0.9j, -0.2 + 1.1j, 0.05 + 1.3j]))

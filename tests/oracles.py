@@ -1,18 +1,17 @@
 """Independent oracles for the test suite.
 
-These deliberately avoid the library's code paths: the raw gradient sum
-never reduces characteristics, the cube sum keeps the box truncation
-the ellipsoid engine replaced, the genus-1 series is one-dimensional,
-the restriction is expanded in mpmath, the roots of a binary quartic
-come from one companion matrix in a fixed chart, and the Aronhold
-recount scans all C(28,7) subsets with a lookup table instead of
-backtracking.  The F2 helpers evaluate a quadratic form from its
-definition on the symplectic space (F2^6, omega), not from the Arf
-formula the package uses.
+These deliberately avoid the library's code paths: the genus-1 series
+is one-dimensional, the restriction is expanded in mpmath, the roots of
+a binary quartic come from one companion matrix in a fixed chart, and
+the Aronhold recount scans all C(28,7) subsets with a lookup table
+instead of backtracking.  The F2 helpers evaluate a quadratic form from
+its definition on the symplectic space (F2^6, omega), not from the Arf
+formula the package uses.  The direct lattice sum the theta tests
+compare the engine with is not here: it is
+:func:`thetaquartic.invariants.cube_sum`, which ``selftest`` runs too.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,17 +46,6 @@ def symplectic_form(v: F2Vector, w: F2Vector) -> int:
 def eval_form(q, w: F2Vector) -> int:
     """q(w) = lam.mu + lam.m' + m''.mu mod 2, for the form labelled by the reduced characteristic q."""
     return sum(w.lam[i] * w.mu[i] + w.lam[i] * q.mp[i] + q.mpp[i] * w.mu[i] for i in range(3)) % 2
-
-
-def raw_grad(mp, mpp, tau, radius=8):
-    """Direct termwise-differentiated lattice sum at z = 0."""
-    total = np.zeros(3, dtype=complex)
-    mp = np.asarray(mp, dtype=float)
-    mpp = np.asarray(mpp, dtype=float)
-    for n in itertools.product(range(-radius, radius + 1), repeat=3):
-        p = np.array(n, dtype=float) + mp / 2
-        total += 2j * np.pi * p * np.exp(1j * np.pi * (p @ tau @ p + 2 * p @ (mpp / 2)))
-    return total
 
 
 def theta_genus1(a, b, tau1, z1, radius=60):
@@ -103,29 +91,6 @@ def brute_force_aronhold_sets():
 def pack_form(form) -> int:
     bits = form.mp + form.mpp
     return sum(b << i for i, b in enumerate(bits))
-
-
-def cube_series(mp, mpp, tau, tail=1e-15, z=None):
-    """Theta value and z-gradient at z (default 0) from the cube-truncated series.
-
-    The summation rule the package used before its ellipsoid engine: all
-    p = n + m'/2 with n in a box around the integer point c nearest the
-    Gaussian peak -Y^-1 Im(z), Y = Im(tau), of radius
-    ceil(|m'/2|_inf + |c + Y^-1 Im(z)|_inf + sqrt(-ln(tail) / (pi lam_min))),
-    lam_min the smallest eigenvalue of Y.
-    """
-    tau = np.asarray(tau)
-    z = np.zeros(3) if z is None else np.asarray(z, dtype=complex)
-    peak = -np.linalg.solve(tau.imag, z.imag)
-    center = np.rint(peak)
-    lam_min = np.linalg.eigvalsh(tau.imag).min()
-    offset = np.abs(center - peak).max()
-    radius = math.ceil(max(mp) / 2 + offset + math.sqrt(-math.log(tail) / (math.pi * lam_min)))
-    r = np.arange(-radius, radius + 1)
-    box = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3) + center
-    p = box + np.asarray(mp) / 2
-    terms = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + p @ np.asarray(mpp) + 2 * p @ z))
-    return terms.sum(), 2j * np.pi * p.T @ terms
 
 
 def eval_quartic(coeffs, x) -> complex:

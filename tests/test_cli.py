@@ -22,6 +22,8 @@ from thetaquartic.thetaeval import PeriodMatrix, complex_to_json, tau_from_json,
 from thetaquartic.verify import bitangency_check, reconstruct
 from thetaquartic.weber import ProjLine, unit_pivot
 
+from conftest import near_singular_tau
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -190,9 +192,15 @@ def test_tau_shape_and_finiteness_exit_1_without_a_report(entry, message, tmp_pa
 
 
 def test_non_pd_tau_exit_1(tmp_path, capsys):
+    # an eigenvalue below 0, and one of 2.6e-16 that eigvalsh puts above 0 but has no Cholesky factor
+    rng = np.random.default_rng(0)
+    near = [near_singular_tau(rng, 1e-16) for _ in range(12)][-1]
     tau_path = tmp_path / "tau.json"
-    tau_path.write_text(json.dumps(tau_to_json(np.diag([1j, 1j, -1j]))))
-    assert run_cli(capsys, "bitangents", "--tau", str(tau_path))[0] == 1
+    for tau, gate in ((np.diag([1j, 1j, -1j]), "min eigenvalue"), (near, "no Cholesky factor")):
+        tau_path.write_text(json.dumps(tau_to_json(tau)))
+        code, out, err = run_cli(capsys, "bitangents", "--tau", str(tau_path))
+        assert (code, out) == (1, "") and err.startswith("input error: imaginary part is not positive definite: ")
+        assert gate in err
 
 
 def test_lattice_past_the_cap_exit_1_without_a_report(tmp_path, capsys):

@@ -29,7 +29,7 @@ from thetaquartic.verify import (
     random_admissible_tau,
     reconstruct,
 )
-from thetaquartic.thetaeval import PeriodMatrix, tau_from_json, vanishing_even_characteristics
+from thetaquartic.thetaeval import PeriodMatrix, random_tau, tau_from_json, vanishing_even_characteristics
 from thetaquartic.weber import (
     MONOMIALS,
     ProjLine,
@@ -42,6 +42,7 @@ from thetaquartic.weber import (
 )
 from thetaquartic.charalgebra import REFERENCE_SYSTEM, enumerate_aronhold
 
+from conftest import near_singular_tau
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,6 +71,35 @@ def test_validate_tau_examples():
     nearly[1, 0] = 1e-13
     pm = PeriodMatrix(nearly)
     assert np.abs(pm.tau - pm.tau.T).max() == 0
+    # the twelfth draw passes eigvalsh with min eigenvalue 2.6e-16 and has no Cholesky factor
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidTauError, match="not positive definite: no Cholesky factor"):
+        PeriodMatrix([near_singular_tau(rng, 1e-16) for _ in range(12)][-1])
+
+
+def test_every_accepted_tau_ends_typed():
+    # each tau PeriodMatrix accepts ends in a Reconstruction or a typed refusal, never a raw numpy error
+    # (or a RuntimeWarning, an error in tier-1), in four families: Im tau scaled by 10^[-2.5, 3], one
+    # diagonal entry of Im tau scaled up by up to 10^2.5, Im tau = Q diag(eps, 1, 2) Q^T with eps in
+    # [1e-18, 1e-15], and Re tau shifted by 2B, B integer symmetric with entries up to 10^6
+    rng = np.random.default_rng(0)
+    outcomes = collections.Counter()
+    for _ in range(40):
+        tau = random_tau(rng)
+        thick = tau.imag.copy()
+        thick[(i := rng.integers(0, 3)), i] *= 10 ** rng.uniform(0, 2.5)
+        b = rng.integers(-10**6, 10**6, (3, 3))
+        for draw in (
+            tau.real + 1j * tau.imag * 10 ** rng.uniform(-2.5, 3),
+            tau.real + 1j * thick,
+            near_singular_tau(rng, 10 ** rng.uniform(-18, -15)),
+            tau + 2 * (np.triu(b) + np.triu(b, 1).T),
+        ):
+            try:
+                outcomes[type(reconstruct(PeriodMatrix(draw))).__name__] += 1
+            except ThetaQuarticError as exc:
+                outcomes[type(exc).__name__] += 1
+    assert outcomes["Reconstruction"] and outcomes["InvalidTauError"] and outcomes["TruncationError"]
 
 
 def test_special_locus_identity_tau(tau_identity):
