@@ -12,7 +12,10 @@ every pair's metrics for both sides and, per metric, each side's median
 and quartiles, the ratio of the medians and the number of pairs the change
 won, in the direction ``BENCHMARK.json`` declares (ties count for neither).
 A run that exits non-zero or reports ``correct: false`` stops the script.
-Children get ``PYTHONDONTWRITEBYTECODE=1`` and ``OPENBLAS_NUM_THREADS=1``.
+Children get ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONPYCACHEPREFIX`` set to a
+fresh empty directory, removed after the run: Python then reads no bytecode
+cache that either checkout holds, so both sides compile every module they
+import, and the set-up probes of a run read what that run compiled.
 Standard library only.
 """
 
@@ -25,6 +28,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -33,8 +37,10 @@ SIDES = ("parent", "change")
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, OPENBLAS_NUM_THREADS="1")
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{root}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
     out = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -97,7 +103,7 @@ def main() -> None:
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
-        "env": {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"},
+        "env": {"PYTHONPYCACHEPREFIX": "a fresh empty directory per run", "OPENBLAS_NUM_THREADS": "1"},
         "src_sha256": {side: src_digest(root) for side, root in roots.items()},
         "workloads": {},
     }

@@ -51,9 +51,18 @@ at 0, so its points come in pairs k, -k around the one point k = 0, and
 the enumeration lists them as row h + j = -(row h - j) of its N rows,
 h = N // 2.  The weight w = e(p.tau.p) is even in p and the gradient
 weight p w odd, so the pass exponentiates only rows 0..h, about
-(N + 1) / 2 of the N points, and mirrors the rest, negating the
-gradient weights exactly.  The class sums run over the full list in its
-order, so they hold the same bits as a pass over every point.
+(N + 1) / 2 of the N points, and mirrors w into the rest.  One product
+p w over all N rows then gives the gradient weights: row h + j has -p
+and the same w, so its products are exactly the negated ones.  The
+class sums run over the full list in its order, so they hold the same
+bits as a pass over every point.
+
+The pass's sums over the three coordinates (the quadratic form, the
+linear term p.2z and the class index of k mod 4) are written out as
+column sums, in the order ``np.add.reduce`` takes them, since a
+reduction along the short axis of an (N, 3) array costs more than its
+arithmetic.  At z != 0 the linear term is no BLAS matrix-vector
+product, which could start threads that cost more than the whole pass.
 
 R follows the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004).  In
@@ -72,7 +81,10 @@ z = 0), is below ``target_tail``: values and gradients share one rule.
 
 The enumeration counts the points of each level before it allocates
 them, and a pass that would hold more than ``MAX_POINTS`` points raises
-:class:`TruncationError`.  The count is usually about
+:class:`TruncationError`.  Where rho needs a search of its own, the
+pass is first counted at a lower bound on R for every rho <= ``RHO_CAP``
+(:func:`_radius2`), so a near-singular Im tau is refused before that
+search.  The count is usually about
 8 (4/3) pi R^3 / sqrt(det Y), which is invariant under
 tau -> U tau U^T for U in GL_3(Z).  R itself grows only logarithmically
 with 1/lam_min (through the gradient weight and the packing radius).
@@ -131,13 +143,14 @@ _T_MIN = (10 + math.sqrt(68)) / 8
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 _UNITS = np.array([1, 1j, -1, -1j])
+_ZERO3 = np.zeros(3)
+_ZERO3.setflags(write=False)
 
 #: m' and m'' of the form in each table row: row x holds PACKED_FORMS[x], the form charalgebra.pack sends to x
 _MP, _MPP = np.array([[q.mp, q.mpp] for q in PACKED_FORMS], dtype=np.int8).transpose(1, 0, 2)
 
 #: Class c of k mod 4 holds k = _CLASSES[c] mod 4, c = k_1 + 4 k_2 + 16 k_3; weight row j sums into 64 j + c
-_CLASS_STRIDES = np.array([1, 4, 16])
-_CLASSES = (np.arange(64)[:, None] // _CLASS_STRIDES) & 3
+_CLASSES = (np.arange(64)[:, None] // np.array([1, 4, 16])) & 3
 _ROW_OFFSETS = 64 * np.arange(4)[:, None]
 #: [x, c]: the factor of the class-c sums in theta at row x's form, i^(k.m'') where k mod 2 is m', else 0
 _CLASS_UNITS = _UNITS[(_MPP @ _CLASSES.T) & 3] * ((_CLASSES & 1) == _MP[:, None]).all(axis=-1)
@@ -186,10 +199,11 @@ class PeriodMatrix:
         if not np.logical_and.reduce(np.isfinite(tau), axis=None):
             raise InvalidTauError("matrix contains non-finite entries")
         # halves first, so that entries near the float limit neither overflow nor lose bits
-        asym = 2 * float(np.maximum.reduce(np.abs(tau / 2 - tau.T / 2), axis=None))
+        half = tau / 2
+        asym = 2 * float(np.maximum.reduce(np.abs(half - half.T), axis=None))
         if asym > ASYMMETRY_TOL:
             raise InvalidTauError(f"matrix is asymmetric: max |tau - tau^T| = {asym:.3e}")
-        tau = tau / 2 + tau.T / 2
+        tau = half + half.T
         lam_min = float(np.minimum.reduce(np.linalg.eigvalsh(tau.imag)))
         if lam_min <= 0:
             raise InvalidTauError(f"imaginary part is not positive definite: min eigenvalue = {lam_min:.3e}")
@@ -212,16 +226,18 @@ def _check_cap(count) -> None:
         raise TruncationError(f"{count:.3g} lattice points needed, over the cap of {MAX_POINTS}; {tail}")
 
 
-def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
-    """The integer points k with |chol.(k + center)|^2 <= r2, as float rows.
+def _levels(chol: np.ndarray, center: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of |chol.(k + center)|^2 <= r2 down to their last level, counted but not laid out.
 
     Fincke-Pohst on the upper Cholesky factor: k_3 ranges over one
     interval, in scalars, then k_2 over the interval the remaining budget
-    leaves for each k_3 and k_1 likewise, each in one vectorized expansion.
-    The rows come in ascending (k_3, k_2, k_1) order, the order the class
-    sums of :func:`_series` are taken in.  The last level (k_1) computes
-    no remaining budget, as no level follows it.
-    Raises :class:`TruncationError` before a level would exceed ``MAX_POINTS``.
+    leaves for each k_3, in one vectorized expansion, and k_1 likewise.
+    Returns the rows (k_2, k_3) in ascending (k_3, k_2) order and the
+    first k_1 and the count of each row's k_1 interval; the last level
+    computes no remaining budget, as no level follows it.  Raises
+    :class:`TruncationError` before a level would exceed ``MAX_POINTS``.
+    Each level's count grows with r2, so a refusal at r2 is one at any
+    larger r2 too.
     """
     mid, half = -center[2], math.sqrt(max(r2, 0.0)) / chol[2, 2]
     lo, hi = math.ceil(mid - half), math.floor(mid + half)
@@ -234,48 +250,79 @@ def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
         half = np.sqrt(np.maximum(rem, 0)) / d
         lo = np.ceil(mid - half)
         counts = np.floor(mid + half) - lo + 1
-        _check_cap(np.add.reduce(counts))
+        total = np.add.reduce(counts)
+        _check_cap(total)
         counts = counts.astype(int)
-        ki = (lo - counts.cumsum() + counts).repeat(counts) + np.arange(np.add.reduce(counts))
+        if not i:
+            return k, lo, counts
+        ki = (lo - counts.cumsum() + counts).repeat(counts) + np.arange(total)
         k = np.concatenate((ki[:, None], k.repeat(counts, axis=0)), axis=1)
-        if i:
-            rem = rem.repeat(counts) - (d * (ki - mid.repeat(counts))) ** 2
-    return k
+        rem = rem.repeat(counts) - (d * (ki - mid.repeat(counts))) ** 2
+
+
+def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
+    """The integer points k with |chol.(k + center)|^2 <= r2, as float rows.
+
+    The levels of :func:`_levels`, with the last one written into one
+    (N, 3) array column by column.  The rows come in ascending
+    (k_3, k_2, k_1) order, the order the class sums of :func:`_series`
+    are taken in.
+    """
+    k, lo, counts = _levels(chol, center, r2)
+    first = (lo - counts.cumsum() + counts).repeat(counts)
+    out = np.empty((len(first), 3))
+    np.add(first, np.arange(len(first)), out=out[:, 0])
+    out[:, 1] = k[:, 0].repeat(counts)
+    out[:, 2] = k[:, 1].repeat(counts)
+    return out
 
 
 def _packing_radius(tau: PeriodMatrix) -> float:
-    """min(RHO_CAP, shortest nonzero lattice vector) in u-units.
+    """The shortest nonzero lattice vector in u-units, or RHO_CAP if that is shorter.
 
     Balls of half this radius around the lattice points are disjoint,
     which is all the tail bound needs; below the cap the bound barely
     depends on it.
     """
-    if math.pi * tau.lam_min >= RHO_CAP**2:
-        return RHO_CAP  # |u|^2 >= pi * lam_min * |n|^2
     n = _ellipsoid(tau.chol, np.zeros(3), RHO_CAP**2 / math.pi)
     norms = math.pi * np.add.reduce((n @ tau.chol.T) ** 2, axis=1)
     return math.sqrt(np.minimum.reduce(norms[norms > 0], initial=RHO_CAP**2))
 
 
 def _radius2(tau: PeriodMatrix, a: np.ndarray, pol: TruncationPolicy) -> float:
-    """R^2 of the summation ellipsoid: the smallest the tail bound allows for pol.target_tail."""
-    rho = _packing_radius(tau)
-    pref = 1.5 * (2 / rho) ** 3
+    """R^2 of the summation ellipsoid about 2a: the smallest the tail bound allows for pol.target_tail.
+
+    The packing radius rho is RHO_CAP when pi lam_min says so, and is
+    enumerated otherwise (:func:`_packing_radius`), which for a
+    near-singular Im tau takes up to a million points.  So before that
+    the pass is counted at a lower bound on R^2 for every rho <= RHO_CAP
+    (:func:`_levels`), and a count over the cap refuses tau there.
+    """
     w_value = 1 + 2 * math.pi * math.sqrt(a.dot(a))  # |a|, numpy's norm of a real vector
     w_grad = 2 * math.sqrt(math.pi / tau.lam_min)
 
-    def bound(t):  # neglected value plus gradient mass at T = t
+    def bound(t, rho):  # neglected value plus gradient mass at T = t, for packing radius rho
         s = math.sqrt(t)
         gamma_3_2 = s * math.exp(-t) + math.sqrt(math.pi) / 2 * math.erfc(s)
         gamma_2 = (1 + t) * math.exp(-t)
-        return pref * (w_value * gamma_3_2 + w_grad * gamma_2)
+        return 1.5 * (2 / rho) ** 3 * (w_value * gamma_3_2 + w_grad * gamma_2)
 
-    t = _T_MIN
-    while (b := bound(t)) > pol.target_tail:
-        # ln(bound) falls a little slower than t grows, so these steps
-        # approach the root from below and stop at most 0.01 past it
-        t += max(math.log(b / pol.target_tail), 0.01)
-    r = math.sqrt(t) + rho / 2
+    def search(rho):  # the T the bound accepts at rho, and the largest T it rejected (_T_MIN if none)
+        t = low = _T_MIN
+        while (b := bound(t, rho)) > pol.target_tail:
+            # ln(bound) falls a little slower than t grows, so these steps
+            # approach the root from below and stop at most 0.01 past it
+            low, t = t, t + max(math.log(b / pol.target_tail), 0.01)
+        return t, low
+
+    if math.pi * tau.lam_min >= RHO_CAP**2:
+        rho = RHO_CAP  # |u|^2 >= pi * lam_min * |n|^2
+    else:
+        # the bound falls with T and grows as rho shrinks, so at any rho <= RHO_CAP it rejects
+        # every T it rejected at RHO_CAP: R^2 = (sqrt(T) + rho/2)^2 / pi > low / pi
+        _levels(tau.chol / 2, 2 * a, search(RHO_CAP)[1] / math.pi)
+        rho = _packing_radius(tau)
+    r = math.sqrt(search(rho)[0]) + rho / 2
     return r * r / math.pi
 
 
@@ -286,68 +333,79 @@ def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tup
     means z = 0, and any other z must be 3 finite numbers.  At ``z`` None
     the parity of theta halves the work: w = e(p.tau.p) is even in p and
     p w odd, and row h + j of the N points is -(row h - j), h = N // 2,
-    so only rows 0..h are exponentiated, about (N + 1) / 2 points, and
-    mirrored into the other rows of one (4, N) weight array.  There the
-    centre a = Y^-1 Im z is 0 with no solve and the peak |w| is 1 with no
-    check.  The class sums are over every point in the same order, so
-    the tables are the bits of the full pass, as at ``z`` = zeros(3),
-    which evaluates every point.  The pass sums at tau - 2B and z - n,
+    so only rows 0..h are exponentiated, about (N + 1) / 2 points, and w
+    is mirrored into the other rows of one (4, N) weight array, whose
+    gradient rows are one product over every point.  There a = Y^-1 Im z
+    and n are 0 with no solve or rint, and the peak |w| is 1 with no
+    finiteness check.  The class sums are over every point in the same
+    order, so the tables are the bits of the full pass, as at ``z`` =
+    zeros(3), which evaluates every point.  Sums over the 3 coordinates
+    are column sums, p.2z at z != 0 included.  The pass sums at tau - 2B and z - n,
     B = rint(Re tau / 2) and n = rint(Re z), so a large Re tau or Re z
     costs no digits in the phases.  The units i^(m'.B.m' + 2 m'.n) follow
     only if B or n is non-zero, as in no benchmark pass (|Re tau| <= 1/2,
     z = 0): a step on every pass cost 1-2%.
     """
-    zz = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    if zz.shape != (3,) or not np.logical_and.reduce(np.isfinite(zz)):
-        raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
     # theta[m](tau + 2B, z + n) = i^(m'.B.m' + 2 m'.n) theta[m](tau, z) for integer symmetric B and integer n
-    b, n = np.rint(tau.tau.real / 2), np.rint(zz.real)
+    b = np.rint(tau.tau.real / 2)
     if z is None:
-        a = zz.imag  # the centre Y^-1 Im(z) at z = 0: zeros, no solve
+        a = n = _ZERO3  # at z = 0 the centre Y^-1 Im(z) and n are zeros, with no solve
     else:
+        zz = np.asarray(z, dtype=complex)
+        if zz.shape != (3,) or not np.logical_and.reduce(np.isfinite(zz)):
+            raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
+        n = np.rint(zz.real)
         a = np.linalg.solve(tau.tau.imag, zz.imag)
         # log of the peak |w|, in Python floats, which overflow to inf without a warning
         growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
         if growth > _LOG_FLOAT_MAX:
             raise ValueError(f"theta at z = {zz} leaves the float range: pi Im(z).Y^-1.Im(z) = {growth:.4g}")
-    r2 = _radius2(tau, a, pol)
     try:
-        k = _ellipsoid(tau.chol / 2, 2 * a, r2)  # (k/2 + a).Y.(k/2 + a) <= r2
+        k = _ellipsoid(tau.chol / 2, 2 * a, _radius2(tau, a, pol))  # (k/2 + a).Y.(k/2 + a) <= R^2
     except TruncationError as exc:
         if z is None:
             raise
         raise TruncationError(f"{exc}; the pass was at z = {zz}") from None
-    cls = (k.astype(np.intp) & 3) @ _CLASS_STRIDES  # k mod 4
+    km = k.astype(np.intp) & 3
+    cls = km[:, 0] + 4 * km[:, 1] + 16 * km[:, 2]  # the class of k mod 4
     p = np.divide(k, 2, out=k)  # p = k/2, in place
     t = tau.tau - 2 * b
+    # row j: the weights of the value (j = 0) or of d/dz_j
+    terms = np.empty((4, len(p)), dtype=complex)
     if z is None:
         # the parity of theta: row h + j is -(row h - j), so w is exponentiated on rows 0..h only
         h = len(p) // 2
         if len(p) % 2 == 0 or np.logical_or.reduce(p[h]):
             raise RuntimeError(f"the lattice pass at z = 0 is not symmetric: {len(p)} points, middle row {p[h]}")
         half = p[: h + 1]
-        # row j: the weights of the value (j = 0) or of d/dz_j
-        terms = np.empty((4, len(p)), dtype=complex)
-        w = np.exp(1j * np.pi * np.add.reduce((half @ t) * half, axis=1), out=terms[0, : h + 1])  # e(x) convention
-        np.multiply(half.T, w, out=terms[1:, : h + 1])
+        q = (half @ t) * half
+        w = np.exp(1j * np.pi * (q[:, 0] + q[:, 1] + q[:, 2]), out=terms[0, : h + 1])  # e(x) convention
         terms[0, h + 1 :] = w[-2::-1]
-        np.negative(terms[1:, :h][:, ::-1], out=terms[1:, h + 1 :])
-        out = _class_sums(cls, terms)
+        out = _class_sums(cls, p, terms)
     else:
+        v = 2 * (zz - n)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, with a message
-            w = np.exp(1j * np.pi * (np.add.reduce((p @ t) * p, axis=1) + 2 * p @ (zz - n)))  # e(x) convention
-            out = _class_sums(cls, np.concatenate((w[None], p.T * w)))
-    if not np.logical_and.reduce(np.isfinite(out), axis=None):
-        raise ValueError(f"theta at z = {zz} leaves the float range")
-    if np.logical_or.reduce(b, axis=None) or np.logical_or.reduce(n):
+            q = (p @ t) * p
+            # p.2z in columns too: a BLAS matrix-vector product may start threads that cost more than the pass
+            x = q[:, 0] + q[:, 1] + q[:, 2] + (p[:, 0] * v[0] + p[:, 1] * v[1] + p[:, 2] * v[2])
+            np.exp(1j * np.pi * x, out=terms[0])  # e(x) convention
+            out = _class_sums(cls, p, terms)
+        if not np.logical_and.reduce(np.isfinite(out), axis=None):
+            raise ValueError(f"theta at z = {zz} leaves the float range")
+    if np.logical_or.reduce(b, axis=None) or z is not None and np.logical_or.reduce(n):
         # fmod takes B mod 4 and n mod 2 exactly, 0 from 2^54 and 2^53 on
         b4, n2 = np.fmod(b, 4).astype(np.int8), np.fmod(n, 2).astype(np.int8)
         out *= _UNITS[(np.add.reduce((_MP @ b4) * _MP, axis=1) + 2 * (_MP @ n2)) & 3]
     return out[0], out[1:].T.copy()
 
 
-def _class_sums(cls: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The values (row 0) and gradients (rows 1-3) at the 64 rows from the weights (4, N) and classes (N,) of a pass."""
+def _class_sums(cls: np.ndarray, p: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The values (row 0) and gradients (rows 1-3) at the 64 rows from the classes (N,) and points (N, 3) of a pass.
+
+    ``terms`` (4, N) holds the value weights w in row 0; rows 1-3 are filled here with the gradient weights p w,
+    one product over every point (at z = 0 the mirrored rows have -p and the same w, so they are exactly negated).
+    """
+    np.multiply(p.T, terms[0], out=terms[1:])
     idx = (cls + _ROW_OFFSETS).ravel()
     sums = np.bincount(idx, terms.real.ravel(), 256) + 1j * np.bincount(idx, terms.imag.ravel(), 256)
     out = sums.reshape(4, 64) @ _CLASS_UNITS.T
@@ -459,7 +517,7 @@ def complex_to_json(z):
     The wire form of every complex number the package writes, the
     command line's reports and tau files alike.  An array is converted
     in one pass over its real and imaginary parts, then nested back to
-    its shape.
+    its shape, innermost axis first, by grouping consecutive items.
     """
     if not np.ndim(z):
         z = complex(z)
@@ -467,8 +525,10 @@ def complex_to_json(z):
     z = np.asarray(z, dtype=complex)
     items = [{"re": x, "im": y} for x, y in zip(z.real.ravel().tolist(), z.imag.ravel().tolist())]
     for axis in range(z.ndim - 1, 0, -1):
-        n = z.shape[axis]
-        items = [items[i * n:(i + 1) * n] for i in range(math.prod(z.shape[:axis]))]
+        if n := z.shape[axis]:
+            items = list(map(list, zip(*[iter(items)] * n)))  # consecutive runs of n
+        else:
+            items = [[] for _ in range(math.prod(z.shape[:axis]))]
     return items
 
 

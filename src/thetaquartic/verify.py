@@ -125,9 +125,9 @@ def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarra
     Q^T C Q (see the module docstring).  Raises :class:`DegenerateCurveError`
     if any restriction vanishes, i.e. a line is a component of the curve.
     """
-    p, q = _spanning_points(covectors)
+    pq = _spanning_points(covectors)
     # quad[l, a, u]: the coefficient of s^(2-u) t^u in (s p_i + t q_i)(s p_j + t q_j), pair a = (i, j)
-    pi, pj, qi, qj = p[:, _PAIR_I], p[:, _PAIR_J], q[:, _PAIR_I], q[:, _PAIR_J]
+    (pi, qi), (pj, qj) = pq[..., _PAIR_I], pq[..., _PAIR_J]
     quad = np.concatenate(((pi * pj)[..., None], (pi * qj + qi * pj)[..., None], (qi * qj)[..., None]), axis=-1)
     c = np.zeros((6, 6), dtype=complex)
     c[_ROW, _COL] = curve.coeffs / np.maximum.reduce(np.abs(curve.coeffs))
@@ -137,7 +137,7 @@ def _restrictions(curve: QuarticCurve, covectors) -> tuple[np.ndarray, np.ndarra
     g = np.concatenate([col[:, None] for col in (f[0], f[1] + f[3], f[2] + f[4] + f[6], f[5] + f[7], f[8])], 1)
     if np.logical_or.reduce(np.maximum.reduce(np.abs(g), axis=1) < RESTRICTION_ZERO_TOL):
         raise DegenerateCurveError("the line lies on the curve; restriction is zero")
-    return g, p, q
+    return g, pq[0], pq[1]
 
 
 def _chart_transforms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,7 +197,8 @@ def _sphere_centres(g: np.ndarray) -> np.ndarray:
     """
     h = np.einsum("cjk,lk->lcj", _CHART_M, g)
     size = np.abs(h)
-    chart = (size[:, :, 0] / np.maximum.reduce(size, axis=2)).argmax(axis=1)
+    top = np.maximum(np.maximum(size[:, :, 0], size[:, :, 1]), np.maximum(size[:, :, 2], size[:, :, 3]))
+    chart = (size[:, :, 0] / np.maximum(top, size[:, :, 4])).argmax(axis=1)
     h = h[np.arange(len(g)), chart]
     h1, h2, h3, h4 = (h[:, 1:] / h[:, :1]).T
     a = h1 / 2
@@ -208,8 +209,9 @@ def _sphere_centres(g: np.ndarray) -> np.ndarray:
     ac, bc = a.conj(), b.conj()
     u, v = ac * e1 + bc * e2, e1 + ac * e2 + bc * e3
     n, m = 1 + (ac * a).real + (bc * b).real, ac + bc * a
-    det = 2 * (n * n - (m.conj() * m).real)
-    a, b = a - (n * u - m * v) / det, b - (n * v - m.conj() * u) / det
+    mc = m.conj()
+    det = 2 * (n * n - (mc * m).real)
+    a, b = a - (n * u - m * v) / det, b - (n * v - mc * u) / det
     x = np.concatenate([root[:, None] for root in _quadratic_roots(a, b)], 1)
     centres = x[..., None] * _CHART_INF[chart, None] + _CHART_CENTRE[chart, None]
     return centres / wb.norm(centres, axis=-1, keepdims=True)
@@ -257,7 +259,8 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
 
     # the square of the pair form (s1 t - t1 s)(s2 t - t2 s) = r0 s^2 + r1 s t + r2 t^2
     s0, t0 = centers[..., 0], centers[..., 1]
-    r0, r1, r2 = t0[:, 0] * t0[:, 1], -(s0[:, 0] * t0[:, 1] + t0[:, 0] * s0[:, 1]), s0[:, 0] * s0[:, 1]
+    st, ts = s0[:, 0] * t0[:, 1], t0[:, 0] * s0[:, 1]
+    r0, r1, r2 = t0[:, 0] * t0[:, 1], -(st + ts), s0[:, 0] * s0[:, 1]
     model = np.concatenate([x[:, None] for x in (r0 * r0, 2 * r0 * r1, r1 * r1 + 2 * r0 * r2, 2 * r1 * r2, r2 * r2)], 1)
     amp = np.add.reduce(model.conj() * g, 1, keepdims=True) / np.add.reduce(model.conj() * model, 1, keepdims=True)
     residual = (wb.norm(g - amp * model, axis=-1, keepdims=True) / wb.norm(g, axis=-1, keepdims=True))[:, 0]
@@ -266,7 +269,7 @@ def bitangency_summary(curve: QuarticCurve, labelled_lines) -> tuple[tuple, dict
     # sqrt(|e|) / separation, and |e| is at least the rounding level eps of g however
     # small the residual reads; near-flex is a split of at least a tenth of the
     # separation, i.e. separation^2 <= 10 sqrt(max(residual, eps))
-    separation = np.abs(s0[:, 0] * t0[:, 1] - t0[:, 0] * s0[:, 1])  # chordal, the centres being unit
+    separation = np.abs(st - ts)  # chordal, the centres being unit
     is_bitangent = residual < BITANGENCY_TOL
     near_flex = is_bitangent & (separation * separation <= 10 * np.sqrt(np.maximum(residual, _EPS)))
     contacts = _canonical(s0[..., None] * p[:, None, :] + t0[..., None] * q[:, None, :])

@@ -80,7 +80,7 @@ MONOMIALS = tuple(sorted(((a, b, 4 - a - b) for a in range(5) for b in range(5 -
 #: _QUARTIC_SUM[m, 27i + 9j + 3k + l] is 1 iff X_i X_j X_k X_l is monomial m
 _QUARTIC_SUM = np.array(
     [[tuple(map(idx.count, range(3))) == e for idx in product(range(3), repeat=4)] for e in MONOMIALS],
-    dtype=float,
+    dtype=complex,
 )
 
 #: Guards for the small dense solves.  The condition limit only has to

@@ -496,11 +496,12 @@ def _draw(*shape):
 
 @pytest.mark.parametrize("z", [
     2.5 - 0j, np.array(-0.0 + 1j), np.complex128(1e-300 - 3j),
-    _draw(3), _draw(2, 3), _draw(2, 2, 3), _draw(0), _draw(0, 3),
+    _draw(3), _draw(2, 3), _draw(2, 2, 3), _draw(0), _draw(0, 3), _draw(2, 0), _draw(2, 0, 3),
     NON_FINITE, CONTACTS, np.stack([CONTACTS, -CONTACTS]),
-], ids=["complex", "0-d", "complex128", "3", "2x3", "2x2x3", "0", "0x3", "non-finite", "contacts", "3-d"])
+], ids=["complex", "0-d", "complex128", "3", "2x3", "2x2x3", "0", "0x3", "2x0", "2x0x3", "non-finite", "contacts",
+        "3-d"])
 def test_complex_to_json_is_the_wire_form(z):
-    # one dict per number, nested as the array is, every part a Python float with the bits of the number
+    # one dict per number, nested as the array is in lists, every part a Python float with the bits of the number
     assert _bits(complex_to_json(z)) == _bits(_one_by_one(z))
 
 
@@ -601,6 +602,7 @@ NOT_TRACED = {
     "thetaeval.grad_theta0": "README entry point; perfbench/tracing.py wraps it",
     "thetaeval.even_constant_table": "README entry point; perfbench/workloads.py screens draws with it",
     "thetaeval.odd_gradient_table": "README entry point; perfbench/tracing.py wraps it",
+    "thetaeval._packing_radius": "runs only for an Im tau with pi lam_min < RHO_CAP^2, as no command's input here",
     "weber.ProjLine.__post_init__": "validation of one covector; perfbench/workloads.py builds ProjLines",
     "weber.ProjLine.residual_to": "perfbench/workloads.py compares the determinant-ratio rows with it",
     "weber.aronhold_coeffs_dets": "perfbench/workloads.py reads the determinant-ratio rows",

@@ -43,7 +43,7 @@ from thetaquartic.weber import (
     weber_coefficients,
 )
 
-from conftest import genus1_factorization_residual, xor_char
+from conftest import genus1_factorization_residual, near_singular_tau, xor_char
 
 RNG = np.random.default_rng(2024)
 DATA = Path(__file__).parent / "data"
@@ -466,17 +466,36 @@ def test_point_cap_counts_thin_ellipsoid():
 
 
 def test_point_cap_counts_the_top_level_first():
-    # Y_33 = 1e-14 makes the k_3 interval of the packing-radius pass alone 5.64e6 long: the
-    # cap refuses it from that count, before any level's points are allocated (about 45 MB)
+    # Y_33 = 1e-14 makes the k_3 interval of the main pass, counted at the lower bound on its
+    # radius, alone 1.76e8 long: the cap refuses it from that count, before any level's points
+    # are allocated (about 1.4 GB), and before the packing radius is enumerated
     tau = PeriodMatrix(1j * np.diag([1, 1, 1e-14]))
     tracemalloc.start()
     try:
-        with pytest.raises(TruncationError, match=r"^5\.64e\+06 lattice points needed, over the cap of 1048576; "):
+        with pytest.raises(TruncationError, match=r"^1\.76e\+08 lattice points needed, over the cap of 1048576; "):
             theta_tables(tau)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_near_singular_refusal_enumerates_few_points(monkeypatch):
+    # a near-singular Im tau is refused from the count of the main pass at a lower bound on its
+    # radius, before the packing radius is enumerated: that took up to a million points per tau
+    ellipsoid, rows = thetaeval._ellipsoid, []
+
+    def counting(*args):
+        k = ellipsoid(*args)
+        rows.append(len(k))
+        return k
+
+    monkeypatch.setattr(thetaeval, "_ellipsoid", counting)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        with pytest.raises(TruncationError):
+            theta_tables(PeriodMatrix(near_singular_tau(rng, 1e-13)))
+    assert sum(rows) < 10**4
 
 
 @pytest.fixture

@@ -81,7 +81,7 @@ def test_every_accepted_tau_ends_typed():
     # each tau PeriodMatrix accepts ends in a Reconstruction or a typed refusal, never a raw numpy error
     # (or a RuntimeWarning, an error in tier-1), in four families: Im tau scaled by 10^[-2.5, 3], one
     # diagonal entry of Im tau scaled up by up to 10^2.5, Im tau = Q diag(eps, 1, 2) Q^T with eps in
-    # [1e-18, 1e-15], and Re tau shifted by 2B, B integer symmetric with entries up to 10^6
+    # [1e-18, 1e-12], and Re tau shifted by 2B, B integer symmetric with entries up to 10^6
     rng = np.random.default_rng(0)
     outcomes = collections.Counter()
     for _ in range(40):
@@ -92,7 +92,7 @@ def test_every_accepted_tau_ends_typed():
         for draw in (
             tau.real + 1j * tau.imag * 10 ** rng.uniform(-2.5, 3),
             tau.real + 1j * thick,
-            near_singular_tau(rng, 10 ** rng.uniform(-18, -15)),
+            near_singular_tau(rng, 10 ** rng.uniform(-18, -12)),
             tau + 2 * (np.triu(b) + np.triu(b, 1).T),
         ):
             try:
