@@ -18,9 +18,12 @@ from that checkout's ``src`` and runs the same inputs:
   packed indices);
 - ``bitangents``, ``quartic`` and ``verify`` on the three
   ``tests/data/tau_*.json`` files, with the reference system,
-  ``--system-index 5`` and ``--system-index 287``, and ``classify``,
-  ``aronhold`` and ``aronhold --system-index`` 0, 5 and 287, each once to
-  stdout and once with ``--json FILE``.
+  ``--system-index 5`` and ``--system-index 287``, and on
+  ``random_admissible_tau(1..30)``, which the child writes with
+  ``tau_to_json`` as tau files in its temporary directory, with the
+  reference system; and ``classify``, ``aronhold`` and ``aronhold
+  --system-index`` 0, 5 and 287; each CLI run once to stdout and once with
+  ``--json FILE``.
 
 Per input and system it keeps a sha256 (or the refusal's type and
 message) of every array of ``reconstruct``, of the determinant-ratio rows
@@ -87,7 +90,7 @@ def digest_checkout(root: Path) -> dict:
     import thetaquartic
     from thetaquartic import cli, random_admissible_tau, reconstruct, verify, weber
     from thetaquartic.charalgebra import REFERENCE_SYSTEM, derived_forms, enumerate_aronhold
-    from thetaquartic.thetaeval import PeriodMatrix, random_tau, tau_from_json, theta_tables
+    from thetaquartic.thetaeval import PeriodMatrix, random_tau, tau_from_json, tau_to_json, theta_tables
 
     if Path(thetaquartic.__file__).resolve().parent != (root / "src" / "thetaquartic").resolve():
         sys.exit(f"imported {thetaquartic.__file__}, not the package under {root / 'src'}")
@@ -160,6 +163,11 @@ def digest_checkout(root: Path) -> dict:
         # (the words of the digest's key, the arguments)
         runs = [((command, file, *flags), (command, "--tau", str(DATA / file), *flags))
                 for file in TAU_FILES for command in COMMANDS for flags in SYSTEM_FLAGS]
+        for seed in SEEDS:
+            path = Path(tmp) / f"tau_admissible_{seed}.json"
+            path.write_text(json.dumps(tau_to_json(random_admissible_tau(seed).tau)))
+            runs += [((command, f"random_admissible_tau({seed})"), (command, "--tau", str(path)))
+                     for command in COMMANDS]
         for name, argv in runs + [(argv, argv) for argv in TAU_FREE]:
             for to_file in (False, True):
                 stdout, stderr = io.StringIO(), io.StringIO()

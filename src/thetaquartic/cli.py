@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout (or to the file named by
-``--json``); human-readable summaries go to stderr.  Each command
-builds its report as JSON data (labels from :data:`_LABELS`, pipeline
-reports in :func:`_report`), which :func:`_emit` writes in
-``json.dumps``'s default layout, one line per report.  Exit codes: 0
-success, 1 input error (usage errors included), 2 special-locus
-refusal, 3 invariant or verification failure, or a numerical refusal
-by :func:`~thetaquartic.verify.reconstruct`, which writes no report.
+``--json``); human-readable summaries go to stderr.  Each report is one
+line in ``json.dumps``'s default layout.  ``classify``, ``aronhold``,
+``random-tau`` and ``selftest`` build theirs as JSON data (labels from
+:data:`_LABELS`), which :func:`_emit` dumps.  :func:`_report` writes the
+text of the pipeline reports of ``bitangents``, ``quartic`` and
+``verify`` directly: the bytes ``json.dumps`` would make of them.  Exit
+codes: 0 success, 1 input error (usage errors included), 2
+special-locus refusal, 3 invariant or verification failure, or a
+numerical refusal by :func:`~thetaquartic.verify.reconstruct`, which
+writes no report.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_json_target(path: str) -> None:
-    """Refuse a --json path that cannot be written, before any work; the file is opened only by :func:`_emit`."""
+    """Refuse a --json path that cannot be written, before any work; the file is opened only by :func:`_write`."""
     if not path:
         raise ValueError("--json needs a file path, got an empty one")
     if os.path.isdir(path):
@@ -86,6 +89,10 @@ def _check_json_target(path: str) -> None:
 
 #: the wire form {"mp", "mpp"} of each of the 64 forms, keyed by its bits m' + m''; shared by every report, never mutated
 _LABELS = {q.mp + q.mpp: {"mp": list(q.mp), "mpp": list(q.mpp)} for q in ca.all_forms()}
+#: the json.dumps text of each label of _LABELS, keyed as it is
+_LABEL_TEXT = {bits: json.dumps(label) for bits, label in _LABELS.items()}
+#: json's spelling of the floats that float.__repr__ writes nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _label(q: ca.Characteristic) -> dict:
@@ -94,7 +101,11 @@ def _label(q: ca.Characteristic) -> dict:
 
 def _emit(obj, args) -> None:
     """Write a report, a tree of JSON data that holds no cycle (so none is checked for), as one line of JSON."""
-    text = json.dumps(obj, check_circular=False) + "\n"
+    _write(json.dumps(obj, check_circular=False) + "\n", args)
+
+
+def _write(text: str, args) -> None:
+    """Write one report's text to the --json file, or else to stdout."""
     if args.json_path is not None:
         with open(args.json_path, "w") as fh:
             fh.write(text)
@@ -179,34 +190,59 @@ REPORT_KEYS = {
 }
 
 
-def _report(keys, run: vf.Reconstruction) -> dict:
-    """The report of one pipeline run under the given top-level keys, in their order, as JSON data.
+def _texts(values: np.ndarray) -> list:
+    """The json.dumps text of each float: float.__repr__'s, but NaN, Infinity and -Infinity for nan, inf and -inf."""
+    texts = list(map(repr, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _array(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+def _rows(z) -> list:
+    """The json.dumps text of each row of ``complex_to_json(z)``, for a complex array with no empty axis."""
+    cell = '{"re": %s, "im": %s}'
+    for n in reversed(z.shape[1:]):
+        cell = "[" + ", ".join([cell] * n) + "]"
+    texts = _texts(np.asarray(z, dtype=complex).ravel().view(float))
+    return [cell % row for row in zip(*[iter(texts)] * (len(texts) // len(z)))]
+
+
+def _report(keys, run: vf.Reconstruction) -> str:
+    """The report of one pipeline run under the given top-level keys, in their order, as json.dumps would print it.
 
     The one place the pipeline's JSON layout is written, and a field is
-    built only when its key is asked for.  Each complex field is one
-    :func:`~thetaquartic.thetaeval.complex_to_json` call (the 28 lines
-    and the 28 contact pairs as stacks, zipped row by row into the
-    per-line dicts); labels come from :data:`_LABELS`.  Covectors are
-    scaled by :func:`~thetaquartic.weber.unit_pivot`.
+    built only when its key is asked for.  The text is written directly,
+    with no tree of dicts and no cached layout: each float is written as
+    json's encoder writes it (:func:`_texts`), each complex array row by
+    row in the layout ``json.dumps`` gives
+    :func:`~thetaquartic.thetaeval.complex_to_json` (:func:`_rows`), and
+    labels are read from :data:`_LABEL_TEXT`.  Covectors are scaled by
+    :func:`~thetaquartic.weber.unit_pivot`.
     """
     ok, residual, contacts, _ = run.certs
+    labels = [_LABEL_TEXT[q.mp + q.mpp] for q in run.labels]
     fields = {
-        "aronhold": lambda: [_label(q) for q in run.frame.system],
-        "a": lambda: te.complex_to_json(run.frame.a),
-        "bitangents": lambda: [{"q": _label(q), "line": row}
-                               for q, row in zip(run.labels, te.complex_to_json(wb.unit_pivot(run.covectors)))],
-        "quartic": lambda: te.complex_to_json(run.quartic.coeffs),
-        "k": lambda: te.complex_to_json(run.frame.k),
-        "lambda": lambda: te.complex_to_json(run.frame.lam),
-        "xi": lambda: te.complex_to_json(wb.unit_pivot(run.frame.xi)),
-        "reports": lambda: [
-            {"q": _label(q), "is_bitangent": b, "residual": r, "contacts": x}
-            for q, b, r, x in zip(run.labels, ok.tolist(), residual.tolist(), te.complex_to_json(contacts))
-        ],
-        "summary": lambda: run.summary,
+        "aronhold": lambda: _array(_LABEL_TEXT[q.mp + q.mpp] for q in run.frame.system),
+        "a": lambda: _array(_rows(run.frame.a)),
+        "bitangents": lambda: _array(f'{{"q": {q}, "line": {row}}}'
+                                     for q, row in zip(labels, _rows(wb.unit_pivot(run.covectors)))),
+        "quartic": lambda: _array(_rows(run.quartic.coeffs)),
+        "k": lambda: _array(_rows(run.frame.k)),
+        "lambda": lambda: _array(_rows(run.frame.lam)),
+        "xi": lambda: _array(_rows(wb.unit_pivot(run.frame.xi))),
+        "reports": lambda: _array(
+            f'{{"q": {q}, "is_bitangent": {b}, "residual": {r}, "contacts": {x}}}'
+            for q, b, r, x in zip(labels, ["true" if b else "false" for b in ok.tolist()], _texts(residual),
+                                  _rows(contacts))
+        ),
+        "summary": lambda: json.dumps(run.summary),
         "verify": lambda: _report(REPORT_KEYS["verify"], run),
     }
-    return {key: fields[key]() for key in keys}
+    return "{" + ", ".join(f'"{key}": {fields[key]()}' for key in keys) + "}"
 
 
 def cmd_pipeline(args) -> int:
@@ -218,7 +254,7 @@ def cmd_pipeline(args) -> int:
     """
     run = vf.reconstruct(_load_tau(args), _system(args))
     _note(f"bitangency: {run.summary['pass']}/28 pass, max residual {run.summary['max_residual']:.3e}")
-    _emit(_report(REPORT_KEYS[args.command], run), args)
+    _write(_report(REPORT_KEYS[args.command], run) + "\n", args)
     if run.summary["pass"] != 28:
         return EXIT_INVARIANT
     if args.command == "quartic":

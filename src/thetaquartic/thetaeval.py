@@ -514,10 +514,12 @@ def random_tau(rng: np.random.Generator) -> np.ndarray:
 def complex_to_json(z):
     """The JSON form of complex numbers: {"re", "im"} for a number, nested lists of them for an array.
 
-    The wire form of every complex number the package writes, the
-    command line's reports and tau files alike.  An array is converted
-    in one pass over its real and imaginary parts, then nested back to
-    its shape, innermost axis first, by grouping consecutive items.
+    The wire form of every complex number the package writes.  Tau files
+    (:func:`tau_to_json`) are written with it; the command line writes
+    the text ``json.dumps`` makes of it directly, and tests build its
+    reports number by number with it to check that text.  An array is
+    converted in one pass over its real and imaginary parts, then nested
+    back to its shape, innermost axis first, by grouping consecutive items.
     """
     if not np.ndim(z):
         z = complex(z)

@@ -556,7 +556,7 @@ LEAFWISE_RUNS = [("tau_seed3", None, 0), ("tau_rng201_draw213", None, 3), ("tau_
 @pytest.mark.parametrize("command", ["bitangents", "quartic", "verify"])
 @pytest.mark.parametrize("tau, index, code", LEAFWISE_RUNS)
 def test_report_is_the_leafwise_tree(command, tau, index, code, capsys):
-    # the stacked conversions of cli._report print the bytes of a tree converted number by number
+    # the text cli._report writes is the bytes json.dumps makes of a tree converted number by number
     path = DATA / f"{tau}.json"
     argv = [command, "--tau", str(path)] + ([] if index is None else ["--system-index", str(index)])
     got, out, _ = run_cli(capsys, *argv)
@@ -566,9 +566,31 @@ def test_report_is_the_leafwise_tree(command, tau, index, code, capsys):
     assert out == json.dumps(_leafwise_report(command, run)) + "\n"
 
 
+@pytest.mark.parametrize("command", ["bitangents", "verify"])
+def test_non_finite_values_print_as_json_dumps_spells_them(command, monkeypatch, capsys):
+    # the report writer spells NaN and the infinities as json.dumps does (NaN, Infinity, -Infinity), keeps -0.0,
+    # and prints them where json.dumps prints them: a writer that prints nan or inf fails here
+    path = DATA / "tau_seed3.json"
+    run = reconstruct(PeriodMatrix(tau_from_json(json.loads(path.read_text()))))
+    ok, residual, contacts, flex = run.certs
+    residual, contacts = residual.copy(), contacts.copy()
+    residual[4] = math.nan
+    contacts[0, 1] = [complex(math.inf, -0.0), complex(-math.inf, math.inf), -0.0]
+    contacts[27, 0, 2] = complex(1.5, -math.inf)
+    summary = dict(run.summary, max_residual=math.nan)
+    odd = dataclasses.replace(run, certs=(ok, residual, contacts, flex), summary=summary)
+    monkeypatch.setattr("thetaquartic.verify.reconstruct", lambda *args: odd)
+    code, out, _ = run_cli(capsys, command, "--tau", str(path))
+    assert code == 0
+    assert out == json.dumps(_leafwise_report(command, odd)) + "\n"
+    assert out.count("NaN") == 2 and out.count("-Infinity") == 2 and out.count("Infinity") == 4
+    assert '"max_residual": NaN' in out and '{"re": -0.0, "im": 0.0}' in out
+
+
 def test_report_holds_only_json_data(monkeypatch, capsys):
-    # json.dumps never falls back to a default hook: no array and no Characteristic reaches it
-    seen = []
+    # json.dumps never falls back to a default hook: no array and no Characteristic reaches it (the pipeline
+    # commands hand it their summary), and each report is the bytes json.dumps makes of what it parses to
+    seen, dumped = [], []
 
     def hook(node):
         seen.append(type(node).__name__)
@@ -579,10 +601,12 @@ def test_report_holds_only_json_data(monkeypatch, capsys):
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
     dumps = json.dumps
-    monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumps(obj, default=hook, **kw))
-    code, out, _ = run_cli(capsys, "bitangents", "--tau", str(DATA / "tau_seed3.json"))
-    assert code == 0 and len(json.loads(out)["bitangents"]) == 28
-    assert seen == []
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, default=hook, **kw))
+    for command in ("bitangents", "quartic", "verify"):
+        code, out, _ = run_cli(capsys, command, "--tau", str(DATA / "tau_seed3.json"))
+        assert code == 0 and out == dumps(json.loads(out)) + "\n"
+    assert len(json.loads(out)["reports"]) == 28
+    assert dumped and seen == []
 
 
 def test_repeated_runs_print_the_same_bytes(capsys):
