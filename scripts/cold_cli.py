@@ -9,6 +9,14 @@ TAU is ``random-tau --seed 7``, written to a temporary file before
 timing; system 5 certifies it.  The package is imported from this
 checkout's ``src``.  Standard library only; set
 ``OPENBLAS_NUM_THREADS=1`` for repeatable numbers.
+
+What it can resolve: it times one checkout, and runs each variant's
+processes back to back, with no alternation between checkouts and no
+in-process probe.  Process start-up noise is tens of milliseconds (the
+median of ``-n 10`` has read 0.143 s and 0.186 s on the same tree), so
+it hides any change to the cold path under a few milliseconds.  A claim
+of a sub-millisecond cold-path change needs in-process times of the
+first report of fresh processes instead.
 """
 
 import argparse

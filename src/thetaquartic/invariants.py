@@ -7,9 +7,10 @@ matrices; the acceptance tests run the same checks at their own seeds.
 The checks of exact combinatorics ignore the period matrix and count
 mismatches against tolerance 0.  The identity evaluators the checks
 measure live here too, and so does :func:`cube_sum`, the one direct
-lattice sum the check ``reduction-formula`` and the tests compare the
-engine with: the pipeline calls none of them, and the command line
-imports this module only for ``selftest``.
+lattice sum: ``reduction-formula`` and the tests compare the engine with
+it, and the identities read it at every z but 0, the engine's only z.
+The pipeline calls none of them; the command line imports this module
+only for ``selftest``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def _check(name: str, tol: float):
     return register
 
 
+_UNITS = np.array([1, 1j, -1, -1j])
+
+
 def cube_sum(mp, mpp, tau, z=None):
     """Theta value and z-gradient at any integer characteristic and z (default 0), from a direct box sum.
 
@@ -71,7 +75,9 @@ def cube_sum(mp, mpp, tau, z=None):
     eigenvalue of Y, leaves out only terms below 1e-15 of the peak term.
     It never reduces the characteristic and shares no code with
     :mod:`thetaquartic.thetaeval`, so it is the reference for the
-    reduction signs and for the engine's tail bound.
+    reduction signs and for the engine's tail bound.  ``mpp`` may be a
+    stack (M, 3) of m'' for the one m': the cube is then summed once, and
+    the values (M,) and gradients (M, 3) come back in its order.
     """
     tau, mp = np.asarray(tau), np.asarray(mp, dtype=float)
     z = np.zeros(3) if z is None else np.asarray(z, dtype=complex)
@@ -79,9 +85,19 @@ def cube_sum(mp, mpp, tau, z=None):
     half = math.ceil(0.5 + math.sqrt(-math.log(1e-15) / (math.pi * np.linalg.eigvalsh(tau.imag).min())))
     r = np.arange(-half, half + 1)
     p = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3) + centre + mp / 2
-    # e(x) convention
-    terms = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + p @ np.asarray(mpp) + 2 * p @ z))
-    return terms.sum(), 2j * np.pi * p.T @ terms
+    w = np.exp(1j * np.pi * (np.einsum("ni,ij,nj->n", p, tau, p) + 2 * p @ z))  # e(x) convention
+    # column j: the terms of the j-th m'', times e(p.m'') = i^(2p.m''), exactly, as 2p is an integer vector
+    terms = w[:, None] * _UNITS[(2 * p @ np.atleast_2d(mpp).T).astype(int) & 3]
+    values, grads = terms.sum(axis=0), 2j * np.pi * terms.T @ p
+    return (values[0], grads[0]) if np.ndim(mpp) == 1 else (values, grads)
+
+
+def _table_at(tau: te.PeriodMatrix, z) -> np.ndarray:
+    """The 64 theta values at z by packed index, as the engine's tables hold theirs: 8 direct sums, one per m'."""
+    table, bits = np.empty(64, dtype=complex), list(itertools.product((0, 1), repeat=3))
+    for mp in bits:
+        table[[ca.pack(ca.Characteristic(mp, mpp)) for mpp in bits]] = cube_sum(mp, bits, tau.tau, z)[0]
+    return table
 
 
 #: the step of :func:`fd_gradient`'s central differences
@@ -186,21 +202,24 @@ def addition_formula_residual(
     the right side averages, over the 64 representatives a of Z^6/2Z^6,
     the products theta_{n_i+a} with (n_i) the half-sum transform of
     (m_i), weighted by e(m1'.a'').  Raises if the (n_i) are not
-    integral.  Each distinct z costs one lattice pass (at u = None, u + v is v).
+    integral.  The values at z = 0 are the engine's table; those at each
+    other distinct z are one table of direct sums (:func:`cube_sum`).
     """
     ms = (m1, m2, m3, m4)
     ns = [_half_combination(ms, s) for s in _ADDITION_SIGNS]
     zero = np.zeros(3, dtype=complex)
     uu, vv = (zero if x is None else np.asarray(x, dtype=complex) for x in (u, v))
     consts = te.theta_tables(tau).values
-    passes = {}  # the values at z, keyed by the bytes of z
+    tables = {}  # the values at z != 0, keyed by the bytes of z
 
     def at(z):
-        if z.tobytes() not in passes:
-            passes[z.tobytes()] = te._series(tau, z)[0]
-        return passes[z.tobytes()]
+        if not z.any():
+            return consts
+        if z.tobytes() not in tables:
+            tables[z.tobytes()] = _table_at(tau, z)
+        return tables[z.tobytes()]
 
-    at_u, at_v = (consts if x is None else at(y) for x, y in ((u, uu), (v, vv)))
+    at_u, at_v = at(uu), at(vv)
     lhs = te._lookup(at(uu + vv), m1) * te._lookup(at(uu - vv), m2) * te._lookup(consts, m3) * te._lookup(consts, m4)
     total = 0.0 + 0.0j
     peak = 0.0
@@ -234,17 +253,17 @@ def quasi_periodicity_residual(q: ca.Characteristic, k, h, tau: te.PeriodMatrix,
     Shifting z by h/2 + tau.k/2 multiplies theta[q] by
     e(-k.(m''+h)/2 - k.z - k.tau.k/4) and replaces the characteristic
     by the integer sum (m'+k, m''+h); the reduction sign of that sum is
-    part of the law, which is why the right side goes through
-    :func:`thetaquartic.thetaeval.theta` rather than a plain reduced constant.
+    part of the law, so the right side is that sign times the direct sum
+    (:func:`cube_sum`) at the reduced characteristic.  Both sides are direct sums.
     """
     k = np.array([int(x) for x in k])
     h = np.array([int(x) for x in h])
     z = np.zeros(3, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    lhs = te.theta(q, tau, z + h / 2 + tau.tau @ k / 2)
+    lhs = cube_sum(q.mp, q.mpp, tau.tau, z + h / 2 + tau.tau @ k / 2)[0]
     mpp = np.array(q.mpp)
     exponent = -0.5 * k @ (mpp + h) - k @ z - 0.25 * k @ tau.tau @ k
-    shifted = te.theta(ca.char_sum(q, ca.Characteristic(tuple(k), tuple(h))), tau, z)
-    rhs = np.exp(1j * np.pi * exponent) * shifted  # e(x) convention
+    r, sign = ca.reduce_characteristic(ca.char_sum(q, ca.Characteristic(tuple(k), tuple(h))))
+    rhs = np.exp(1j * np.pi * exponent) * sign * cube_sum(r.mp, r.mpp, tau.tau, z)[0]  # e(x) convention
     scale = max(abs(lhs), abs(rhs))
     if scale == 0:
         return 0.0
@@ -321,12 +340,12 @@ def parity_vanishing(tau, rng):
 
 @_check("gradient-finite-difference", 1e-7)
 def gradient_finite_difference(tau, rng):
-    """Series gradients of 3 random odd forms against central differences, relative."""
+    """Series gradients of 3 random odd forms against central differences of the direct sum, relative."""
     worst = 0.0
     for idx in rng.integers(0, 28, 3):
         m = ca.odd_forms()[int(idx)]
         g = te.grad_theta0(m, tau)
-        fd = fd_gradient(lambda dz: te.theta(m, tau, dz))
+        fd = fd_gradient(lambda dz: cube_sum(m.mp, m.mpp, tau.tau, dz)[0])
         worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(g))
     return worst
 

@@ -1,6 +1,6 @@
 """Numerical Riemann theta machinery for genus 3.
 
-Evaluates the lattice series
+Evaluates the theta constants and their z-gradients at z = 0 of the lattice series
 
     theta_m(tau, z) = sum_{n in Z^3} e[ (n+m'/2).tau.(n+m'/2) + 2(n+m'/2).(z+m''/2) ]
 
@@ -9,84 +9,73 @@ convention is the single most bug-prone piece of the whole pipeline.  A
 phase of a real argument is ``numpy.exp(1j*pi*...)`` on a value
 assembled right next to a comment saying so, as in the lattice pass.
 Integer phases are exact powers of i instead: ``_CLASS_UNITS``, the
-unit vector of a reduced Re tau and Re z (:func:`_series`), the phases
-of :func:`~thetaquartic.weber.weber_symbolic`, and the signs +-1 of
+units of a reduced Re tau (:func:`_series`), the phases of
+:func:`~thetaquartic.weber.weber_symbolic`, and the signs +-1 of
 :func:`~thetaquartic.charalgebra.reduce_characteristic`.
 
 Every series goes through one private kernel (:func:`_series`): one
-lattice pass at one z returns the values (64,) and z-gradients (64, 3) of
+lattice pass at z = 0 returns the values (64,) and z-gradients (64, 3) of
 all 64 reduced characteristics, in rows by packed index
-(:func:`thetaquartic.charalgebra.pack`, the layout's one owner).  Every
-theta quantity is read from such a table by one helper (:func:`_lookup`),
-which reduces an integer characteristic m = r + 2n and applies the
-reduction sign.  At z = 0 the table is the one kept on the PeriodMatrix
-per truncation policy, with the special-locus verdict beside it
-(:func:`theta_tables`).  The policy is a setting of the tables only:
-:func:`theta_tables` and :func:`even_constant_table` take one, and every
-other entry point reads the default-tail table, so the constants, the
-gradients and every pipeline stage read the same pass; a value at any
-other z costs one fresh default-tail pass.
+(:func:`thetaquartic.charalgebra.pack`, the layout's one owner).  The
+table is kept on the PeriodMatrix per truncation policy, with the
+special-locus verdict beside it (:func:`theta_tables`).  Every theta
+quantity is read from it by one helper (:func:`_lookup`), which reduces
+an integer characteristic m = r + 2n and applies the reduction sign.
+The policy is a setting of the tables only: :func:`theta_tables` and
+:func:`even_constant_table` take one, and every other entry point reads
+the default-tail table, so the constants, the gradients and every
+pipeline stage read the same pass.
 
-With Y = Im(tau), p = n + m'/2 and a = Y^-1 Im(z), a term has modulus
-exp(pi a.Y.a) exp(-pi (n+c).Y.(n+c)) with center c = m'/2 + a, the
-Gaussian peak.  Each m' shift sums over its ellipsoid
+With Y = Im(tau) and p = n + m'/2, a term has modulus exp(-pi p.Y.p), and
+each m' shift sums over its ellipsoid p.Y.p <= R^2.  The 8 shifted
+ellipsoids are one ellipsoid in k = 2p, an integer vector with k mod 2 = m':
 
-    (n + c).Y.(n + c) <= R^2.
-
-The 8 shifted ellipsoids are one ellipsoid in k = 2p, an integer vector
-with k mod 2 = m':
-
-    |(chol/2).(k + 2a)|^2 <= R^2,   Y = chol^T chol,
+    |(chol/2).k|^2 <= R^2,   Y = chol^T chol,
 
 enumerated level by level from the Cholesky factor (Fincke-Pohst) in one
-vectorized pass.  The factor w = e(p.tau.p + 2p.z) is common to all 64
+vectorized pass.  The factor w = e(p.tau.p) is common to all 64
 characteristics at a point, and e(p.m'') = i^(k.m'') depends only on
 k mod 4.  So the pass sums w and p_l w over the 64 classes of k mod 4
 (``np.bincount``), and one constant 64 x 64 table of units (i^(k.m'')
 where k mod 2 = m', else 0) maps the class sums to the values and, times
 2*pi*i, the gradients of every characteristic.
 
-At z = 0 the pass uses the parity of theta.  The ellipsoid is centred
-at 0, so its points come in pairs k, -k around the one point k = 0, and
-the enumeration lists them as row h + j = -(row h - j) of its N rows,
-h = N // 2.  The weight w = e(p.tau.p) is even in p and the gradient
-weight p w odd, so the pass exponentiates only rows 0..h, about
-(N + 1) / 2 of the N points, and mirrors w into the rest.  One product
-p w over all N rows then gives the gradient weights: row h + j has -p
-and the same w, so its products are exactly the negated ones.  The
-class sums run over the full list in its order, so they hold the same
-bits as a pass over every point.
-
-The pass's sums over the three coordinates (the quadratic form, the
-linear term p.2z and the class index of k mod 4) are written out as
-column sums, in the order ``np.add.reduce`` takes them, since a
-reduction along the short axis of an (N, 3) array costs more than its
-arithmetic.  At z != 0 the linear term is no BLAS matrix-vector
-product, which could start threads that cost more than the whole pass.
+The pass uses the parity of theta.  The ellipsoid is centred at 0, so
+its points come in pairs k, -k around the one point k = 0, and the
+enumeration lists them as row h + j = -(row h - j) of its N rows,
+h = N // 2.  The weight w is even in p and the gradient weight p w odd,
+so the pass exponentiates only rows 0..h, about (N + 1) / 2 of the N
+points, and mirrors w into the rest.  One product p w over all N rows
+then gives the gradient weights: row h + j has -p and the same w, so its
+products are exactly the negated ones.  The class sums run over the
+full list in its order, so they hold the same bits as a pass over every
+point.  The sums over the three coordinates (the quadratic form and the
+class index of k mod 4) are column sums, in the order ``np.add.reduce``
+takes them: a reduction along the short axis of an (N, 3) array costs
+more than its arithmetic.
 
 R follows the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004).  In
-coordinates u with |u|^2 = pi (n+c).Y.(n+c), take rho at most the
-shortest nonzero lattice vector (capped at ``RHO_CAP``): balls of radius
-rho/2 around the points are disjoint, and a subharmonic summand is at
-most its ball average, so for T = (sqrt(pi) R - rho/2)^2 >= _T_MIN
+coordinates u with |u|^2 = pi p.Y.p, take rho at most the shortest
+nonzero lattice vector (capped at ``RHO_CAP``): balls of radius rho/2
+around the points are disjoint, and a subharmonic summand is at most its
+ball average, so for T = (sqrt(pi) R - rho/2)^2 >= _T_MIN
 
     sum over |u| >= sqrt(pi) R of exp(-|u|^2)      <= (3/2)(2/rho)^3 Gamma(3/2, T)
     sum over |u| >= sqrt(pi) R of |u| exp(-|u|^2)  <= (3/2)(2/rho)^3 Gamma(2, T).
 
 The second sum covers the |p| factor of the gradient terms, through
-|p| <= |a| + |u| / sqrt(pi lam_min).  R is set so that the neglected
-value mass plus gradient mass, relative to exp(pi a.Y.a) (which is 1 at
-z = 0), is below ``target_tail``: values and gradients share one rule.
+|p| <= |u| / sqrt(pi lam_min).  R is set so that the neglected value
+mass plus gradient mass is below ``target_tail``: values and gradients
+share one rule.
 
 The enumeration counts the points of each level before it allocates
 them, and a pass that would hold more than ``MAX_POINTS`` points raises
 :class:`TruncationError`.  Where rho needs a search of its own, the
 pass is first counted at a lower bound on R for every rho <= ``RHO_CAP``
 (:func:`_radius2`), so a near-singular Im tau is refused before that
-search.  The count is usually about
-8 (4/3) pi R^3 / sqrt(det Y), which is invariant under
-tau -> U tau U^T for U in GL_3(Z).  R itself grows only logarithmically
+search.  The count is usually about 8 (4/3) pi R^3 / sqrt(det Y), which
+is invariant under tau -> U tau U^T for U in GL_3(Z).  R grows only logarithmically
 with 1/lam_min (through the gradient weight and the packing radius).
 An ellipsoid thinner than the lattice spacing in some direction holds
 far more points than its volume, which is why the cap is on the exact
@@ -139,12 +128,7 @@ RHO_CAP = 0.5
 #: |u| exp(-|u|^2) is subharmonic in 3-D (exp(-|u|^2) from sqrt(3/2) on).
 _T_MIN = (10 + math.sqrt(68)) / 8
 
-#: Largest exponent whose exp is a float: a pass at z whose peak term exceeds it is refused
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-
 _UNITS = np.array([1, 1j, -1, -1j])
-_ZERO3 = np.zeros(3)
-_ZERO3.setflags(write=False)
 
 #: m' and m'' of the form in each table row: row x holds PACKED_FORMS[x], the form charalgebra.pack sends to x
 _MP, _MPP = np.array([[q.mp, q.mpp] for q in PACKED_FORMS], dtype=np.int8).transpose(1, 0, 2)
@@ -226,8 +210,8 @@ def _check_cap(count) -> None:
         raise TruncationError(f"{count:.3g} lattice points needed, over the cap of {MAX_POINTS}; {tail}")
 
 
-def _levels(chol: np.ndarray, center: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points of |chol.(k + center)|^2 <= r2 down to their last level, counted but not laid out.
+def _levels(chol: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of |chol.k|^2 <= r2 down to their last level, counted but not laid out.
 
     Fincke-Pohst on the upper Cholesky factor: k_3 ranges over one
     interval, in scalars, then k_2 over the interval the remaining budget
@@ -239,14 +223,14 @@ def _levels(chol: np.ndarray, center: np.ndarray, r2: float) -> tuple[np.ndarray
     Each level's count grows with r2, so a refusal at r2 is one at any
     larger r2 too.
     """
-    mid, half = -center[2], math.sqrt(max(r2, 0.0)) / chol[2, 2]
-    lo, hi = math.ceil(mid - half), math.floor(mid + half)
+    half = math.sqrt(max(r2, 0.0)) / chol[2, 2]
+    lo, hi = math.ceil(-half), math.floor(half)
     _check_cap(hi - lo + 1)
     ki = np.arange(lo, hi + 1, dtype=float)
-    k, rem = ki[:, None], r2 - (chol[2, 2] * (ki - mid)) ** 2
+    k, rem = ki[:, None], r2 - (chol[2, 2] * ki) ** 2
     for i in (1, 0):
         d = chol[i, i]
-        mid = -center[i] - (k + center[i + 1 :]) @ (chol[i, i + 1 :] / d)  # window center for k_i
+        mid = -(k @ (chol[i, i + 1 :] / d))  # window center for k_i
         half = np.sqrt(np.maximum(rem, 0)) / d
         lo = np.ceil(mid - half)
         counts = np.floor(mid + half) - lo + 1
@@ -260,15 +244,15 @@ def _levels(chol: np.ndarray, center: np.ndarray, r2: float) -> tuple[np.ndarray
         rem = rem.repeat(counts) - (d * (ki - mid.repeat(counts))) ** 2
 
 
-def _ellipsoid(chol: np.ndarray, center: np.ndarray, r2: float) -> np.ndarray:
-    """The integer points k with |chol.(k + center)|^2 <= r2, as float rows.
+def _ellipsoid(chol: np.ndarray, r2: float) -> np.ndarray:
+    """The integer points k with |chol.k|^2 <= r2, as float rows.
 
     The levels of :func:`_levels`, with the last one written into one
     (N, 3) array column by column.  The rows come in ascending
     (k_3, k_2, k_1) order, the order the class sums of :func:`_series`
     are taken in.
     """
-    k, lo, counts = _levels(chol, center, r2)
+    k, lo, counts = _levels(chol, r2)
     first = (lo - counts.cumsum() + counts).repeat(counts)
     out = np.empty((len(first), 3))
     np.add(first, np.arange(len(first)), out=out[:, 0])
@@ -284,13 +268,13 @@ def _packing_radius(tau: PeriodMatrix) -> float:
     which is all the tail bound needs; below the cap the bound barely
     depends on it.
     """
-    n = _ellipsoid(tau.chol, np.zeros(3), RHO_CAP**2 / math.pi)
+    n = _ellipsoid(tau.chol, RHO_CAP**2 / math.pi)
     norms = math.pi * np.add.reduce((n @ tau.chol.T) ** 2, axis=1)
     return math.sqrt(np.minimum.reduce(norms[norms > 0], initial=RHO_CAP**2))
 
 
-def _radius2(tau: PeriodMatrix, a: np.ndarray, pol: TruncationPolicy) -> float:
-    """R^2 of the summation ellipsoid about 2a: the smallest the tail bound allows for pol.target_tail.
+def _radius2(tau: PeriodMatrix, pol: TruncationPolicy) -> float:
+    """R^2 of the summation ellipsoid: the smallest the tail bound allows for pol.target_tail.
 
     The packing radius rho is RHO_CAP when pi lam_min says so, and is
     enumerated otherwise (:func:`_packing_radius`), which for a
@@ -298,14 +282,13 @@ def _radius2(tau: PeriodMatrix, a: np.ndarray, pol: TruncationPolicy) -> float:
     the pass is counted at a lower bound on R^2 for every rho <= RHO_CAP
     (:func:`_levels`), and a count over the cap refuses tau there.
     """
-    w_value = 1 + 2 * math.pi * math.sqrt(a.dot(a))  # |a|, numpy's norm of a real vector
-    w_grad = 2 * math.sqrt(math.pi / tau.lam_min)
+    w_grad = 2 * math.sqrt(math.pi / tau.lam_min)  # the value terms weigh 1
 
     def bound(t, rho):  # neglected value plus gradient mass at T = t, for packing radius rho
         s = math.sqrt(t)
         gamma_3_2 = s * math.exp(-t) + math.sqrt(math.pi) / 2 * math.erfc(s)
         gamma_2 = (1 + t) * math.exp(-t)
-        return 1.5 * (2 / rho) ** 3 * (w_value * gamma_3_2 + w_grad * gamma_2)
+        return 1.5 * (2 / rho) ** 3 * (gamma_3_2 + w_grad * gamma_2)
 
     def search(rho):  # the T the bound accepts at rho, and the largest T it rejected (_T_MIN if none)
         t = low = _T_MIN
@@ -320,82 +303,42 @@ def _radius2(tau: PeriodMatrix, a: np.ndarray, pol: TruncationPolicy) -> float:
     else:
         # the bound falls with T and grows as rho shrinks, so at any rho <= RHO_CAP it rejects
         # every T it rejected at RHO_CAP: R^2 = (sqrt(T) + rho/2)^2 / pi > low / pi
-        _levels(tau.chol / 2, 2 * a, search(RHO_CAP)[1] / math.pi)
+        _levels(tau.chol / 2, search(RHO_CAP)[1] / math.pi)
         rho = _packing_radius(tau)
     r = math.sqrt(search(rho)[0]) + rho / 2
     return r * r / math.pi
 
 
-def _series(tau: PeriodMatrix, z, pol: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
-    """Values (64,) and z-gradients (64, 3) of theta at every reduced characteristic, by packed index.
+def _series(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
+    """Values (64,) and z-gradients (64, 3) of theta at z = 0 at every reduced characteristic, by packed index.
 
-    One lattice pass over k = 2p (see the module docstring); ``z`` None
-    means z = 0, and any other z must be 3 finite numbers.  At ``z`` None
-    the parity of theta halves the work: w = e(p.tau.p) is even in p and
-    p w odd, and row h + j of the N points is -(row h - j), h = N // 2,
-    so only rows 0..h are exponentiated, about (N + 1) / 2 points, and w
-    is mirrored into the other rows of one (4, N) weight array, whose
-    gradient rows are one product over every point.  There a = Y^-1 Im z
-    and n are 0 with no solve or rint, and the peak |w| is 1 with no
-    finiteness check.  The class sums are over every point in the same
-    order, so the tables are the bits of the full pass, as at ``z`` =
-    zeros(3), which evaluates every point.  Sums over the 3 coordinates
-    are column sums, p.2z at z != 0 included.  The pass sums at tau - 2B and z - n,
-    B = rint(Re tau / 2) and n = rint(Re z), so a large Re tau or Re z
-    costs no digits in the phases.  The units i^(m'.B.m' + 2 m'.n) follow
-    only if B or n is non-zero, as in no benchmark pass (|Re tau| <= 1/2,
-    z = 0): a step on every pass cost 1-2%.
+    One lattice pass over k = 2p that exponentiates only rows 0..h of the N
+    points, h = N // 2, and mirrors the rest (see the module docstring).
+    The pass sums at tau - 2B, B = rint(Re tau / 2), so a large Re tau
+    costs no digits in the phases.  The units i^(m'.B.m') follow only if B
+    is non-zero, as in no benchmark pass (|Re tau| <= 1/2): a step on
+    every pass cost 1-2%.
     """
-    # theta[m](tau + 2B, z + n) = i^(m'.B.m' + 2 m'.n) theta[m](tau, z) for integer symmetric B and integer n
+    # theta[m](tau + 2B) = i^(m'.B.m') theta[m](tau) for integer symmetric B
     b = np.rint(tau.tau.real / 2)
-    if z is None:
-        a = n = _ZERO3  # at z = 0 the centre Y^-1 Im(z) and n are zeros, with no solve
-    else:
-        zz = np.asarray(z, dtype=complex)
-        if zz.shape != (3,) or not np.logical_and.reduce(np.isfinite(zz)):
-            raise ValueError(f"z must be 3 finite complex numbers, got {z!r}")
-        n = np.rint(zz.real)
-        a = np.linalg.solve(tau.tau.imag, zz.imag)
-        # log of the peak |w|, in Python floats, which overflow to inf without a warning
-        growth = math.pi * sum(x * y for x, y in zip(zz.imag.tolist(), a.tolist()))
-        if growth > _LOG_FLOAT_MAX:
-            raise ValueError(f"theta at z = {zz} leaves the float range: pi Im(z).Y^-1.Im(z) = {growth:.4g}")
-    try:
-        k = _ellipsoid(tau.chol / 2, 2 * a, _radius2(tau, a, pol))  # (k/2 + a).Y.(k/2 + a) <= R^2
-    except TruncationError as exc:
-        if z is None:
-            raise
-        raise TruncationError(f"{exc}; the pass was at z = {zz}") from None
+    k = _ellipsoid(tau.chol / 2, _radius2(tau, pol))  # (k/2).Y.(k/2) <= R^2
     km = k.astype(np.intp) & 3
     cls = km[:, 0] + 4 * km[:, 1] + 16 * km[:, 2]  # the class of k mod 4
     p = np.divide(k, 2, out=k)  # p = k/2, in place
-    t = tau.tau - 2 * b
     # row j: the weights of the value (j = 0) or of d/dz_j
     terms = np.empty((4, len(p)), dtype=complex)
-    if z is None:
-        # the parity of theta: row h + j is -(row h - j), so w is exponentiated on rows 0..h only
-        h = len(p) // 2
-        if len(p) % 2 == 0 or np.logical_or.reduce(p[h]):
-            raise RuntimeError(f"the lattice pass at z = 0 is not symmetric: {len(p)} points, middle row {p[h]}")
-        half = p[: h + 1]
-        q = (half @ t) * half
-        w = np.exp(1j * np.pi * (q[:, 0] + q[:, 1] + q[:, 2]), out=terms[0, : h + 1])  # e(x) convention
-        terms[0, h + 1 :] = w[-2::-1]
-        out = _class_sums(cls, p, terms)
-    else:
-        v = 2 * (zz - n)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, with a message
-            q = (p @ t) * p
-            # p.2z in columns too: a BLAS matrix-vector product may start threads that cost more than the pass
-            x = q[:, 0] + q[:, 1] + q[:, 2] + (p[:, 0] * v[0] + p[:, 1] * v[1] + p[:, 2] * v[2])
-            np.exp(1j * np.pi * x, out=terms[0])  # e(x) convention
-            out = _class_sums(cls, p, terms)
-        if not np.logical_and.reduce(np.isfinite(out), axis=None):
-            raise ValueError(f"theta at z = {zz} leaves the float range")
-    if np.logical_or.reduce(b, axis=None) or z is not None and np.logical_or.reduce(n):
-        # fmod takes B mod 4 and n mod 2 exactly, 0 from 2^54 and 2^53 on
-        b4, n2 = np.fmod(b, 4).astype(np.int8), np.fmod(n, 2).astype(np.int8)
-        out *= _UNITS[(np.add.reduce((_MP @ b4) * _MP, axis=1) + 2 * (_MP @ n2)) & 3]
+    # the parity of theta: row h + j is -(row h - j), so w is exponentiated on rows 0..h only
+    h = len(p) // 2
+    if len(p) % 2 == 0 or np.logical_or.reduce(p[h]):
+        raise RuntimeError(f"the lattice pass at z = 0 is not symmetric: {len(p)} points, middle row {p[h]}")
+    half = p[: h + 1]
+    q = (half @ (tau.tau - 2 * b)) * half
+    w = np.exp(1j * np.pi * (q[:, 0] + q[:, 1] + q[:, 2]), out=terms[0, : h + 1])  # e(x) convention
+    terms[0, h + 1 :] = w[-2::-1]
+    out = _class_sums(cls, p, terms)
+    if np.logical_or.reduce(b, axis=None):
+        b4 = np.fmod(b, 4).astype(np.int8)  # fmod takes B mod 4 exactly, 0 from 2^54 on
+        out *= _UNITS[np.add.reduce((_MP @ b4) * _MP, axis=1) & 3]
     return out[0], out[1:].T.copy()
 
 
@@ -403,7 +346,7 @@ def _class_sums(cls: np.ndarray, p: np.ndarray, terms: np.ndarray) -> np.ndarray
     """The values (row 0) and gradients (rows 1-3) at the 64 rows from the classes (N,) and points (N, 3) of a pass.
 
     ``terms`` (4, N) holds the value weights w in row 0; rows 1-3 are filled here with the gradient weights p w,
-    one product over every point (at z = 0 the mirrored rows have -p and the same w, so they are exactly negated).
+    one product over every point (the mirrored rows have -p and the same w, so they are exactly negated).
     """
     np.multiply(p.T, terms[0], out=terms[1:])
     idx = (cls + _ROW_OFFSETS).ravel()
@@ -419,16 +362,13 @@ def _lookup(table: np.ndarray, m: Characteristic):
     return sign * table[pack(r)]
 
 
-def theta(m: Characteristic, tau: PeriodMatrix, z=None) -> complex:
-    """theta_m(tau, z) for an arbitrary integer characteristic m.
+def theta(m: Characteristic, tau: PeriodMatrix) -> complex:
+    """The theta constant theta_m(tau, 0) for an arbitrary integer characteristic m, from the kept table.
 
     Reduces m first and premultiplies by the reduction sign, so callers
-    may pass non-reduced sums of characteristics directly.  With z None
-    it reads the kept table at z = 0; any other z costs one lattice pass.
-    A z that is not 3 finite numbers, or whose theta values leave the
-    float range, raises ValueError.
+    may pass non-reduced sums of characteristics directly.
     """
-    return _lookup(theta_tables(tau).values if z is None else _series(tau, z)[0], m)
+    return _lookup(theta_tables(tau).values, m)
 
 
 def theta_const(m: Characteristic, tau: PeriodMatrix) -> complex:
@@ -465,7 +405,7 @@ def theta_tables(tau: PeriodMatrix, pol: TruncationPolicy = DEFAULT_POLICY) -> T
     """
     kept = tau._tables.get(pol)
     if kept is None:
-        values, grads = _series(tau, None, pol)
+        values, grads = _series(tau, pol)
         for arr in (values, grads):
             arr.setflags(write=False)
         mags = np.abs(values[_EVEN_IDX])  # _EVEN is in (m', m'') order

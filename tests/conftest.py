@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from thetaquartic import AronholdSystem, Characteristic, PeriodMatrix, random_admissible_tau, theta
+from thetaquartic import AronholdSystem, Characteristic, PeriodMatrix, even_forms, random_admissible_tau, theta
+from thetaquartic.invariants import cube_sum
 
 from oracles import theta_genus1
 
@@ -37,13 +38,18 @@ def near_singular_tau(rng, eps) -> np.ndarray:
 
 
 def genus1_factorization_residual(forms) -> float:
-    """Worst relative gap, at a diagonal tau, between theta and its product of genus-1 series."""
+    """Worst relative gap, at a diagonal tau, between theta and its product of genus-1 series.
+
+    Theta at ``forms`` and a z off 0 is the direct sum ``invariants.cube_sum``; the 36 even
+    constants at z = 0 are the engine's.
+    """
     tau = PeriodMatrix(np.diag([0.1 + 0.9j, -0.2 + 1.1j, 0.05 + 1.3j]))
     z = np.array([0.1 + 0.05j, -0.2 + 0.02j, 0.3 - 0.1j])
+    pairs = [(m, z, cube_sum(m.mp, m.mpp, tau.tau, z)[0]) for m in forms]
+    pairs += [(m, np.zeros(3), theta(m, tau)) for m in even_forms()]
     worst = 0.0
-    for m in forms:
-        full = theta(m, tau, z)
-        product = np.prod([theta_genus1(m.mp[j], m.mpp[j], tau.tau[j, j], z[j]) for j in range(3)])
+    for m, at, full in pairs:
+        product = np.prod([theta_genus1(m.mp[j], m.mpp[j], tau.tau[j, j], at[j]) for j in range(3)])
         worst = max(worst, abs(full - product) / max(abs(full), abs(product), 1e-6))
     return worst
 

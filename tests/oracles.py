@@ -9,6 +9,8 @@ its definition on the symplectic space (F2^6, omega), not from the Arf
 formula the package uses.  The direct lattice sum the theta tests
 compare the engine with is not here: it is
 :func:`thetaquartic.invariants.cube_sum`, which ``selftest`` runs too.
+:func:`full_pass` is the exception: it is the engine's own lattice pass
+at z = 0 without the parity shortcut, to pin that shortcut's bits.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from thetaquartic import thetaeval as te
 from thetaquartic.weber import MONOMIALS
 
 
@@ -53,6 +56,24 @@ def theta_genus1(a, b, tau1, z1, radius=60):
     n = np.arange(-radius, radius + 1)
     p = n + a / 2
     return np.exp(1j * np.pi * (p * p * tau1 + 2 * p * (z1 + b / 2))).sum()
+
+
+def full_pass(tau):
+    """The values (64,) and gradients (64, 3) of the engine's z = 0 pass, with every row exponentiated.
+
+    The same ellipsoid, class sums and Re tau units as ``thetaeval._series``, with no mirroring.
+    """
+    b = np.rint(tau.tau.real / 2)
+    k = te._ellipsoid(tau.chol / 2, te._radius2(tau, te.DEFAULT_POLICY))
+    km = k.astype(np.intp) & 3
+    p = k / 2
+    q = (p @ (tau.tau - 2 * b)) * p
+    terms = np.empty((4, len(p)), dtype=complex)
+    np.exp(1j * np.pi * (q[:, 0] + q[:, 1] + q[:, 2]), out=terms[0])  # e(x) convention
+    out = te._class_sums(km[:, 0] + 4 * km[:, 1] + 16 * km[:, 2], p, terms)
+    if b.any():
+        out *= te._UNITS[np.add.reduce((te._MP @ np.fmod(b, 4).astype(np.int8)) * te._MP, axis=1) & 3]
+    return out[0], out[1:].T.copy()
 
 
 def brute_force_aronhold_sets():

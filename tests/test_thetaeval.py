@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +43,7 @@ from thetaquartic.weber import (
 )
 
 from conftest import genus1_factorization_residual, near_singular_tau, xor_char
+from oracles import full_pass
 
 RNG = np.random.default_rng(2024)
 DATA = Path(__file__).parent / "data"
@@ -64,15 +64,6 @@ def _rand_z(scale=0.2):
     return RNG.standard_normal(3) * scale + 1j * RNG.standard_normal(3) * scale / 4
 
 
-def test_theta_parity_all_64(tau_seed1):
-    z = _rand_z()
-    for m in all_forms():
-        plus = theta(m, tau_seed1, z)
-        minus = theta(m, tau_seed1, -z)
-        expected = (-1) ** arf(m) * plus
-        assert abs(minus - expected) <= 1e-10 * max(abs(plus), 1e-3)
-
-
 def test_reduction_formula_against_raw_series(tau_seed1, tau_skewed):
     # production values at non-reduced characteristics match the direct
     # (non-reducing) lattice sum, and the explicit sign relation
@@ -88,79 +79,15 @@ def test_reduction_formula_against_raw_series(tau_seed1, tau_skewed):
 
 
 def test_reduction_formula_at_z(tau_seed2):
+    # the direct sum at a non-reduced characteristic is the reduction sign times the one at the reduced one
     z = _rand_z()
     m = Characteristic((0, 1, 1), (1, 0, 1))
     shifted = m + Characteristic((2, 0, 2), (0, 2, 0))
-    lhs = theta(shifted, tau_seed2, z)
+    r, sign = reduce_characteristic(shifted)
+    assert r == m and sign == -1
+    lhs = sign * invariants.cube_sum(m.mp, m.mpp, tau_seed2.tau, z)[0]
     direct = invariants.cube_sum(shifted.mp, shifted.mpp, tau_seed2.tau, z)[0]
     assert abs(lhs - direct) < 1e-12 * abs(direct)
-
-
-@pytest.mark.parametrize("seed", [0, 3, 8, 12])
-def test_series_at_z_matches_cube_sum(seed):
-    # all 64 values and gradients of one pass at z != 0 against the cube sum centred at the peak;
-    # the third z puts the peak -Y^-1 Im z more than a lattice step from 0
-    tau = random_admissible_tau(seed)
-    y = tau.tau.imag
-    rng = np.random.default_rng(seed)
-    zs = [
-        rng.standard_normal(3) * 0.5 + 0.2j * rng.standard_normal(3),
-        rng.standard_normal(3) * 0.5 + 0.5j * rng.standard_normal(3),
-        rng.standard_normal(3) * 0.5 + 1j * (y @ np.array([1.6, -0.7, 0.4])),
-    ]
-    for z in zs:
-        a = np.linalg.solve(y, z.imag)
-        values, grads = thetaeval._series(tau, z)
-        # the exponents' roundoff grows with the log-modulus pi a.Y.a of the peak term
-        tol = 1e-15 * (10 + np.pi * z.imag @ a)
-        vscale, gscale = np.abs(values).max(), np.abs(grads).max()
-        for q in all_forms():
-            value, grad = invariants.cube_sum(q.mp, q.mpp, tau.tau, z=z)
-            x = pack(q)
-            assert abs(values[x] - value) <= tol * vscale
-            assert np.abs(grads[x] - grad).max() <= tol * gscale
-    assert np.abs(a).max() > 1
-
-
-@pytest.mark.parametrize(
-    "z",
-    [[np.nan, 0, 0], [np.inf, 0, 0], [0, 0, complex(0, -np.inf)], [0, 0], [[0, 0, 0]], [0, 0, 0, 0]],
-    ids=["nan", "inf", "imag-inf", "shape-2", "shape-1x3", "shape-4"],
-)
-def test_theta_refuses_malformed_z(tau_seed1, z):
-    with pytest.raises(ValueError, match="z must be 3 finite"):
-        theta(Characteristic((1, 0, 1), (1, 0, 1)), tau_seed1, z)
-
-
-@pytest.mark.parametrize(
-    "tau, z, error",
-    [
-        (PeriodMatrix(1j * np.eye(3)), [30j, 0, 0], ValueError),  # |theta| about exp(pi 900): past the float range
-        (PeriodMatrix(1j * np.eye(3)), [1e300j, 0, 0], ValueError),
-        # the peak term is below the float limit, but a sum (at 15) or a gradient (at 14.99) is past it
-        (PeriodMatrix(1j * np.eye(3)), [15j, 0, 0], ValueError),
-        (PeriodMatrix(1j * np.eye(3)), [14.99j, 0, 0], ValueError),
-        (PeriodMatrix(1j * np.diag([1e-10, 1e10, 1.0])), [0.1, 0, 0], TruncationError),  # over the point cap
-    ],
-    ids=["im-30", "im-1e300", "im-15", "im-14.99", "cap"],
-)
-def test_refusal_at_z_names_z(tau, z, error):
-    # the refusal is the typed error, with no RuntimeWarning before it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(error, match=r"z = \["):
-            theta(Characteristic((0, 0, 0), (0, 0, 0)), tau, z)
-
-
-@pytest.mark.parametrize("m, x, sign", [
-    *((Characteristic((0, 0, 0), (0, 0, 0)), x, 1) for x in (2, 1e8, 1e12, 1e16, 1e300)),
-    (Characteristic((1, 0, 0), (0, 0, 0)), 1e8 + 1, -1),
-], ids=["2", "1e8", "1e12", "1e16", "1e300", "odd-1e8+1"])
-def test_theta_at_integer_real_shift(tau_seed1, m, x, sign):
-    # theta[m](z + n) = (-1)^(m'.n) theta[m](z) for integer n, however large; e(2 p.z) at
-    # Re z = 1e12 loses 5 digits unless Re z is reduced before the pass
-    want = sign * theta(m, tau_seed1)
-    assert abs(theta(m, tau_seed1, [x, 0, 0]) - want) <= 1e-14 * abs(want)
 
 
 def test_constants_invariant_under_integer_lifts(tau_seed2):
@@ -220,7 +147,7 @@ def test_even_gradients_vanish(tau_seed1):
 def test_gradient_matches_finite_differences(tau_seed1):
     for m in odd_forms():
         g = grad_theta0(m, tau_seed1)
-        fd = invariants.fd_gradient(lambda dz: theta(m, tau_seed1, dz))
+        fd = invariants.fd_gradient(lambda dz: invariants.cube_sum(m.mp, m.mpp, tau_seed1.tau, dz)[0])
         assert np.linalg.norm(g - fd) < 1e-7 * np.linalg.norm(g)
 
 
@@ -267,19 +194,15 @@ _EVEN_SHIFTS = (
 
 @pytest.mark.parametrize("b", _EVEN_SHIFTS, ids=["diag", "full"])
 def test_series_at_re_tau_plus_2b_matches_cube_sum(b):
-    # the pass sums at tau and applies the units; the cube sum sums at tau + 2B directly.
-    # At the second z, rint(Re z) = (3, -1, 5) makes both parts of the units i^(m'.B.m' + 2 m'.n) non-trivial
+    # the pass sums at tau and applies the units i^(m'.B.m'); the cube sum sums at tau + 2B directly
     tau = random_admissible_tau(7).tau + 2 * b
-    for z in (np.zeros(3), np.array([3.2, -0.9, 4.7]) + 0.2j * np.array([1.0, -0.5, 0.8])):
-        # the tolerance of test_series_at_z_matches_cube_sum, 1e-14 at z = 0
-        tol = 1e-15 * (10 + np.pi * z.imag @ np.linalg.solve(tau.imag, z.imag))
-        values, grads = thetaeval._series(PeriodMatrix(tau), z)
-        vscale, gscale = np.abs(values).max(), np.abs(grads).max()
-        for q in all_forms():
-            value, grad = invariants.cube_sum(q.mp, q.mpp, tau, z=z)
-            x = pack(q)
-            assert abs(values[x] - value) <= tol * vscale
-            assert np.abs(grads[x] - grad).max() <= tol * gscale
+    values, grads = theta_tables(PeriodMatrix(tau))[:2]
+    vscale, gscale = np.abs(values).max(), np.abs(grads).max()
+    for q in all_forms():
+        value, grad = invariants.cube_sum(q.mp, q.mpp, tau)
+        x = pack(q)
+        assert abs(values[x] - value) <= 1e-14 * vscale
+        assert np.abs(grads[x] - grad).max() <= 1e-14 * gscale
 
 
 @pytest.fixture(scope="module")
@@ -398,16 +321,15 @@ def test_quasi_periodicity_composed(tau_seed1):
     h = np.array([0, 1, 1])
     z = _rand_z()
     kc = Characteristic(tuple(k), tuple(h))
-    lhs = theta(q, tau_seed1, z + h + tau @ k)
+    lhs = invariants.cube_sum(q.mp, q.mpp, tau, z + h + tau @ k)[0]
 
     def factor(mpp_vec, zz):
         expo = -0.5 * k @ (np.array(mpp_vec) + h) - k @ zz - 0.25 * k @ tau @ k
         return np.exp(1j * np.pi * expo)
 
     mid = char_sum(q, kc)
-    rhs = factor(q.mpp, z + h / 2 + tau @ k / 2) * factor(mid.mpp, z) * theta(
-        char_sum(mid, kc), tau_seed1, z
-    )
+    end = char_sum(mid, kc)  # not reduced: the direct sum takes any integer characteristic
+    rhs = factor(q.mpp, z + h / 2 + tau @ k / 2) * factor(mid.mpp, z) * invariants.cube_sum(end.mp, end.mpp, tau, z)[0]
     assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), abs(rhs))
 
 
@@ -438,14 +360,12 @@ def test_truncation_policy_validation(tau_seed1):
         x = box + center
         return {tuple(n) for n in box[np.einsum("ni,ij,nj->n", x, imag, x) <= r2]}
 
-    center = np.array([0.5, 0.0, 0.5])
-    points = _ellipsoid(chol, center, r2)
-    assert {tuple(n) for n in points.astype(int)} == box_filter(center)
+    points = _ellipsoid(chol, r2)
+    assert {tuple(n) for n in points.astype(int)} == box_filter(np.zeros(3))
     # a pass's one ellipsoid in k = 2p is the union of the 8 shifted ellipsoids of p = n + m'/2:
     # no point at a parity boundary is lost or counted twice
-    a = np.array([0.3, -1.25, 0.5])
-    k = _ellipsoid(chol / 2, 2 * a, r2).astype(int)
-    shifted = [2 * np.array(n) + mp for mp in np.ndindex(2, 2, 2) for n in box_filter(np.array(mp) / 2 + a)]
+    k = _ellipsoid(chol / 2, r2).astype(int)
+    shifted = [2 * np.array(n) + mp for mp in np.ndindex(2, 2, 2) for n in box_filter(np.array(mp) / 2)]
     assert len(k) == len(shifted) == len({tuple(x) for x in k})
     assert {tuple(x) for x in k} == {tuple(x) for x in shifted}
 
@@ -527,10 +447,11 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
         theta_const(q + lift, tau)
         grad_theta0(q + lift, tau)
     invariants.parity_vanishing(tau)
+    # the identities away from z = 0 read the direct sum, and at z = 0 the kept table
+    rng = np.random.default_rng(0)
+    for check in (invariants.addition_formula, invariants.quasi_periodicity, invariants.gradient_finite_difference):
+        assert check.passes(check(tau, rng))
     assert len(series_calls) == 1
-    # u = 0 reads the kept table; v (which is u + v) and u - v cost one pass each
-    invariants.addition_formula(tau, np.random.default_rng(0))
-    assert len(series_calls) == 3
     loose = TruncationPolicy(target_tail=1e-10)
     even_constant_table(tau, loose)
     coarse = theta_tables(tau, loose)
@@ -538,37 +459,13 @@ def test_one_lattice_pass_per_tau_and_policy(tau_seed1, series_calls):
     # the coarse table kept beside the default one never reaches the pipeline
     a = weber_coefficients(REFERENCE_SYSTEM, tau).a
     _, lines = all_bitangents(REFERENCE_SYSTEM, tau)
-    assert len(series_calls) == 4
+    assert len(series_calls) == 2
     twin = PeriodMatrix(tau_seed1.tau)
     odd_gradient_table(twin)
-    assert len(series_calls) == 5
+    assert len(series_calls) == 3
     assert a.tobytes() == weber_coefficients(REFERENCE_SYSTEM, twin).a.tobytes()
     assert lines.tobytes() == all_bitangents(REFERENCE_SYSTEM, twin)[1].tobytes()
-    assert len(series_calls) == 5
-
-
-def test_addition_formula_one_pass_per_distinct_z(tau_seed1, series_calls):
-    tau = PeriodMatrix(tau_seed1.tau)
-    theta_tables(tau)
-    q5, q6, q7 = REFERENCE_SYSTEM.forms[4:]
-    ms = (char_sum(q5, q6, q7), q5, q6, q7)
-    u, v = np.array([0.1 + 0.02j, -0.2, 0.05j]), np.array([-0.15 + 0.03j, 0.1 - 0.04j, 0.2])
-    series_calls.clear()
-    assert addition_formula_residual(*ms, None, v, tau) < 1e-9
-    assert len(series_calls) == 2  # u = 0 reads the kept table; v (which is u + v) and u - v
-    series_calls.clear()
-    assert addition_formula_residual(*ms, u, v, tau) < 1e-9
-    assert len(series_calls) == 4  # u + v, u - v, u and v
-
-
-@pytest.mark.parametrize("shift", [0, 1, -3], ids=["re0", "re+1", "re-3"])
-@pytest.mark.parametrize("seed", [1, 4, 7])
-def test_theta_at_zero_is_the_kept_constant(seed, shift):
-    # a fresh pass at z = 0 and the kept table agree bit for bit in all 64 values and
-    # gradients, with Re tau shifted by integers or not
-    tau = PeriodMatrix(random_admissible_tau(seed).tau + shift * np.array([[2, 1, 0], [1, 0, -1], [0, -1, 4]]))
-    kept, (values, grads) = theta_tables(tau), thetaeval._series(tau, np.zeros(3))
-    assert kept.values.tobytes() == values.tobytes() and kept.grads.tobytes() == grads.tobytes()
+    assert len(series_calls) == 3
 
 
 #: a shift 2B of Re tau whose units i^(m'.B.m') are not all 1
@@ -580,18 +477,21 @@ _MIRROR_TAUS = {
     "thin": _skewed(PeriodMatrix(0.1 + 1j * np.diag([1e-3, 1e3, 1.0])), 1).tau,  # thin: Im(tau) eigenvalues 3e-4 to 2e3
     "imaginary": 1j * random_admissible_tau(1).tau.imag,  # real weights, whose imaginary parts are signed zeros
     "one point": 0.1 + 100j * np.eye(3),  # the ellipsoid holds k = 0 alone: nothing to mirror
+    # Re tau moved by integers, odd entries included
+    **{f"seed{s} re{shift:+d}": random_admissible_tau(s).tau + shift * np.array([[2, 1, 0], [1, 0, -1], [0, -1, 4]])
+       for s in (1, 4, 7) for shift in (1, -3)},
 }
 
 
 @pytest.mark.parametrize("name", _MIRROR_TAUS)
 def test_mirrored_pass_is_the_full_pass(name):
-    # at z = None the pass exponentiates rows 0..h of the ellipsoid and mirrors them (w even, p w odd);
-    # at z = 0 given as an array it evaluates every row: the two agree bit for bit
+    # the pass exponentiates rows 0..h of the ellipsoid and mirrors them (w even, p w odd); the oracle
+    # exponentiates every row: the kept tables and the oracle's agree bit for bit
     tau = PeriodMatrix(_MIRROR_TAUS[name])
-    half, full = thetaeval._series(tau, None), thetaeval._series(tau, np.zeros(3))
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(half, full))
-    # the ellipsoid at centre 0 lists -k in the reverse order of k, its middle row 0
-    k = _ellipsoid(tau.chol / 2, np.zeros(3), thetaeval._radius2(tau, np.zeros(3), thetaeval.DEFAULT_POLICY))
+    kept, full = theta_tables(tau), full_pass(tau)
+    assert kept.values.tobytes() == full[0].tobytes() and kept.grads.tobytes() == full[1].tobytes()
+    # the ellipsoid lists -k in the reverse order of k, its middle row 0
+    k = _ellipsoid(tau.chol / 2, thetaeval._radius2(tau, thetaeval.DEFAULT_POLICY))
     assert len(k) % 2 == 1 and (k[::-1] == -k).all()
     if name == "one point":
         assert len(k) == 1  # the case covers the empty mirror slices only while N is 1
@@ -606,12 +506,11 @@ def test_pass_at_z0_refuses_an_unpaired_enumeration(rows, monkeypatch):
         theta_tables(PeriodMatrix(_MIRROR_TAUS["seed1"]))
 
 
-@pytest.mark.parametrize("centre", [np.zeros(3), np.array([0.6, -1.4, 0.9])], ids=["centre0", "centre"])
 @pytest.mark.parametrize("name", ["seed1", "thin"])
-def test_ellipsoid_rows_ascend_in_k3_k2_k1(name, centre):
+def test_ellipsoid_rows_ascend_in_k3_k2_k1(name):
     # the class sums of a pass keep their bits only if the enumeration keeps its order
     tau = PeriodMatrix(_MIRROR_TAUS[name])
-    k = _ellipsoid(tau.chol / 2, centre, thetaeval._radius2(tau, centre / 2, thetaeval.DEFAULT_POLICY))
+    k = _ellipsoid(tau.chol / 2, thetaeval._radius2(tau, thetaeval.DEFAULT_POLICY))
     assert len(k) > 100
     assert (np.lexsort(k.T) == np.arange(len(k))).all()  # lexsort's last key, k_3, is its first
 
