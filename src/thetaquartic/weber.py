@@ -41,6 +41,17 @@ array, checked as :class:`ProjLine` checks one line
 line's job.  Covectors and quartic coefficients are scaled for output by
 :func:`unit_pivot`.  numpy is called at its C entry points, for the
 reason and in the way :mod:`~thetaquartic.thetaeval` states.
+
+The seven small LAPACK calls per curve (the SVD and LU solve of the
+lambda and k systems, the xi least-squares fit, and the SVD and inverse
+of the frame) enter numpy's LAPACK gufuncs directly (``svd``,
+``solve1``, ``lstsq`` with numpy's default rcond, ``inv``), the loops
+``numpy.linalg`` runs on the same complex128 inputs, so the bits are
+its bits; the names are those of numpy 2 and an older numpy fails at
+import.  Where a loop fails it returns NaN instead of raising
+``LinAlgError``, and every gate after one is written to refuse NaN, so
+the run still ends in :class:`~thetaquartic.errors.SingularSystemError`
+naming that gate.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from numpy.linalg._umath_linalg import inv as _inv, lstsq as _lstsq, solve1 as _solve1, svd as _svd
 
 from .charalgebra import (
     AronholdSystem,
@@ -92,6 +104,8 @@ FRAME_COND_LIMIT = 1e10
 #: a denominator D[.., q_4, ..] below this times its three gradient norms vanishes
 JACOBIAN_DET_REL_TOL = 1e-12
 XI_RESIDUAL_GATE = 1e-8
+#: numpy.linalg.lstsq's default rcond for the 12x3 xi fit: eps times the larger dimension
+_XI_RCOND = np.finfo(float).eps * 12
 
 #: bound of the cache keyed by an Aronhold system: the 288 of enumerate_aronhold and REFERENCE_SYSTEM, a 289th
 SYSTEM_CACHE_SIZE = 288 + 1
@@ -119,7 +133,8 @@ def norm(x: np.ndarray, axis=None, keepdims: bool = False):
 def _cond(s: np.ndarray):
     """The condition number from a finite matrix's descending singular values ``s``: s[0] / s[-1], inf where s[-1] is 0.
 
-    With ``s = np.linalg.svd(mat, compute_uv=False)`` it is ``np.linalg.cond(mat)``, bit for bit.
+    With ``s = _svd(mat)``, which is ``np.linalg.svd(mat, compute_uv=False)``, it is ``np.linalg.cond(mat)``,
+    bit for bit.
     """
     return s[0] / s[-1] if s[-1] else np.inf
 
@@ -331,11 +346,11 @@ def _weber_matrix(plan: _GatherPlan, values: np.ndarray) -> np.ndarray:
 
 
 def _solve3(mat: np.ndarray, what: str) -> np.ndarray:
-    if not np.logical_and.reduce(np.isfinite(mat), None) or _cond(np.linalg.svd(mat, compute_uv=False)) > COND_LIMIT:
+    if not np.logical_and.reduce(np.isfinite(mat), None) or not _cond(_svd(mat)) <= COND_LIMIT:
         raise SingularSystemError(f"{what} is singular")
-    x = np.linalg.solve(mat, _RHS)
+    x = _solve1(mat, _RHS)
     resid = norm(mat @ x - _RHS) / (norm(mat) * norm(x) + _RHS_NORM)
-    if not np.logical_and.reduce(np.isfinite(x)) or resid > SOLVE_RESIDUAL_GATE:
+    if not np.logical_and.reduce(np.isfinite(x)) or not resid <= SOLVE_RESIDUAL_GATE:
         raise SingularSystemError(f"{what} is numerically singular (residual {resid:.2e})")
     return x
 
@@ -372,9 +387,9 @@ def xi_forms(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     b = np.concatenate((_ONES, 1.0 / a))
     w = 1.0 / np.maximum.reduce(np.abs(b), axis=1)
     rhs = -np.concatenate((_ONES, k[:, None] * a))  # column l: -(1, k_i a_il)
-    y, *_ = np.linalg.lstsq(b * w[:, None], rhs * w[:, None], rcond=None)
+    y = _lstsq(b * w[:, None], rhs * w[:, None], _XI_RCOND)[0]
     resid = np.maximum.reduce(norm(b @ y - rhs, axis=0) / np.maximum(norm(rhs, axis=0), 1e-300))
-    if resid > XI_RESIDUAL_GATE:
+    if not resid <= XI_RESIDUAL_GATE:
         raise SingularSystemError(f"three-radical scaling system inconsistent (residual {resid:.2e})")
     return line_covectors(y)
 
@@ -429,19 +444,19 @@ def frame_matrix(system: AronholdSystem, tau: PeriodMatrix) -> np.ndarray:
     grads, lines = require_generic(tau).grads, _plan(system).lines
     g, g4 = grads[lines[:3]], grads[lines[3]]
     norms = norm(g, axis=1, keepdims=True)
-    s = np.linalg.svd(g := g / norms, compute_uv=False) if np.minimum.reduce(norms, axis=None) > 0 else np.zeros(3)
+    s = _svd(g := g / norms) if np.minimum.reduce(norms, axis=None) > 0 else np.zeros(3)
     cond = _cond(s)
     if not cond <= FRAME_COND_LIMIT:
         raise SingularSystemError(
             f"frame matrix condition number {cond:.2e} exceeds FRAME_COND_LIMIT {FRAME_COND_LIMIT:.0e}"
         )
-    inv = np.linalg.inv(g)
+    inv = _inv(g)
     c4 = g4 @ inv
     # |c4_j det g| / |g4| is |D[.., q_4, ..]| over its three gradient norms;
     # numerators may legitimately be tiny (a near-zero coefficient), only a
     # vanishing denominator poisons the frame
     denominator, scale = np.minimum.reduce(np.abs(c4)) * (s[0] * s[1] * s[2]), norm(g4)
-    if denominator < JACOBIAN_DET_REL_TOL * scale:
+    if not denominator >= JACOBIAN_DET_REL_TOL * scale:
         raise SingularSystemError(
             f"Jacobian determinant denominator {denominator / scale:.2e} (relative to its gradient norms) "
             f"is below JACOBIAN_DET_REL_TOL {JACOBIAN_DET_REL_TOL:.0e}"

@@ -143,9 +143,39 @@ def test_solve_k_scaling_and_singular():
 def test_solve_residual_gate_refuses_what_the_solve_returns(x, monkeypatch):
     # a well-conditioned system whose solve comes back non-finite, or finite with residual 1, is refused by name
     a = np.array([[2, 1, 1], [1, 3, 1], [1, 1, 4]], dtype=complex)
-    monkeypatch.setattr(np.linalg, "solve", lambda mat, rhs: x)
+    monkeypatch.setattr(weber, "_solve1", lambda mat, rhs: x)
     with pytest.raises(SingularSystemError, match=r"numerically singular \(residual (nan|1\.00e\+00)\)"):
         solve_lambda(a)
+
+
+#: what each of weber's LAPACK bindings returns where the LAPACK loop fails (NaN, with no LinAlgError)
+_NAN_RESULTS = {
+    "_svd": lambda mat: np.full(3, np.nan),
+    "_solve1": lambda mat, rhs: np.full(3, np.nan + 0j),
+    "_inv": lambda mat: np.full((3, 3), np.nan + 0j),
+    "_lstsq": lambda mat, rhs, rcond: (np.full((3, 3), np.nan + 0j), np.full(3, np.nan), 0, np.full(3, np.nan)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, stage, gate",
+    [
+        ("_svd", reconstruct, r"reciprocal coefficient matrix is singular"),
+        ("_svd", lambda tau: frame_matrix(REFERENCE_SYSTEM, tau), r"frame matrix condition number nan"),
+        ("_solve1", reconstruct, r"reciprocal coefficient matrix is numerically singular \(residual nan\)"),
+        ("_inv", reconstruct, r"Jacobian determinant denominator nan"),
+        ("_lstsq", reconstruct, r"three-radical scaling system inconsistent \(residual nan\)"),
+    ],
+    ids=["svd-solve", "svd-frame", "solve1", "inv", "lstsq"],
+)
+def test_lapack_nan_is_refused_by_its_gate(name, stage, gate, tau_seed1, monkeypatch):
+    # a LAPACK loop that fails returns NaN where numpy.linalg raised LinAlgError; the gate after it refuses
+    # the NaN by name, so the run ends in a typed refusal, not LinAlgError or line_covectors' ValueError
+    monkeypatch.setattr(weber, name, _NAN_RESULTS[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularSystemError, match=gate):
+            stage(tau_seed1)
 
 
 def _gate_matrices():
@@ -172,6 +202,47 @@ def test_gate_helpers_are_numpy_bit_for_bit():
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert weber._cond(np.array([2.0, 1.0, 0.0])) == np.inf
     assert weber._RHS_NORM == np.linalg.norm(weber._RHS) and not weber._RHS.flags.writeable
+
+
+def _public_linalg(name, args):
+    # the numpy.linalg call each of weber's direct LAPACK bindings stands for
+    if name == "_svd":
+        return np.linalg.svd(*args, compute_uv=False)
+    if name == "_solve1":
+        return np.linalg.solve(*args)
+    if name == "_inv":
+        return np.linalg.inv(*args)
+    return np.linalg.lstsq(*args[:2], rcond=None)[0]
+
+
+def test_lapack_bindings_are_numpy_linalg_bit_for_bit(monkeypatch):
+    # each gufunc weber calls gives the bytes of its public numpy.linalg call: on the gate matrices (svd and
+    # solve1; where np.linalg.solve raises LinAlgError the loop returns NaN), and on every system the
+    # pipeline hands a binding at random_admissible_tau(1..30), among them the equilibrated frames G (inv)
+    # and the 12x3 xi systems (lstsq)
+    gates = _gate_matrices()
+    calls = [("_svd", (mat,)) for mat in gates] + [("_solve1", (mat, weber._RHS)) for mat in gates]
+    for name in ("_svd", "_solve1", "_inv", "_lstsq"):
+        def recording(*args, name=name, direct=getattr(weber, name)):
+            calls.append((name, args))
+            return direct(*args)
+
+        monkeypatch.setattr(weber, name, recording)
+    for seed in range(1, 31):
+        reconstruct(random_admissible_tau(seed))
+    monkeypatch.undo()
+    assert {name for name, _ in calls[2 * len(gates):]} == {"_svd", "_solve1", "_inv", "_lstsq"}
+    for name, args in calls:
+        with np.errstate(invalid="ignore"):
+            got = getattr(weber, name)(*args)
+        got = got[0] if name == "_lstsq" else got
+        try:
+            want = _public_linalg(name, args)
+        except np.linalg.LinAlgError:
+            assert name == "_solve1" and np.isnan(got).all()
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert weber._XI_RCOND == np.finfo(complex).eps * max(12, 3)  # lstsq's rcond=None for the 12x3 fit
 
 
 def test_xi_forms_satisfy_all_equations(tau_seed1):
